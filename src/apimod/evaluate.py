@@ -19,6 +19,15 @@ hurts/breaks links. Reports flag this rule set as "symmetric-closure".
 
 Human assignments always win: an assigned node keeps its label, and if the
 rules would have produced something else the node is listed as overridden.
+
+Evaluation runs in Jacobi rounds: each round applies the rules to the labels
+left by the round before and merges the delivered evidence into the pairs.
+Round 0 evaluates every node. A delivery depends only on its sources' labels,
+so each later round evaluates only the readers of nodes whose label changed
+in the round before; any other delivery would repeat evidence already merged.
+`iterations` counts the rounds in which at least one pair changed. A pair can
+gain evidence at most four times, so that count stays within 4 x nodes, which
+is checked at run time.
 """
 
 from __future__ import annotations
@@ -27,11 +36,10 @@ from dataclasses import dataclass, field
 
 from .core import (
     ApimodError, ContributionStrength, Diagnostic, ElementKind, Evidence,
-    EvidencePair, GoalModel, Label, NO_EVIDENCE, RefinementKind, Severity,
-    evidence_to_label, label_max, label_min, label_to_evidence,
+    EvidencePair, GoalModel, Label, RefinementKind, Severity,
+    evidence_to_label, label_to_evidence, sort_diagnostics,
 )
 from .validate import validate_goal_model
-from .core import sort_diagnostics
 
 RULE_SET = "symmetric-closure"
 
@@ -51,52 +59,6 @@ class EvaluationResult:
     iterations: int
     diagnostics: list[Diagnostic]
     scenario: str = ""
-
-
-# Evidence delivered through a contribution link, per source label.
-# UNKNOWN sources deliver nothing. CONFLICT sources deliver mixed partial
-# evidence through every strength: anything weaker would make the final
-# labels depend on rule-application order (a transiently positive source
-# could leave evidence behind that its settled conflicted state no longer
-# justifies delivering).
-_P = Evidence.PARTIAL
-_F = Evidence.FULL
-_MIXED = EvidencePair(_P, _P)
-_CONTRIBUTION_TABLE: dict[ContributionStrength, dict[Label, EvidencePair]] = {
-    ContributionStrength.MAKES: {
-        Label.SATISFIED: EvidencePair(_F, Evidence.NONE),
-        Label.PARTIALLY_SATISFIED: EvidencePair(_P, Evidence.NONE),
-        Label.PARTIALLY_DENIED: EvidencePair(Evidence.NONE, _P),
-        Label.DENIED: EvidencePair(Evidence.NONE, _F),
-        Label.CONFLICT: _MIXED,
-    },
-    ContributionStrength.HELPS: {
-        Label.SATISFIED: EvidencePair(_P, Evidence.NONE),
-        Label.PARTIALLY_SATISFIED: EvidencePair(_P, Evidence.NONE),
-        Label.PARTIALLY_DENIED: EvidencePair(Evidence.NONE, _P),
-        Label.DENIED: EvidencePair(Evidence.NONE, _P),
-        Label.CONFLICT: _MIXED,
-    },
-    ContributionStrength.HURTS: {
-        Label.SATISFIED: EvidencePair(Evidence.NONE, _P),
-        Label.PARTIALLY_SATISFIED: EvidencePair(Evidence.NONE, _P),
-        Label.PARTIALLY_DENIED: EvidencePair(_P, Evidence.NONE),
-        Label.DENIED: EvidencePair(_P, Evidence.NONE),
-        Label.CONFLICT: _MIXED,
-    },
-    ContributionStrength.BREAKS: {
-        Label.SATISFIED: EvidencePair(Evidence.NONE, _F),
-        Label.PARTIALLY_SATISFIED: EvidencePair(Evidence.NONE, _P),
-        Label.PARTIALLY_DENIED: EvidencePair(_P, Evidence.NONE),
-        Label.DENIED: EvidencePair(_F, Evidence.NONE),
-        Label.CONFLICT: _MIXED,
-    },
-}
-
-
-def contribution_evidence(source_label: Label,
-                          strength: ContributionStrength) -> EvidencePair:
-    return _CONTRIBUTION_TABLE[strength].get(source_label, NO_EVIDENCE)
 
 
 def evaluation_nodes(model: GoalModel) -> list[str]:
@@ -139,135 +101,170 @@ def resolve_scenario(model: GoalModel, scenario: Scenario) -> dict[str, Label]:
     return resolved
 
 
+# Compiled form. A label is a small int in label order with CONFLICT on top,
+# so max() absorbs it. An evidence pair keeps each side in thermometer code
+# (none 0, partial 1, full 3), the negative side two bits up, so merging two
+# pairs is a bitwise or.
+_LABELS = (Label.DENIED, Label.PARTIALLY_DENIED, Label.UNKNOWN,
+           Label.PARTIALLY_SATISFIED, Label.SATISFIED, Label.CONFLICT)
+_CONFLICT = len(_LABELS) - 1
+_CODE = {label: i for i, label in enumerate(_LABELS)}
+
+
+def _pair_code(pair: EvidencePair) -> int:
+    return (0, 1, 3)[pair.positive] | (0, 1, 3)[pair.negative] << 2
+
+
+def _swap_sides(code: int) -> int:
+    return (code & 0b11) << 2 | code >> 2
+
+
+_PROJECT = {_pair_code(EvidencePair(p, n)): _CODE[evidence_to_label(EvidencePair(p, n))]
+            for p in Evidence for n in Evidence}
+# Evidence a label carries through refinement and dependency links.
+_CARRIED = [_pair_code(label_to_evidence(label)) for label in _LABELS]
+_PARTIAL = 0b0101
+# Evidence delivered through a contribution link, per source label: the
+# carried evidence, capped at partial through helps/hurts and with its sides
+# swapped through hurts/breaks. UNKNOWN sources deliver nothing. CONFLICT
+# sources deliver mixed partial evidence through every strength: anything
+# weaker would make the final labels depend on rule-application order (a
+# transiently positive source could leave evidence behind that its settled
+# conflicted state no longer justifies delivering).
+_CONTRIBUTED = {
+    ContributionStrength.MAKES: _CARRIED,
+    ContributionStrength.HELPS: [c & _PARTIAL for c in _CARRIED],
+    ContributionStrength.HURTS: [_swap_sides(c & _PARTIAL) for c in _CARRIED],
+    ContributionStrength.BREAKS: [_swap_sides(c) for c in _CARRIED],
+}
+
+#: A pair can gain evidence at most four times (each side none -> partial
+#: -> full), so an evaluation has at most this many changing rounds per node.
+MAX_ROUNDS_PER_NODE = 4
+
+
 @dataclass
-class _Rules:
-    """Static view of the model's evidence-delivery rules."""
+class Rules:
+    """A validated goal model compiled for evaluation, indexed like `nodes`."""
 
-    # element id -> (refinement kind, child ids) for elements with refinement
-    refinement: dict[str, tuple[RefinementKind, tuple[str, ...]]]
-    # element id -> dependency ids whose depender element it is
-    incoming_deps: dict[str, list[str]]
-    # dependency id -> dependee element id (when the dependee end is open)
-    dependee_of: dict[str, str]
-    # (source element id, strength, target quality id)
-    contributions: list[tuple[str, ContributionStrength, str]]
-
-
-def _build_rules(model: GoalModel) -> _Rules:
-    refinement = {}
-    contributions = []
-    for actor in model.actors:
-        for el in actor.elements:
-            if el.refinement is not None:
-                refinement[el.id] = (el.refinement.kind, el.refinement.children)
-            for c in el.contributions:
-                contributions.append((el.id, c.strength, c.target))
-    incoming: dict[str, list[str]] = {}
-    dependee_of = {}
-    elements = {e.id for a in model.actors for e in a.elements}
-    for d in model.dependencies:
-        if d.depender.element is not None and d.depender.element in elements:
-            incoming.setdefault(d.depender.element, []).append(d.id)
-        if d.dependee.element is not None and d.dependee.element in elements:
-            dependee_of[d.id] = d.dependee.element
-    return _Rules(refinement, incoming, dependee_of, contributions)
+    model: GoalModel
+    nodes: list[str]
+    index: dict[str, int]
+    # per node: (AND inputs, OR children, [(source, table)]). The combined
+    # input is the min over the AND inputs (AND children, incoming dependums)
+    # and the max of the OR children; a source delivers table[its label].
+    inputs: list[tuple[list[int], list[int], list[tuple[int, list[int]]]]]
+    readers: list[set[int]]  # per node: the nodes whose delivery reads it
+    initial: list[int]  # per node: evidence before any scenario is applied
 
 
-def _combined_input(node: str, rules: _Rules,
-                    labels: dict[str, Label]) -> EvidencePair | None:
-    """Refinement result AND incoming dependum labels, as one delivery.
-
-    Returns None when the node has no refinement and no incoming dependums.
-    """
-    parts: list[Label] = []
-    ref = rules.refinement.get(node)
-    if ref is not None:
-        kind, children = ref
-        combine = label_min if kind is RefinementKind.AND else label_max
-        acc = labels[children[0]]
-        for child in children[1:]:
-            acc = combine(acc, labels[child])
-        parts.append(acc)
-    for dep_id in rules.incoming_deps.get(node, ()):
-        parts.append(labels[dep_id])
-    if not parts:
-        return None
-    acc = parts[0]
-    for lab in parts[1:]:
-        acc = label_min(acc, lab)
-    return label_to_evidence(acc)
-
-
-def _deliveries(rules: _Rules, labels: dict[str, Label],
-                nodes: list[str]) -> dict[str, EvidencePair]:
-    """Evidence delivered to each node by one application of every rule."""
-    delivered = {node: NO_EVIDENCE for node in nodes}
-    for node in nodes:
-        combined = _combined_input(node, rules, labels)
-        if combined is not None:
-            delivered[node] = delivered[node].merge(combined)
-    for dep_id, dependee in rules.dependee_of.items():
-        delivered[dep_id] = delivered[dep_id].merge(
-            label_to_evidence(labels[dependee]))
-    for source, strength, target in rules.contributions:
-        delivered[target] = delivered[target].merge(
-            contribution_evidence(labels[source], strength))
-    return delivered
-
-
-def propagate(model: GoalModel, scenario: Scenario) -> EvaluationResult:
-    """Fixpoint evaluation of a goal model under a scenario."""
+def compile_rules(model: GoalModel) -> Rules:
+    """Validate `model` and compile its delivery rules for any number of
+    scenarios; raises ApimodError when the model has errors."""
     errors = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
     if errors:
         raise ApimodError(
             "model does not validate: " + "; ".join(d.message for d in errors))
-    nodes = evaluation_nodes(model)
-    assigned = resolve_scenario(model, scenario)
-    rules = _build_rules(model)
-
-    pairs: dict[str, EvidencePair] = {node: NO_EVIDENCE for node in nodes}
+    nodes = list(dict.fromkeys(evaluation_nodes(model)))
+    index = {node: i for i, node in enumerate(nodes)}
+    elements = {e.id for a in model.actors for e in a.elements}
+    inputs = [([], [], []) for _ in nodes]
+    for actor in model.actors:
+        for el in actor.elements:
+            if el.refinement is not None:  # a repeated id keeps the last one
+                children = [index[c] for c in el.refinement.children]
+                and_inputs, or_children, _ = inputs[index[el.id]]
+                and_inputs[:], or_children[:] = (
+                    (children, []) if el.refinement.kind is RefinementKind.AND
+                    else ([], children))
+            for c in el.contributions:
+                inputs[index[c.target]][2].append(
+                    (index[el.id], _CONTRIBUTED[c.strength]))
+    initial = [0] * len(nodes)
+    dependee_of = {}  # a repeated dependency id keeps the last dependee
     for d in model.dependencies:
+        if d.depender.element in elements:
+            inputs[index[d.depender.element]][0].append(index[d.id])
+        if d.dependee.element in elements:
+            dependee_of[index[d.id]] = index[d.dependee.element]
         if d.dependum.initial_label is not None:
-            pairs[d.id] = pairs[d.id].merge(
-                label_to_evidence(d.dependum.initial_label))
-    for node, label in assigned.items():
-        pairs[node] = label_to_evidence(label)
+            initial[index[d.id]] |= _CARRIED[_CODE[d.dependum.initial_label]]
+    for dep, dependee in dependee_of.items():
+        inputs[dep][2].append((dependee, _CARRIED))
+    readers: list[set[int]] = [set() for _ in nodes]
+    for node, (and_inputs, or_children, sources) in enumerate(inputs):
+        for source in and_inputs + or_children + [s for s, _ in sources]:
+            readers[source].add(node)
+    return Rules(model, nodes, index, inputs, readers, initial)
 
+
+def _delivery(inputs, labels: list[int]) -> int:
+    """Evidence one application of every rule delivers to a node."""
+    and_inputs, or_children, sources = inputs
+    delivered = 0
+    if and_inputs or or_children:
+        parts = [labels[i] for i in and_inputs]
+        if or_children:
+            parts.append(max(labels[i] for i in or_children))
+        delivered = _CARRIED[_CONFLICT if _CONFLICT in parts else min(parts)]
+    for source, table in sources:
+        delivered |= table[labels[source]]
+    return delivered
+
+
+def propagate(model: GoalModel, scenario: Scenario,
+              rules: Rules | None = None) -> EvaluationResult:
+    """Fixpoint evaluation of a goal model under a scenario.
+
+    `rules`, from :func:`compile_rules` on the same model, saves validating
+    and compiling the model again for each of several scenarios.
+    """
+    if rules is None:
+        rules = compile_rules(model)
+    elif rules.model is not model:
+        raise ApimodError("rules were compiled from a different model")
+    assigned = {rules.index[node]: _CODE[label]
+                for node, label in resolve_scenario(model, scenario).items()}
+    pairs = rules.initial[:]
+    for node, label in assigned.items():
+        pairs[node] = _CARRIED[label]
+    labels = [_PROJECT[p] for p in pairs]
+
+    bound = MAX_ROUNDS_PER_NODE * max(1, len(pairs))
     iterations = 0
+    frontier = [node for node in range(len(pairs)) if node not in assigned]
     while True:
-        labels = {node: evidence_to_label(pairs[node]) for node in nodes}
-        delivered = _deliveries(rules, labels, nodes)
-        changed = False
-        for node in nodes:
-            if node in assigned:
-                continue  # human assignment wins; rules cannot move it
-            merged = pairs[node].merge(delivered[node])
+        updates = []
+        for node in frontier:
+            merged = pairs[node] | _delivery(rules.inputs[node], labels)
             if merged != pairs[node]:
-                pairs[node] = merged
-                changed = True
-        if not changed:
+                updates.append((node, merged))
+        if not updates:
             break
         iterations += 1
-    bound = 4 * max(1, len(nodes))
-    assert iterations <= bound, f"fixpoint took {iterations} sweeps (> {bound})"
+        if iterations > bound:
+            raise ApimodError(f"fixpoint took {iterations} rounds (> {bound})")
+        changed: set[int] = set()
+        for node, merged in updates:
+            pairs[node] = merged
+            if _PROJECT[merged] != labels[node]:
+                labels[node] = _PROJECT[merged]
+                changed.update(rules.readers[node])
+        frontier = [node for node in changed if node not in assigned]
 
-    labels = {node: evidence_to_label(pairs[node]) for node in nodes}
-    computed = _deliveries(rules, labels, nodes)
-    has_sources = set(rules.refinement) | set(rules.incoming_deps) \
-        | set(rules.dependee_of)
-    has_sources.update(target for _, _, target in rules.contributions)
     overridden = {
-        node for node in assigned
-        if node in has_sources
-        and evidence_to_label(computed[node]) is not labels[node]
+        rules.nodes[node] for node, label in assigned.items()
+        if any(rules.inputs[node])
+        and _PROJECT[_delivery(rules.inputs[node], labels)] != label
     }
-
     diagnostics = [
         Diagnostic(Severity.WARNING, "W-CONFLICT",
                    f"node {node!r} received both positive and negative evidence")
-        for node in nodes if labels[node] is Label.CONFLICT
+        for node in evaluation_nodes(model) if labels[rules.index[node]] == _CONFLICT
     ]
-    return EvaluationResult(labels, overridden, iterations,
+    return EvaluationResult({node: _LABELS[label]
+                             for node, label in zip(rules.nodes, labels)},
+                            overridden, iterations,
                             sort_diagnostics(diagnostics), scenario.name)
 
 
@@ -315,7 +312,8 @@ def compare_scenarios(model: GoalModel, scenarios: list[Scenario],
         raise ApimodError("comparison needs at least two scenarios")
     if focus_actor is not None and focus_actor not in model.actor_map():
         raise ApimodError(f"unknown focus actor {focus_actor!r}")
-    results = [propagate(model, s) for s in scenarios]
+    rules = compile_rules(model)
+    results = [propagate(model, s, rules) for s in scenarios]
 
     row_ids = [e.id for a in model.actors
                if focus_actor is None or a.id == focus_actor

@@ -2,8 +2,8 @@
 
 Value models are checked for reciprocity, scoping, a captured API, and a
 stimulus; goal models for refinement cycles, floating elements, mistyped
-contributions, and dangling dependency ends. Layer and BAPO coverage checks
-work on both model types.
+contributions, and dangling refinement children and dependency ends. Layer
+and BAPO coverage checks work on both model types.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _refinement_cycles(model: GoalModel) -> list[list[str]]:
 
 def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
     """Construction-rule checks: cycles, floating elements, contribution
-    typing, dangling dependency ends."""
+    typing, dangling refinement children and dependency ends."""
     diags: list[Diagnostic] = []
     elements = model.element_map()
     actors = model.actor_map()
@@ -154,6 +154,12 @@ def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
             if el.refinement is not None:
                 attached.add(el.id)
                 attached.update(el.refinement.children)
+                for child in el.refinement.children:
+                    if child not in elements:
+                        diags.append(Diagnostic(
+                            Severity.ERROR, "E-DANGLE",
+                            f"refinement of {el.id!r} names unknown element "
+                            f"{child!r}", el.span))
             for c in el.contributions:
                 attached.add(el.id)
                 attached.add(c.target)
@@ -175,6 +181,7 @@ def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
                     f"quality {el.id!r} must not be refined; use contribution "
                     "links", el.span))
 
+    actor_elements = {a.id: {e.id for e in a.elements} for a in actors.values()}
     for dep in model.dependencies:
         for end in (dep.depender, dep.dependee):
             actor = actors.get(end.actor)
@@ -192,7 +199,7 @@ def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
                         f"dependency {dep.id!r} references element "
                         f"{end.element!r} of closed actor {end.actor!r}",
                         dep.span))
-                elif end.element not in {e.id for e in actor.elements}:
+                elif end.element not in actor_elements[actor.id]:
                     diags.append(Diagnostic(
                         Severity.ERROR, "E-DANGLE",
                         f"dependency {dep.id!r} references unknown element "

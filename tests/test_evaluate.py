@@ -1,13 +1,22 @@
 """Propagation engine: paper rules, oracle equivalence, invariants."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from apimod.core import ApimodError, Label, Severity
+from apimod import evaluate
+from apimod.core import (
+    ApimodError, Dependency, DependencyEnd, Dependum, ElementKind, GActor,
+    GElement, GoalModel, Label, Refinement, RefinementKind, Severity,
+)
 from apimod.dsl import parse_goal_model, parse_scenario
 from apimod.evaluate import (
-    Scenario, compare_scenarios, evaluation_nodes, propagate,
+    Scenario, compare_scenarios, compile_rules, evaluation_nodes, propagate,
     propagate_metric_hierarchy, resolve_scenario, scenario_score,
 )
 
@@ -258,6 +267,97 @@ def test_monotonicity_strengthening_a_partsat_seed_never_weakens_positive_eviden
     assert checked >= 60
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 24),
+       order_seed=st.integers(0, 2**32 - 1))
+def test_engine_matches_oracle_and_ignores_model_order(seed, size, order_seed):
+    rng = random.Random(seed)
+    model = gen_goal_model(rng, max_elements=size, max_links=size + 4)
+    scenario = gen_scenario(rng, model)
+    result = propagate(model, scenario)
+    expected = oracle_propagate(model, resolve_scenario(model, scenario),
+                                random.Random(seed))
+    assert {node: lab.value for node, lab in result.labels.items()} == expected
+
+    shuffle = random.Random(order_seed).shuffle
+    shuffle(model.actors)
+    for actor in model.actors:
+        shuffle(actor.elements)
+    shuffle(model.dependencies)
+    reordered = propagate(model, scenario)
+    assert reordered.labels == result.labels
+    assert reordered.overridden == result.overridden
+    assert reordered.iterations == result.iterations
+    assert reordered.diagnostics == result.diagnostics
+
+
+def and_chain(actors: int, per_actor: int) -> GoalModel:
+    """Each actor holds an AND-chain of goals whose last goal depends on the
+    first goal of the next actor, so evidence from the last leaf climbs
+    through every node one round at a time."""
+    model = GoalModel("chain")
+    for a in range(actors):
+        ids = [f"g{a}.{i}" for i in range(per_actor)]
+        model.actors.append(GActor(f"A{a}", f"A{a}", elements=[
+            GElement(el, ElementKind.GOAL, el,
+                     refinement=Refinement(RefinementKind.AND, (child,)))
+            for el, child in zip(ids, ids[1:])] + [
+            GElement(ids[-1], ElementKind.GOAL, ids[-1])]))
+        if a:
+            model.dependencies.append(Dependency(
+                f"d{a}", DependencyEnd(f"A{a - 1}", f"g{a - 1}.{per_actor - 1}"),
+                Dependum(ElementKind.GOAL, f"dum{a}"),
+                DependencyEnd(f"A{a}", f"g{a}.0")))
+    return model
+
+
+@pytest.mark.parametrize("leaf", [S, PD])
+def test_long_cross_actor_chain_takes_one_round_per_node(leaf):
+    model = and_chain(40, 50)
+    nodes = evaluation_nodes(model)
+    assert len(nodes) == 2039
+    result = propagate(model, Scenario("leaf", {"g39.49": leaf}))
+    assert result.labels == {node: leaf for node in nodes}
+    assert result.iterations == len(nodes) - 1
+    assert result.overridden == set() and result.diagnostics == []
+
+
+def test_sweep_bound_is_checked_under_python_optimize():
+    src = Path(evaluate.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from apimod import evaluate\n"
+        "from apimod.core import ApimodError, Label\n"
+        "from apimod.dsl import parse_goal_model\n"
+        "assert sys.flags.optimize\n"
+        "model = parse_goal_model("
+        "'goalmodel M { actor A { goal G task T G and T } }').model\n"
+        "evaluate.MAX_ROUNDS_PER_NODE = 0\n"
+        "try:\n"
+        "    evaluate.propagate(model, evaluate.Scenario('s', {'T': Label.SATISFIED}))\n"
+        "except ApimodError as e:\n"
+        "    print('bound:', e)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("bound: fixpoint took 1 rounds"), proc.stdout
+
+
+def test_dangling_refinement_child_is_rejected_before_propagation():
+    model = GoalModel("m", actors=[GActor("A", "A", elements=[
+        GElement("G", ElementKind.GOAL, "G",
+                 refinement=Refinement(RefinementKind.AND, ("ghost",)))])])
+    with pytest.raises(ApimodError, match="'ghost'"):
+        propagate(model, Scenario("s", {}))
+
+
+def test_rules_from_another_model_are_refused():
+    text = ONE_ACTOR.format(body="goal G task T G and T")
+    with pytest.raises(ApimodError):
+        propagate(gm(text), Scenario("s", {}), compile_rules(gm(text)))
+
+
 # ---------------------------------------------------------------------------
 # Scenario comparison
 # ---------------------------------------------------------------------------
@@ -297,6 +397,22 @@ def test_score_counts_satisfied_and_half_for_partial():
              "G1 and T G2 and T G3 and T"))
     result = propagate(model, Scenario("s", {"G1": S, "G2": PS, "G3": D, "T": S}))
     assert scenario_score(model, result, "A") == 1.5
+
+
+def test_comparison_validates_the_model_once(monkeypatch):
+    calls = []
+    real = evaluate.validate_goal_model
+    monkeypatch.setattr(evaluate, "validate_goal_model",
+                        lambda model: calls.append(model) or real(model))
+    model = gm(ONE_ACTOR.format(body="goal G task T G and T"))
+    compare_scenarios(model, [Scenario(n, {"T": S}) for n in "xyz"])
+    assert calls == [model]
+
+
+def test_comparison_of_invalid_model_raises():
+    model = gm(ONE_ACTOR.format(body="goal G task T G and T T and G"))
+    with pytest.raises(ApimodError, match="refinement cycle"):
+        compare_scenarios(model, [Scenario("x", {}), Scenario("y", {})])
 
 
 def test_comparison_needs_two_scenarios():

@@ -207,6 +207,16 @@ def test_dependency_into_closed_actor_element_dangles():
     assert "E-DANGLE" in codes(diags)
 
 
+def test_dangling_refinement_child_is_an_error():
+    model = GoalModel("m", actors=[GActor("A", "A", elements=[
+        GElement("G", ElementKind.GOAL, "G",
+                 refinement=Refinement(RefinementKind.AND, ("T", "ghost"))),
+        GElement("T", ElementKind.TASK, "T")])])
+    diags = validate_goal_model(model)
+    assert codes(diags) == ["E-DANGLE"]
+    assert "'ghost'" in diags[0].message and diags[0].severity is Severity.ERROR
+
+
 def test_cycle_detection_matches_dfs_oracle_on_random_graphs():
     def has_cycle_dfs(n, edges):
         adjacency = {i: [] for i in range(n)}
