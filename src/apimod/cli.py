@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .core import (
-    ApimodError, Diagnostic, GoalModel, Label, ValueModel, sort_diagnostics,
+    ApimodError, Diagnostic, GoalModel, ValueModel, sort_diagnostics,
 )
 from .dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
@@ -40,6 +40,17 @@ from .validate import (
 )
 
 USAGE_EXIT = 64
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type for a finite number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return value
 
 
 class _Cli(argparse.ArgumentParser):
@@ -88,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lifecycle", help="lint an API descriptor against its stage")
     p.add_argument("file")
     p.add_argument("--curve", help="CSV (t,stage,value) replacing the inline curve")
-    p.add_argument("--high", type=float, default=0.7,
+    p.add_argument("--high", type=_unit_interval, default=0.7,
                    help="value considered 'very high' (default 0.7)")
-    p.add_argument("--drop", type=float, default=0.5,
+    p.add_argument("--drop", type=_unit_interval, default=0.5,
                    help="in-operation drop fraction considered excessive (default 0.5)")
     common(p)
 
@@ -99,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("classify", help="quadrant-classify decision items from CSV")
     g.add_argument("file", help="CSV with columns name,a,b")
     g.add_argument("--mode", choices=["impl", "change"], required=True)
-    g.add_argument("--threshold", type=float, default=0.5)
+    g.add_argument("--threshold", type=_unit_interval, default=0.5)
     common(g)
     g = gsub.add_parser("openness", help="classify an API on the openness grid")
     g.add_argument("exclusion", choices=["difficult", "easy"])
@@ -160,6 +171,9 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _Failure(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Failure(f"cannot read {path}: not valid UTF-8 "
+                       f"(byte offset {exc.start})") from exc
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -189,10 +203,6 @@ def _parse_file(parse, path: str):
     if not result.ok:
         raise _ParseFailure(path, result.diagnostics)
     return result
-
-
-def _label_word(label: Label) -> str:
-    return label.value
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +264,9 @@ def _evaluation_lines(model: GoalModel, result) -> list[str]:
         if node in dependums:
             dep = dependums[node]
             lines.append(f"  {node} [{dep.kind.value} {dep.name}] = "
-                         f"{_label_word(result.labels[node])}{mark}")
+                         f"{result.labels[node].value}{mark}")
         else:
-            lines.append(f"  {node} = {_label_word(result.labels[node])}{mark}")
+            lines.append(f"  {node} = {result.labels[node].value}{mark}")
     return lines
 
 
@@ -265,7 +275,7 @@ def _evaluation_payload(model: GoalModel, result) -> dict:
         "scenario": result.scenario,
         "ruleSet": RULE_SET,
         "iterations": result.iterations,
-        "labels": {node: _label_word(result.labels[node])
+        "labels": {node: result.labels[node].value
                    for node in evaluation_nodes(model)},
         "overridden": sorted(result.overridden),
     }
@@ -288,7 +298,7 @@ def _cmd_compare(args) -> int:
     lines = [f"rule set: {RULE_SET}",
              "scenarios: " + ", ".join(table.scenarios)]
     for row in table.rows:
-        cells = ", ".join(f"{name}={_label_word(label)}"
+        cells = ", ".join(f"{name}={label.value}"
                           for name, label in zip(table.scenarios, row.labels))
         lines.append(f"  {row.node}: {cells}")
     for name in table.scenarios:
@@ -300,7 +310,7 @@ def _cmd_compare(args) -> int:
         "scenarios": table.scenarios,
         "focusActor": table.focus_actor,
         "rows": [{"node": row.node,
-                  "labels": [_label_word(l) for l in row.labels]}
+                  "labels": [label.value for label in row.labels]}
                  for row in table.rows],
         "scores": {name: table.scores[name] for name in table.scenarios},
         "ranking": [{"scenario": name, "rank": rank}
@@ -538,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except ApimodError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # last resort: never end in a traceback
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

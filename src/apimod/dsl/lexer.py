@@ -7,7 +7,6 @@ line. Names containing spaces (or clashing with a keyword) are double-quoted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from ..core import SourceSpan
@@ -21,11 +20,33 @@ class TokKind(Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokKind
-    value: str  # decoded text for STRING, lexeme otherwise
-    span: SourceSpan
+    """One lexeme. Its span is built on first use and kept: most tokens are
+    never stored in a model or reported, and a span costs more to build
+    than the token itself."""
+
+    __slots__ = ("kind", "value", "file", "line", "col", "end_col", "_span")
+
+    def __init__(self, kind: TokKind, value: str, file: str, line: int,
+                 col: int, end_col: int):
+        self.kind = kind
+        self.value = value  # decoded text for STRING, lexeme otherwise
+        self.file = file
+        self.line = line
+        self.col = col
+        self.end_col = end_col
+        self._span = None
+
+    @property
+    def span(self) -> SourceSpan:
+        span = self._span
+        if span is None:
+            span = self._span = SourceSpan(self.file, self.line, self.col,
+                                           self.line, self.end_col)
+        return span
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind}, {self.value!r}, {self.span})"
 
 
 #: Reserved words across all dialects; a model name equal to one of these
@@ -42,8 +63,27 @@ KEYWORDS = frozenset({
 })
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
-_PUNCT = ("->", "{", "}", "(", ")", "=", ":", ",", ".")
+
+#: One alternation for the whole lexer, matched row by row. Each match
+#: absorbs the blanks before it; blanks at the end of a row match nothing,
+#: and `finditer` passes over them. The string rule is an unrolled loop: a
+#: backslash escapes a following quote or backslash and is kept literally
+#: otherwise, and every position has one way to match, so a string with
+#: no closing quote fails without backtracking into its escapes. A quote
+#: that does not start a whole string is an unterminated string, and BAD is
+#: any other character that is not a blank.
+_MASTER = re.compile(r"""[ \t\r]*(?:
+     (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<PUNCT>->|[{}()=:,.])
+    |(?P<STRING>"[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*")
+    |(?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+    |(?P<SKIP>//.*)
+    |(?P<OPEN>")
+    |(?P<BAD>[^ \t\r])
+)""", re.VERBOSE)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+_KINDS = {"IDENT": TokKind.IDENT, "PUNCT": TokKind.PUNCT,
+          "NUMBER": TokKind.NUMBER, "STRING": TokKind.STRING}
 
 
 class LexError(Exception):
@@ -55,74 +95,32 @@ class LexError(Exception):
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def span(l0: int, c0: int, l1: int, c1: int) -> SourceSpan:
-        return SourceSpan(filename, l0, c0, l1, c1)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == '"':
-            l0, c0 = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise LexError("unterminated string", span(l0, c0, line, col))
-                if text[i] == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
+    append = tokens.append
+    kinds = _KINDS
+    string = TokKind.STRING
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _MASTER.finditer(row):
+            group = m.lastgroup
+            kind = kinds.get(group)
+            if kind is None:
+                if group == "SKIP":
                     continue
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise LexError("unterminated string", span(l0, c0, line, col))
-            i += 1
-            col += 1
-            tokens.append(Token(TokKind.STRING, "".join(buf), span(l0, c0, line, col - 1)))
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            lex = m.group(0)
-            tokens.append(Token(TokKind.NUMBER, lex, span(line, col, line, col + len(lex) - 1)))
-            i = m.end()
-            col += len(lex)
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            lex = m.group(0)
-            tokens.append(Token(TokKind.IDENT, lex, span(line, col, line, col + len(lex) - 1)))
-            i = m.end()
-            col += len(lex)
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(TokKind.PUNCT, p, span(line, col, line, col + len(p) - 1)))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", span(line, col, line, col))
-
-    tokens.append(Token(TokKind.EOF, "", span(line, col, line, col)))
+                col = m.start(group) + 1
+                if group == "OPEN":
+                    raise LexError("unterminated string",
+                                   SourceSpan(filename, line, col, line, len(row) + 1))
+                raise LexError(f"unexpected character {m[group]!r}",
+                               SourceSpan(filename, line, col, line, col))
+            lexeme = m[group]
+            end = m.end()
+            value = lexeme
+            if kind is string:
+                value = lexeme[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE_RE.sub(r"\1", value)
+            append(Token(kind, value, filename, line, end - len(lexeme) + 1, end))
+    col = len(row) + 1
+    append(Token(TokKind.EOF, "", filename, line, col, col))
     return tokens
 
 

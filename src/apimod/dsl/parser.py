@@ -69,16 +69,38 @@ _OBSERVED_FIELDS = {
 }
 
 
+def _lex(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokens and lexer diagnostics. A lex error becomes one E-SYNTAX
+    diagnostic and a lone end-of-input token at the error's span, so the
+    parser still runs and reports what it expected there."""
+    try:
+        return tokenize(text, filename), []
+    except LexError as exc:
+        s = exc.span
+        eof = Token(TokKind.EOF, "", s.file, s.start_line, s.start_col, s.end_col)
+        return [eof], [Diagnostic(Severity.ERROR, "E-SYNTAX", exc.message, s)]
+
+
+#: `Actor` or `Actor.element` as its actor and element name tokens.
+_Ref = tuple[Token, Optional[Token]]
+
+
+def _ref_text(actor: Token, element: Optional[Token]) -> str:
+    """`Actor.element`, or `Actor` alone when the element name is empty."""
+    return f"{actor.value}.{element.value}" if element and element.value else actor.value
+
+
+def _ref_span(actor: Token, element: Optional[Token]) -> SourceSpan:
+    if element is None:
+        return actor.span
+    return SourceSpan(actor.file, actor.line, actor.col, element.line, element.end_col)
+
+
 class _Parser:
-    def __init__(self, text: str, filename: str):
-        self.filename = filename
-        self.diagnostics: list[Diagnostic] = []
+    def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
+        self.tokens = tokens
+        self.diagnostics = diagnostics
         self.pos = 0
-        try:
-            self.tokens = tokenize(text, filename)
-        except LexError as exc:
-            self.tokens = [Token(TokKind.EOF, "", exc.span)]
-            self.error("E-SYNTAX", exc.message, exc.span)
 
     # -- token helpers ------------------------------------------------------
 
@@ -110,14 +132,16 @@ class _Parser:
         self.error("E-SYNTAX", f"expected {value!r}, found {shown!r}", tok.span)
         raise _ParseAbort()
 
-    def name(self, what: str = "name") -> tuple[str, SourceSpan]:
+    def name(self, what: str = "name") -> Token:
+        """The next token as a name. Callers take its span only where they
+        keep or report it, so most names never build one."""
         tok = self.peek()
         if tok.kind is TokKind.STRING:
             self.advance()
-            return tok.value, tok.span
+            return tok
         if tok.kind is TokKind.IDENT and tok.value not in KEYWORDS:
             self.advance()
-            return tok.value, tok.span
+            return tok
         shown = tok.value if tok.value else str(tok.kind.value)
         self.error("E-SYNTAX", f"expected {what}, found {shown!r}", tok.span)
         raise _ParseAbort()
@@ -131,10 +155,11 @@ class _Parser:
         raise _ParseAbort()
 
     def keyword_choice(self, words: dict, what: str):
+        """The value `words` maps the next identifier to."""
         tok = self.peek()
         if tok.kind is TokKind.IDENT and tok.value in words:
             self.advance()
-            return words[tok.value], tok.span
+            return words[tok.value]
         shown = tok.value if tok.value else str(tok.kind.value)
         self.error("E-SYNTAX", f"expected {what}, found {shown!r}", tok.span)
         raise _ParseAbort()
@@ -172,21 +197,21 @@ class _Parser:
     # -- shared small rules ---------------------------------------------------
 
     def name_list(self) -> list[str]:
-        names = [self.name()[0]]
+        names = [self.name().value]
         while self.eat(","):
-            names.append(self.name()[0])
+            names.append(self.name().value)
         return names
 
-    def layer_stmt(self) -> tuple[str, Layer, SourceSpan]:
+    def layer_stmt(self) -> tuple[str, Layer, Token]:
         kw = self.expect("layer")
         self.expect("(")
-        focus, _ = self.name("api focus")
+        focus = self.name("api focus").value
         self.expect(")")
         self.expect("=")
-        layer, _ = self.keyword_choice(_LAYER_WORDS, "layer (domain|usage|api|asset)")
-        return focus, layer, kw.span
+        layer = self.keyword_choice(_LAYER_WORDS, "layer (domain|usage|api|asset)")
+        return focus, layer, kw
 
-    def bapo_stmt(self) -> list[tuple[BapoTag, SourceSpan]]:
+    def bapo_stmt(self) -> list[BapoTag]:
         self.expect("bapo")
         self.expect("=")
         tags = []
@@ -194,7 +219,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind is TokKind.IDENT and tok.value in _BAPO_WORDS:
                 self.advance()
-                tags.append((_BAPO_WORDS[tok.value], tok.span))
+                tags.append(_BAPO_WORDS[tok.value])
             else:
                 self.error("E-SYNTAX", f"expected BAPO tag (B|A|P|O), found {tok.value!r}",
                            tok.span)
@@ -202,15 +227,11 @@ class _Parser:
             if not self.eat(","):
                 return tags
 
-    def qualified_ref(self) -> tuple[str, Optional[str], SourceSpan]:
-        """`Actor` or `Actor.element`; returns (actor, element, span)."""
-        actor, span = self.name("actor reference")
-        element = None
-        if self.eat("."):
-            element, espan = self.name("element reference")
-            span = SourceSpan(span.file, span.start_line, span.start_col,
-                              espan.end_line, espan.end_col)
-        return actor, element, span
+    def qualified_ref(self) -> _Ref:
+        """`Actor` or `Actor.element`: the actor and element name tokens."""
+        actor = self.name("actor reference")
+        element = self.name("element reference") if self.eat(".") else None
+        return actor, element
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +246,13 @@ class _ValueModelParser(_Parser):
     def parse(self) -> ParseResult:
         try:
             self.expect("valuemodel")
-            name, _ = self.name("model name")
+            name = self.name("model name").value
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
         model = ValueModel(name)
-        raw_parents: list[tuple[VActor, str, SourceSpan]] = []
-        raw_flows: list[tuple[ValueFlow, SourceSpan, SourceSpan]] = []
+        raw_parents: list[tuple[VActor, Token]] = []
+        raw_flows: list[tuple[ValueFlow, _Ref, _Ref]] = []
         while not self.at("}") and self.peek().kind is not TokKind.EOF:
             try:
                 if self.at("actor"):
@@ -256,13 +277,12 @@ class _ValueModelParser(_Parser):
         return self.result(model)
 
     def parse_actor(self, model: ValueModel,
-                    raw_parents: list[tuple[VActor, str, SourceSpan]]) -> None:
+                    raw_parents: list[tuple[VActor, Token]]) -> None:
         self.expect("actor")
-        name, span = self.name("actor name")
-        actor = VActor(id=name, name=name, span=span)
+        name = self.name("actor name")
+        actor = VActor(id=name.value, name=name.value, span=name.span)
         if self.eat("in"):
-            parent, pspan = self.name("parent actor")
-            raw_parents.append((actor, parent, pspan))
+            raw_parents.append((actor, self.name("parent actor")))
         model.actors.append(actor)
         if not self.eat("{"):
             return
@@ -270,8 +290,9 @@ class _ValueModelParser(_Parser):
             try:
                 if self.at("activity"):
                     self.advance()
-                    aname, aspan = self.name("activity name")
-                    actor.activities.append(Activity(id=aname, name=aname, span=aspan))
+                    activity = self.name("activity name")
+                    actor.activities.append(Activity(id=activity.value, name=activity.value,
+                                                     span=activity.span))
                 elif self.at("api"):
                     self.advance()
                     actor.api_role = True
@@ -279,13 +300,13 @@ class _ValueModelParser(_Parser):
                     self.advance()
                     actor.market_segment = True
                 elif self.at("layer"):
-                    focus, layer, lspan = self.layer_stmt()
+                    focus, layer, kw = self.layer_stmt()
                     if focus in actor.layer_assignments:
                         self.error("E-DUP", f"duplicate layer assignment for focus {focus!r}",
-                                   lspan)
+                                   kw.span)
                     actor.layer_assignments[focus] = layer
                 elif self.at("bapo"):
-                    for tag, _ in self.bapo_stmt():
+                    for tag in self.bapo_stmt():
                         actor.bapo_tags.add(tag)
                 else:
                     tok = self.peek()
@@ -298,17 +319,17 @@ class _ValueModelParser(_Parser):
         self.expect("}")
 
     def parse_flow(self, model: ValueModel,
-                   raw_flows: list[tuple[ValueFlow, SourceSpan, SourceSpan]]) -> None:
+                   raw_flows: list[tuple[ValueFlow, _Ref, _Ref]]) -> None:
         kw = self.expect("flow")
-        obj_name, _ = self.name("value object name")
+        obj_name = self.name("value object name").value
         self.expect("from")
-        src, src_el, src_span = self.qualified_ref()
+        src = self.qualified_ref()
         self.expect("to")
-        dst, dst_el, dst_span = self.qualified_ref()
+        dst = self.qualified_ref()
         kind = ElementKind.RESOURCE
         if self.eat(":"):
-            kind, _ = self.keyword_choice(_ELEMENT_KIND_WORDS,
-                                          "object kind (resource|task|goal|quality)")
+            kind = self.keyword_choice(_ELEMENT_KIND_WORDS,
+                                       "object kind (resource|task|goal|quality)")
         status = FlowStatus.NORMAL
         if self.eat("status"):
             tok = self.peek()
@@ -321,25 +342,26 @@ class _ValueModelParser(_Parser):
                 raise _ParseAbort()
         group = None
         if self.eat("group"):
-            group, _ = self.name("group id")
+            group = self.name("group id").value
         flow = ValueFlow(
             id=f"f{len(raw_flows) + 1}",
-            source=f"{src}.{src_el}" if src_el else src,
-            target=f"{dst}.{dst_el}" if dst_el else dst,
+            source=_ref_text(*src),
+            target=_ref_text(*dst),
             obj=ValueObject(obj_name, kind),
             status=status,
             group=group,
             span=kw.span,
         )
         model.flows.append(flow)
-        raw_flows.append((flow, src_span, dst_span))
+        raw_flows.append((flow, src, dst))
 
     def parse_stimulus(self, model: ValueModel) -> None:
         self.expect("stimulus")
-        name, span = self.name("stimulus name")
+        name = self.name("stimulus name")
         self.expect("in")
-        owner, _ = self.name("owning actor")
-        model.stimuli.append(Stimulus(id=name, name=name, at=owner, span=span))
+        owner = self.name("owning actor").value
+        model.stimuli.append(Stimulus(id=name.value, name=name.value, at=owner,
+                                      span=name.span))
 
     def link_and_check(self, model: ValueModel, raw_parents, raw_flows) -> None:
         seen: dict[str, SourceSpan] = {}
@@ -357,11 +379,11 @@ class _ValueModelParser(_Parser):
             seen[stim.id] = stim.span
 
         actors = model.actor_map()
-        for actor, parent, pspan in raw_parents:
-            if parent not in actors:
-                self.error("E-REF", f"unknown parent actor {parent!r}", pspan)
+        for actor, parent in raw_parents:
+            if parent.value not in actors:
+                self.error("E-REF", f"unknown parent actor {parent.value!r}", parent.span)
             else:
-                actor.parent = parent
+                actor.parent = parent.value
         # Partnership chains must not loop back on themselves.
         for actor in model.actors:
             hops, cur = 0, actor.parent
@@ -376,20 +398,20 @@ class _ValueModelParser(_Parser):
         endpoints = set(actors)
         activity_owner = {act.id: a.id for a in model.actors for act in a.activities}
         endpoints.update(activity_owner)
-        for flow, src_span, dst_span in raw_flows:
-            for attr, span in (("source", src_span), ("target", dst_span)):
+        for flow, src, dst in raw_flows:
+            for attr, tokens in (("source", src), ("target", dst)):
                 ref = getattr(flow, attr)
                 if "." in ref:
                     actor_id, _, act_id = ref.partition(".")
                     if actor_id not in actors or activity_owner.get(act_id) != actor_id:
-                        self.error("E-REF", f"unknown endpoint {ref!r}", span)
+                        self.error("E-REF", f"unknown endpoint {ref!r}", _ref_span(*tokens))
                     else:
                         setattr(flow, attr, act_id)
                 elif ref not in endpoints:
-                    self.error("E-REF", f"unknown endpoint {ref!r}", span)
+                    self.error("E-REF", f"unknown endpoint {ref!r}", _ref_span(*tokens))
             if flow.source == flow.target:
                 self.error("E-SELF", "value flow must connect two distinct endpoints",
-                           src_span)
+                           _ref_span(*src))
         for stim in model.stimuli:
             if stim.at not in actors:
                 self.error("E-REF", f"unknown actor {stim.at!r}", stim.span)
@@ -409,7 +431,7 @@ class _RawRefinement:
     kind: RefinementKind
     children: list[str]
     actor: GActor
-    span: SourceSpan
+    at: Token  # reported on error
 
 
 @dataclass
@@ -418,14 +440,14 @@ class _RawContribution:
     strength: ContributionStrength
     target: str
     actor: GActor
-    span: SourceSpan
+    at: Token  # reported on error
 
 
 class _GoalModelParser(_Parser):
     def parse(self) -> ParseResult:
         try:
             self.expect("goalmodel")
-            name, _ = self.name("model name")
+            name = self.name("model name").value
             draft = self.eat("draft")
             self.expect("{")
         except _ParseAbort:
@@ -458,15 +480,15 @@ class _GoalModelParser(_Parser):
 
     def parse_actor(self, model: GoalModel, refinements, contributions) -> None:
         self.expect("actor")
-        name, span = self.name("actor name")
-        actor = GActor(id=name, name=name, span=span)
+        name = self.name("actor name")
+        actor = GActor(id=name.value, name=name.value, span=name.span)
         model.actors.append(actor)
         if self.eat("in"):
             # Goal models keep actors side by side; nesting syntax is
             # accepted and recorded as a part-of association.
-            parent, pspan = self.name("parent actor")
+            parent = self.name("parent actor")
             model.associations.append(AssociationLink(
-                AssociationKind.PART_OF, name, parent, span=pspan))
+                AssociationKind.PART_OF, name.value, parent.value, span=parent.span))
         if not self.eat("{"):
             return
         while not self.at("}") and self.peek().kind is not TokKind.EOF:
@@ -474,18 +496,18 @@ class _GoalModelParser(_Parser):
                 tok = self.peek()
                 if tok.kind is TokKind.IDENT and tok.value in _ELEMENT_KIND_WORDS:
                     self.advance()
-                    ename, espan = self.name("element name")
+                    element = self.name("element name")
                     actor.elements.append(GElement(
-                        id=ename, kind=_ELEMENT_KIND_WORDS[tok.value], name=ename,
-                        span=espan))
+                        id=element.value, kind=_ELEMENT_KIND_WORDS[tok.value],
+                        name=element.value, span=element.span))
                 elif self.at("layer"):
-                    focus, layer, lspan = self.layer_stmt()
+                    focus, layer, kw = self.layer_stmt()
                     if focus in actor.layer_assignments:
                         self.error("E-DUP",
-                                   f"duplicate layer assignment for focus {focus!r}", lspan)
+                                   f"duplicate layer assignment for focus {focus!r}", kw.span)
                     actor.layer_assignments[focus] = layer
                 elif self.at("bapo"):
-                    for tag, _ in self.bapo_stmt():
+                    for tag in self.bapo_stmt():
                         actor.bapo_tags.add(tag)
                 elif tok.kind in (TokKind.IDENT, TokKind.STRING):
                     self.parse_link_stmt(actor, refinements, contributions)
@@ -499,50 +521,49 @@ class _GoalModelParser(_Parser):
         self.expect("}")
 
     def parse_link_stmt(self, actor: GActor, refinements, contributions) -> None:
-        source, span = self.name("element reference")
+        source = self.name("element reference")
         tok = self.peek()
         if tok.kind is TokKind.IDENT and tok.value in ("and", "or"):
             self.advance()
             children = self.name_list()
             refinements.append(_RawRefinement(
-                source, RefinementKind(tok.value), children, actor, span))
+                source.value, RefinementKind(tok.value), children, actor, source))
         elif tok.kind is TokKind.IDENT and tok.value in _STRENGTH_WORDS:
             self.advance()
-            target, tspan = self.name("contribution target")
+            target = self.name("contribution target")
             contributions.append(_RawContribution(
-                source, _STRENGTH_WORDS[tok.value], target, actor, tspan))
+                source.value, _STRENGTH_WORDS[tok.value], target.value, actor, target))
         else:
             self.error("E-SYNTAX",
-                       f"expected and/or/makes/helps/hurts/breaks after {source!r}",
+                       f"expected and/or/makes/helps/hurts/breaks after {source.value!r}",
                        tok.span)
             raise _ParseAbort()
 
     def parse_depend(self, model: GoalModel) -> None:
         kw = self.expect("depend")
-        dr_actor, dr_el, _ = self.qualified_ref()
+        dr_actor, dr_el = self.qualified_ref()
         self.expect("->")
-        de_actor, de_el, _ = self.qualified_ref()
+        de_actor, de_el = self.qualified_ref()
         self.expect(":")
-        kind, _ = self.keyword_choice(_ELEMENT_KIND_WORDS,
-                                      "dependum kind (goal|quality|task|resource)")
-        dname, _ = self.name("dependum name")
+        kind = self.keyword_choice(_ELEMENT_KIND_WORDS,
+                                   "dependum kind (goal|quality|task|resource)")
+        dname = self.name("dependum name").value
         initial = None
         if self.eat("="):
-            word, _ = self.keyword_choice(LABEL_WORDS, "label")
-            initial = word
+            initial = self.keyword_choice(LABEL_WORDS, "label")
         model.dependencies.append(Dependency(
             id=f"d{len(model.dependencies) + 1}",
-            depender=DependencyEnd(dr_actor, dr_el),
+            depender=DependencyEnd(dr_actor.value, dr_el.value if dr_el else None),
             dependum=Dependum(kind, dname, initial),
-            dependee=DependencyEnd(de_actor, de_el),
+            dependee=DependencyEnd(de_actor.value, de_el.value if de_el else None),
             span=kw.span,
         ))
 
     def parse_partof(self, model: GoalModel) -> None:
         kw = self.expect("partof")
-        part, _ = self.name("actor")
+        part = self.name("actor").value
         self.expect("->")
-        whole, _ = self.name("actor")
+        whole = self.name("actor").value
         model.associations.append(AssociationLink(
             AssociationKind.PART_OF, part, whole, span=kw.span))
 
@@ -565,16 +586,16 @@ class _GoalModelParser(_Parser):
             if parent is None:
                 self.error("E-REF",
                            f"unknown element {raw.parent!r} in actor {raw.actor.id!r}",
-                           raw.span)
+                           raw.at.span)
                 continue
             if parent.kind is ElementKind.QUALITY:
                 self.error("E-REFINE",
                            f"quality {parent.id!r} cannot be refined; use contribution links",
-                           raw.span)
+                           raw.at.span)
                 continue
             if parent.refinement is not None:
                 self.error("E-REFINE",
-                           f"element {parent.id!r} already has a refinement", raw.span)
+                           f"element {parent.id!r} already has a refinement", raw.at.span)
                 continue
             ok = True
             for child in raw.children:
@@ -582,11 +603,11 @@ class _GoalModelParser(_Parser):
                 if cel is None:
                     self.error("E-REF",
                                f"unknown element {child!r} in actor {raw.actor.id!r}",
-                               raw.span)
+                               raw.at.span)
                     ok = False
                 elif cel.kind is ElementKind.QUALITY:
                     self.error("E-REFINE",
-                               f"quality {child!r} cannot be a refinement child", raw.span)
+                               f"quality {child!r} cannot be a refinement child", raw.at.span)
                     ok = False
             if ok:
                 parent.refinement = Refinement(raw.kind, tuple(raw.children))
@@ -597,16 +618,16 @@ class _GoalModelParser(_Parser):
             if source is None:
                 self.error("E-REF",
                            f"unknown element {raw.source!r} in actor {raw.actor.id!r}",
-                           raw.span)
+                           raw.at.span)
                 continue
             target = elements.get(raw.target)
             if target is None:
-                self.error("E-REF", f"unknown contribution target {raw.target!r}", raw.span)
+                self.error("E-REF", f"unknown contribution target {raw.target!r}", raw.at.span)
                 continue
             if target.kind is not ElementKind.QUALITY:
                 self.error("E-CONTRIB",
                            f"contribution target {target.id!r} is a {target.kind.value}; "
-                           "contributions target qualities only", raw.span)
+                           "contributions target qualities only", raw.at.span)
                 continue
             source.contributions.append(Contribution(raw.target, raw.strength))
 
@@ -641,7 +662,7 @@ class _ApiDescriptorParser(_Parser):
     def parse(self) -> ParseResult:
         try:
             self.expect("api")
-            name, _ = self.name("api name")
+            name = self.name("api name").value
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
@@ -654,7 +675,7 @@ class _ApiDescriptorParser(_Parser):
             try:
                 if self.at("stage"):
                     kw = self.advance()
-                    value, _ = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
+                    value = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
                     if stage is not None:
                         self.error("E-DUP", "stage declared twice", kw.span)
                     stage, stage_span = value, kw.span
@@ -666,8 +687,7 @@ class _ApiDescriptorParser(_Parser):
                     self.parse_curve_sample(curve)
                 elif self.at("rationale"):
                     self.advance()
-                    tag, _ = self.name("rationale tag")
-                    rationales.append(tag)
+                    rationales.append(self.name("rationale tag").value)
                 else:
                     tok = self.peek()
                     self.error("E-SYNTAX",
@@ -710,7 +730,7 @@ class _ApiDescriptorParser(_Parser):
 
     def parse_curve_sample(self, curve: list[ValueCurveSample]) -> None:
         t, tspan = self.number("sample time")
-        stage, _ = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
+        stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
         value, vspan = self.number("sample value")
         if not 0.0 <= value <= 1.0:
             self.error("E-RANGE", f"curve value {value} outside [0, 1]", vspan)
@@ -743,12 +763,14 @@ class _MetricCatalogParser(_Parser):
                 self.parse_metric(metrics, names)
             except _ParseAbort:
                 self.sync({"metric"})
+                self.eat("}")  # sync stops at a stray top-level brace
         return self.result(metrics)
 
     def parse_metric(self, metrics: list[MetricDef],
                      names: dict[str, SourceSpan]) -> None:
         self.expect("metric")
-        name, span = self.name("metric name")
+        tok = self.name("metric name")
+        name, span = tok.value, tok.span
         if name in names:
             self.error("E-DUP", f"duplicate metric {name!r}", span)
         names[name] = span
@@ -767,9 +789,9 @@ class _MetricCatalogParser(_Parser):
                     self.error("E-DUP", f"metric field {field_name} given twice", tok.span)
                 seen.add(field_name)
                 if field_name == "what":
-                    metric.what = self.name("text")[0]
+                    metric.what = self.name("text").value
                 elif field_name == "why":
-                    metric.why = self.name("text")[0]
+                    metric.why = self.name("text").value
                 elif field_name == "who":
                     metric.who = self.name_list()
                 elif field_name == "where":
@@ -779,7 +801,7 @@ class _MetricCatalogParser(_Parser):
                 elif field_name == "dimensions":
                     dims = set()
                     while True:
-                        dim, _ = self.keyword_choice(
+                        dim = self.keyword_choice(
                             _DIMENSION_WORDS,
                             "dimension (business|usage|design|implementation)")
                         dims.add(dim)
@@ -787,7 +809,7 @@ class _MetricCatalogParser(_Parser):
                             break
                     metric.dimensions = dims
                 elif field_name == "automation":
-                    level, _ = self.keyword_choice(
+                    level = self.keyword_choice(
                         _AUTOMATION_WORDS, "automation level (automatable|partial|manual)")
                     metric.automation = level
             except _ParseAbort:
@@ -807,7 +829,7 @@ class _ScenarioParser(_Parser):
     def parse(self) -> ParseResult:
         try:
             self.expect("scenario")
-            name, _ = self.name("scenario name")
+            name = self.name("scenario name").value
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
@@ -815,12 +837,13 @@ class _ScenarioParser(_Parser):
         while not self.at("}") and self.peek().kind is not TokKind.EOF:
             try:
                 self.expect("label")
-                target, tspan = self.name("element or dependum id")
+                target = self.name("element or dependum id")
                 self.expect("=")
-                label, _ = self.keyword_choice(LABEL_WORDS, "label")
-                if target in assignments:
-                    self.error("E-DUP", f"label assigned twice for {target!r}", tspan)
-                assignments[target] = label
+                label = self.keyword_choice(LABEL_WORDS, "label")
+                if target.value in assignments:
+                    self.error("E-DUP", f"label assigned twice for {target.value!r}",
+                               target.span)
+                assignments[target.value] = label
             except _ParseAbort:
                 self.sync({"label"})
         try:
@@ -835,45 +858,45 @@ class _ScenarioParser(_Parser):
 # ---------------------------------------------------------------------------
 
 def parse_value_model(text: str, filename: str = "<input>") -> ParseResult:
-    return _ValueModelParser(text, filename).parse()
+    return _ValueModelParser(*_lex(text, filename)).parse()
 
 
 def parse_goal_model(text: str, filename: str = "<input>") -> ParseResult:
-    return _GoalModelParser(text, filename).parse()
+    return _GoalModelParser(*_lex(text, filename)).parse()
 
 
 def parse_api_descriptor(text: str, filename: str = "<input>") -> ParseResult:
-    return _ApiDescriptorParser(text, filename).parse()
+    return _ApiDescriptorParser(*_lex(text, filename)).parse()
 
 
 def parse_metric_catalog(text: str, filename: str = "<input>") -> ParseResult:
-    return _MetricCatalogParser(text, filename).parse()
+    return _MetricCatalogParser(*_lex(text, filename)).parse()
 
 
 def parse_scenario(text: str, filename: str = "<input>") -> ParseResult:
-    return _ScenarioParser(text, filename).parse()
+    return _ScenarioParser(*_lex(text, filename)).parse()
 
 
+#: Leading keyword -> parser class, for `parse_model`.
 _DISPATCH = {
-    "valuemodel": parse_value_model,
-    "goalmodel": parse_goal_model,
-    "api": parse_api_descriptor,
-    "metric": parse_metric_catalog,
-    "scenario": parse_scenario,
+    "valuemodel": _ValueModelParser,
+    "goalmodel": _GoalModelParser,
+    "api": _ApiDescriptorParser,
+    "metric": _MetricCatalogParser,
+    "scenario": _ScenarioParser,
 }
 
 
 def parse_model(text: str, filename: str = "<input>") -> ParseResult:
-    """Parse any supported format, dispatching on the leading keyword."""
-    try:
-        tokens = tokenize(text, filename)
-    except LexError as exc:
-        return ParseResult(None, [Diagnostic(Severity.ERROR, "E-SYNTAX",
-                                             exc.message, exc.span)])
+    """Parse any supported format, dispatching on the leading keyword. The
+    text is lexed once and the tokens go to the dialect's parser."""
+    tokens, diagnostics = _lex(text, filename)
+    if diagnostics:
+        return ParseResult(None, diagnostics)
     head = tokens[0]
     parser = _DISPATCH.get(head.value) if head.kind is TokKind.IDENT else None
     if parser is None:
         return ParseResult(None, [Diagnostic(
             Severity.ERROR, "E-SYNTAX",
             f"unrecognized model format (found {head.value!r})", head.span)])
-    return parser(text, filename)
+    return parser(tokens, diagnostics).parse()

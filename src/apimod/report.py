@@ -202,7 +202,7 @@ def make_report(command: str, input_files: list[str],
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def report_schema() -> dict:

@@ -1,9 +1,10 @@
 """Structural and methodological model checks.
 
-Value models are checked for reciprocity, scoping, a captured API, and a
-stimulus; goal models for refinement cycles, floating elements, mistyped
-contributions, and dangling refinement children and dependency ends. Layer
-and BAPO coverage checks work on both model types.
+Value models are checked for dangling flow endpoints and stimulus owners,
+reciprocity, scoping, a captured API, and a stimulus; goal models for
+refinement cycles, floating elements, mistyped contributions, and dangling
+refinement children and dependency ends. Layer and BAPO coverage checks work
+on both model types.
 """
 
 from __future__ import annotations
@@ -16,14 +17,29 @@ from .core import (
 
 def validate_value_model(model: ValueModel,
                          strict_reciprocity: bool = False) -> list[Diagnostic]:
-    """Reciprocity, scoping, and completeness checks (§-style construction
-    hygiene). With `strict_reciprocity`, every actor pair with a flow must
-    also have a backflow."""
+    """Dangling references, reciprocity, scoping, and completeness checks
+    (§-style construction hygiene). With `strict_reciprocity`, every actor
+    pair with a flow must also have a backflow."""
     diags: list[Diagnostic] = []
     owner = {a.id: a.id for a in model.actors}
     for actor in model.actors:
         for act in actor.activities:
             owner[act.id] = actor.id
+
+    for flow in model.flows:
+        for end in (flow.source, flow.target):
+            if end not in owner:
+                diags.append(Diagnostic(
+                    Severity.ERROR, "E-DANGLE",
+                    f"flow {flow.id!r} references unknown endpoint {end!r}",
+                    flow.span))
+    actor_ids = {a.id for a in model.actors}
+    for stim in model.stimuli:
+        if stim.at not in actor_ids:
+            diags.append(Diagnostic(
+                Severity.ERROR, "E-DANGLE",
+                f"stimulus {stim.id!r} is placed at unknown actor {stim.at!r}",
+                stim.span))
 
     outgoing: dict[str, int] = {a.id: 0 for a in model.actors}
     incoming: dict[str, int] = {a.id: 0 for a in model.actors}

@@ -1,5 +1,6 @@
 """Shared test machinery: random model generators, an independent
-evidence-closure oracle, and a DOT-subset grammar checker.
+evidence-closure oracle, the reference lexer, and a DOT-subset grammar
+checker.
 
 The oracle deliberately re-implements the propagation semantics with its own
 label tables and randomized single-rule application, so it shares no
@@ -16,8 +17,9 @@ from apimod.core import (
     ContributionStrength, Contribution, Dependency, DependencyEnd, Dependum,
     ElementKind, GActor, GElement, GoalModel, Label, Refinement,
     RefinementKind, VActor, Activity, ValueFlow, ValueModel, ValueObject,
-    FlowStatus, Stimulus, BapoTag, Layer,
+    FlowStatus, SourceSpan, Stimulus, BapoTag, Layer,
 )
+from apimod.dsl.lexer import LexError, TokKind
 from apimod.evaluate import Scenario
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -310,6 +312,91 @@ def oracle_propagate(model: GoalModel, assignments: dict[str, Label],
                 pairs[target] = new
                 changed = True
     return {node: label_of(node) for node in nodes}
+
+
+# ---------------------------------------------------------------------------
+# Lexer oracle: the original character-by-character scanner
+# ---------------------------------------------------------------------------
+
+_ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ORACLE_NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
+_ORACLE_PUNCT = ("->", "{", "}", "(", ")", "=", ":", ",", ".")
+
+
+def oracle_tokenize(text: str, filename: str = "<input>") -> list[tuple]:
+    """Reference scanner for `tokenize`: walks the text one character at a
+    time. Returns `(kind, value, span)` triples, or raises `LexError` at
+    the same place and with the same message as the lexer must."""
+    tokens: list[tuple] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def span(l0: int, c0: int, l1: int, c1: int) -> SourceSpan:
+        return SourceSpan(filename, l0, c0, l1, c1)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch == '"':
+            l0, c0 = line, col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and text[i] != '"':
+                if text[i] == "\n":
+                    raise LexError("unterminated string", span(l0, c0, line, col))
+                if text[i] == "\\" and i + 1 < n and text[i + 1] in '"\\':
+                    buf.append(text[i + 1])
+                    i += 2
+                    col += 2
+                    continue
+                buf.append(text[i])
+                i += 1
+                col += 1
+            if i >= n:
+                raise LexError("unterminated string", span(l0, c0, line, col))
+            i += 1
+            col += 1
+            tokens.append((TokKind.STRING, "".join(buf), span(l0, c0, line, col - 1)))
+            continue
+        m = _ORACLE_NUMBER_RE.match(text, i)
+        if m:
+            lex = m.group(0)
+            tokens.append((TokKind.NUMBER, lex, span(line, col, line, col + len(lex) - 1)))
+            i = m.end()
+            col += len(lex)
+            continue
+        m = _ORACLE_IDENT_RE.match(text, i)
+        if m:
+            lex = m.group(0)
+            tokens.append((TokKind.IDENT, lex, span(line, col, line, col + len(lex) - 1)))
+            i = m.end()
+            col += len(lex)
+            continue
+        for p in _ORACLE_PUNCT:
+            if text.startswith(p, i):
+                tokens.append((TokKind.PUNCT, p, span(line, col, line, col + len(p) - 1)))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise LexError(f"unexpected character {ch!r}", span(line, col, line, col))
+
+    tokens.append((TokKind.EOF, "", span(line, col, line, col)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

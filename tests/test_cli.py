@@ -259,3 +259,56 @@ def test_outputs_are_byte_identical_across_runs(capsys):
     _, dot1, _ = run(capsys, "export", str(CORPUS / "device_api.gm"))
     _, dot2, _ = run(capsys, "export", str(CORPUS / "device_api.gm"))
     assert dot1 == dot2
+
+
+def test_non_utf8_input_is_a_clean_error(capsys, tmp_path):
+    path = tmp_path / "bad.gm"
+    path.write_bytes(b"goalmodel M { actor \xff }")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot read {path}: not valid UTF-8 (byte offset 20)\n"
+
+
+def test_unexpected_exception_exits_two_with_one_line(capsys, monkeypatch):
+    import apimod.cli as cli
+
+    def boom(args):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setitem(cli._HANDLERS, "check", boom)
+    code, out, err = run(capsys, "check", str(CORPUS / "device_api.vm"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected RuntimeError: something broke\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5", "x"])
+@pytest.mark.parametrize("flag", ["--high", "--drop"])
+def test_lifecycle_rejects_thresholds_outside_unit_interval(capsys, flag, value):
+    code, out, err = run(capsys, "lifecycle", str(CORPUS / "device_settings.api"),
+                         flag, value, "--json")
+    assert code == 64
+    assert out == ""
+    assert f"argument {flag}" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "7"])
+def test_govern_classify_rejects_threshold_outside_unit_interval(capsys, value):
+    code, out, err = run(capsys, "govern", "classify", "--mode", "impl",
+                         "--threshold", value, str(CORPUS / "items.csv"))
+    assert code == 64
+    assert out == ""
+    assert "argument --threshold" in err
+
+
+def test_unit_interval_bounds_are_accepted(capsys):
+    for value in ("0", "1"):
+        code, out, _ = run(capsys, "lifecycle", str(CORPUS / "device_settings.api"),
+                           "--high", value, "--drop", value, "--json")
+        assert code in (0, 1)
+        assert json.loads(out)["analysis"]["thresholds"] == {
+            "high": float(value), "drop": float(value)}
+        code, _, _ = run(capsys, "govern", "classify", "--mode", "change",
+                         "--threshold", value, str(CORPUS / "items.csv"))
+        assert code == 0

@@ -158,6 +158,12 @@ def test_report_bytes_are_stable():
     assert r1 == r2
 
 
+def test_report_json_refuses_non_finite_numbers():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            report_json(make_report("lifecycle", [], [], {"high": value}))
+
+
 def test_schema_rejects_malformed_reports():
     bad = make_report("check", [], [], {})
     del bad["toolVersion"]

@@ -1,5 +1,6 @@
 """Value-model to goal-model transformation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -125,6 +126,16 @@ def test_precondition_rejects_model_with_errors():
         }""")
     with pytest.raises(ApimodError):
         transform_value_to_goal(no_api)
+
+
+def test_precondition_rejects_dangling_stimulus_and_flow():
+    model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
+    stimulus = dataclasses.replace(model.stimuli[0], at="nobody")
+    with pytest.raises(ApimodError, match="unknown actor 'nobody'"):
+        transform_value_to_goal(dataclasses.replace(model, stimuli=[stimulus]))
+    flow = dataclasses.replace(model.flows[0], target="ghost")
+    with pytest.raises(ApimodError, match="unknown endpoint 'ghost'"):
+        transform_value_to_goal(dataclasses.replace(model, flows=[flow]))
 
 
 def test_annotations_carry_over():

@@ -1,5 +1,6 @@
 """Model checks: reciprocity, cycles, floats, coverage."""
 
+import dataclasses
 import random
 
 import pytest
@@ -215,6 +216,24 @@ def test_dangling_refinement_child_is_an_error():
     diags = validate_goal_model(model)
     assert codes(diags) == ["E-DANGLE"]
     assert "'ghost'" in diags[0].message and diags[0].severity is Severity.ERROR
+
+
+def test_stimulus_at_unknown_actor_dangles():
+    model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
+    model.stimuli[0] = dataclasses.replace(model.stimuli[0], at="nobody")
+    diags = validate_value_model(model)
+    assert codes(diags) == ["E-DANGLE"]
+    assert "'nobody'" in diags[0].message and diags[0].severity is Severity.ERROR
+
+
+def test_flow_with_unknown_endpoints_dangles():
+    model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
+    model.flows[0] = dataclasses.replace(model.flows[0], source="ghost",
+                                         target="Camera Platform.Govern API")
+    diags = [d for d in validate_value_model(model) if d.code == "E-DANGLE"]
+    assert [d.message for d in diags] == [
+        "flow 'f1' references unknown endpoint 'Camera Platform.Govern API'",
+        "flow 'f1' references unknown endpoint 'ghost'"]
 
 
 def test_cycle_detection_matches_dfs_oracle_on_random_graphs():
