@@ -16,7 +16,7 @@ Every reported span points inside the offending token range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
 from ..core import (
     Activity, AssociationKind, AssociationLink, BapoTag, ContributionStrength,
@@ -50,8 +50,12 @@ class _ParseAbort(Exception):
     """Internal: unwinds to the nearest recovery point."""
 
 
+_IDENT, _PUNCT, _STRING, _EOF = TokKind.IDENT, TokKind.PUNCT, TokKind.STRING, TokKind.EOF
+
 _ELEMENT_KIND_WORDS = {k.value: k for k in ElementKind}
+_REFINEMENT_WORDS = {k.value: k for k in RefinementKind}
 _STRENGTH_WORDS = {s.value: s for s in ContributionStrength}
+_FLOW_STATUS_WORDS = {s.value: s for s in FlowStatus if s is not FlowStatus.NORMAL}
 _LAYER_WORDS = {l.value: l for l in Layer}
 _BAPO_WORDS = {t.value: t for t in BapoTag}
 _STAGE_WORDS = {s.value: s for s in LifecycleStage}
@@ -59,13 +63,14 @@ _DIMENSION_WORDS = {d.value: d for d in Dimension}
 _AUTOMATION_WORDS = {a.value: a for a in AutomationLevel}
 _STAGE_RANK = {s: i for i, s in enumerate(LifecycleStage)}
 
-_OBSERVED_FIELDS = {
-    "stability": ("stability", Stability),
-    "change": ("change", Change),
-    "commitment": ("commitment", Commitment),
-    "governance": ("governance", Governance),
-    "compatibility": ("compatibility", Compatibility),
-    "support": ("support", Support),
+#: `observed` characteristic (a `Characteristics` attribute) -> its value words.
+_OBSERVED_WORDS = {
+    field: {v.value: v for v in enum_cls}
+    for field, enum_cls in (
+        ("stability", Stability), ("change", Change), ("commitment", Commitment),
+        ("governance", Governance), ("compatibility", Compatibility),
+        ("support", Support),
+    )
 }
 
 
@@ -97,6 +102,10 @@ def _ref_span(actor: Token, element: Optional[Token]) -> SourceSpan:
 
 
 class _Parser:
+    """Token cursor and recovery shared by the dialect parsers. `pos` never
+    moves past the end-of-input token, so the current token is always
+    `tokens[pos]`."""
+
     def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
         self.tokens = tokens
         self.diagnostics = diagnostics
@@ -104,88 +113,87 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokKind.EOF:
-            self.pos += 1
-        return tok
-
-    def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind in (TokKind.IDENT, TokKind.PUNCT) and tok.value == value
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def eat(self, value: str) -> bool:
-        if self.at(value):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.value == value and (tok.kind is _IDENT or tok.kind is _PUNCT):
+            self.pos += 1
             return True
         return False
 
     def expect(self, value: str) -> Token:
-        if self.at(value):
-            return self.advance()
-        tok = self.peek()
-        shown = tok.value if tok.value else str(tok.kind.value)
-        self.error("E-SYNTAX", f"expected {value!r}, found {shown!r}", tok.span)
-        raise _ParseAbort()
+        tok = self.tokens[self.pos]
+        if tok.value == value and (tok.kind is _IDENT or tok.kind is _PUNCT):
+            self.pos += 1
+            return tok
+        self.fail(repr(value), tok)
+
+    def statement(self) -> Optional[Token]:
+        """The head token of the next statement in a block, or None at the
+        block's closing brace or the end of input."""
+        tok = self.tokens[self.pos]
+        if tok.kind is _EOF or (tok.value == "}" and tok.kind is _PUNCT):
+            return None
+        return tok
 
     def name(self, what: str = "name") -> Token:
         """The next token as a name. Callers take its span only where they
         keep or report it, so most names never build one."""
-        tok = self.peek()
-        if tok.kind is TokKind.STRING:
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is _STRING or (kind is _IDENT and tok.value not in KEYWORDS):
+            self.pos += 1
             return tok
-        if tok.kind is TokKind.IDENT and tok.value not in KEYWORDS:
-            self.advance()
-            return tok
-        shown = tok.value if tok.value else str(tok.kind.value)
-        self.error("E-SYNTAX", f"expected {what}, found {shown!r}", tok.span)
-        raise _ParseAbort()
+        self.fail(what, tok)
 
     def number(self, what: str = "number") -> tuple[float, SourceSpan]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind is TokKind.NUMBER:
-            self.advance()
+            self.pos += 1
             return float(tok.value), tok.span
         self.error("E-SYNTAX", f"expected {what}, found {tok.value!r}", tok.span)
         raise _ParseAbort()
 
     def keyword_choice(self, words: dict, what: str):
         """The value `words` maps the next identifier to."""
-        tok = self.peek()
-        if tok.kind is TokKind.IDENT and tok.value in words:
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is _IDENT and tok.value in words:
+            self.pos += 1
             return words[tok.value]
-        shown = tok.value if tok.value else str(tok.kind.value)
-        self.error("E-SYNTAX", f"expected {what}, found {shown!r}", tok.span)
-        raise _ParseAbort()
+        self.fail(what, tok)
 
     # -- diagnostics and recovery -------------------------------------------
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
+    def fail(self, what: str, tok: Token) -> NoReturn:
+        """Report that `what` was expected at `tok` and unwind."""
+        shown = tok.value if tok.value else str(tok.kind.value)
+        self.error("E-SYNTAX", f"expected {what}, found {shown!r}", tok.span)
+        raise _ParseAbort()
+
     def sync(self, keywords: set[str]) -> None:
         """Skip tokens until a statement keyword or block boundary."""
         depth = 0
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind is TokKind.EOF:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind is _EOF:
                 return
-            if depth == 0:
-                if tok.kind is TokKind.PUNCT and tok.value == "}":
-                    return
-                if tok.kind is TokKind.IDENT and tok.value in keywords:
-                    return
-            if tok.kind is TokKind.PUNCT and tok.value == "{":
-                depth += 1
-            elif tok.kind is TokKind.PUNCT and tok.value == "}":
-                depth -= 1
-            self.advance()
+            if kind is _PUNCT:
+                if tok.value == "{":
+                    depth += 1
+                elif tok.value == "}":
+                    if depth == 0:
+                        return
+                    depth -= 1
+            elif depth == 0 and kind is _IDENT and tok.value in keywords:
+                return
+            self.pos += 1
 
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
@@ -202,23 +210,23 @@ class _Parser:
             names.append(self.name().value)
         return names
 
-    def layer_stmt(self) -> tuple[str, Layer, Token]:
-        kw = self.expect("layer")
+    def layer_stmt(self) -> tuple[str, Layer]:
+        """The rest of `layer(focus) = layer` after its keyword."""
         self.expect("(")
         focus = self.name("api focus").value
         self.expect(")")
         self.expect("=")
         layer = self.keyword_choice(_LAYER_WORDS, "layer (domain|usage|api|asset)")
-        return focus, layer, kw
+        return focus, layer
 
     def bapo_stmt(self) -> list[BapoTag]:
-        self.expect("bapo")
+        """The rest of `bapo = tag, ...` after its keyword."""
         self.expect("=")
         tags = []
         while True:
-            tok = self.peek()
-            if tok.kind is TokKind.IDENT and tok.value in _BAPO_WORDS:
-                self.advance()
+            tok = self.tokens[self.pos]
+            if tok.kind is _IDENT and tok.value in _BAPO_WORDS:
+                self.pos += 1
                 tags.append(_BAPO_WORDS[tok.value])
             else:
                 self.error("E-SYNTAX", f"expected BAPO tag (B|A|P|O), found {tok.value!r}",
@@ -253,16 +261,19 @@ class _ValueModelParser(_Parser):
         model = ValueModel(name)
         raw_parents: list[tuple[VActor, Token]] = []
         raw_flows: list[tuple[ValueFlow, _Ref, _Ref]] = []
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.statement()) is not None:
+            word = tok.value if tok.kind is _IDENT else ""
             try:
-                if self.at("actor"):
+                if word == "actor":
+                    self.pos += 1
                     self.parse_actor(model, raw_parents)
-                elif self.at("flow"):
-                    self.parse_flow(model, raw_flows)
-                elif self.at("stimulus"):
+                elif word == "flow":
+                    self.pos += 1
+                    self.parse_flow(model, raw_flows, tok)
+                elif word == "stimulus":
+                    self.pos += 1
                     self.parse_stimulus(model)
                 else:
-                    tok = self.peek()
                     self.error("E-SYNTAX",
                                f"expected actor, flow, or stimulus, found {tok.value!r}",
                                tok.span)
@@ -278,7 +289,6 @@ class _ValueModelParser(_Parser):
 
     def parse_actor(self, model: ValueModel,
                     raw_parents: list[tuple[VActor, Token]]) -> None:
-        self.expect("actor")
         name = self.name("actor name")
         actor = VActor(id=name.value, name=name.value, span=name.span)
         if self.eat("in"):
@@ -286,30 +296,31 @@ class _ValueModelParser(_Parser):
         model.actors.append(actor)
         if not self.eat("{"):
             return
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.statement()) is not None:
+            word = tok.value if tok.kind is _IDENT else ""
             try:
-                if self.at("activity"):
-                    self.advance()
+                if word == "activity":
+                    self.pos += 1
                     activity = self.name("activity name")
                     actor.activities.append(Activity(id=activity.value, name=activity.value,
                                                      span=activity.span))
-                elif self.at("api"):
-                    self.advance()
+                elif word == "api":
+                    self.pos += 1
                     actor.api_role = True
-                elif self.at("market"):
-                    self.advance()
+                elif word == "market":
+                    self.pos += 1
                     actor.market_segment = True
-                elif self.at("layer"):
-                    focus, layer, kw = self.layer_stmt()
+                elif word == "layer":
+                    self.pos += 1
+                    focus, layer = self.layer_stmt()
                     if focus in actor.layer_assignments:
                         self.error("E-DUP", f"duplicate layer assignment for focus {focus!r}",
-                                   kw.span)
+                                   tok.span)
                     actor.layer_assignments[focus] = layer
-                elif self.at("bapo"):
-                    for tag in self.bapo_stmt():
-                        actor.bapo_tags.add(tag)
+                elif word == "bapo":
+                    self.pos += 1
+                    actor.bapo_tags.update(self.bapo_stmt())
                 else:
-                    tok = self.peek()
                     self.error("E-SYNTAX",
                                f"expected actor-body statement, found {tok.value!r}",
                                tok.span)
@@ -319,8 +330,7 @@ class _ValueModelParser(_Parser):
         self.expect("}")
 
     def parse_flow(self, model: ValueModel,
-                   raw_flows: list[tuple[ValueFlow, _Ref, _Ref]]) -> None:
-        kw = self.expect("flow")
+                   raw_flows: list[tuple[ValueFlow, _Ref, _Ref]], kw: Token) -> None:
         obj_name = self.name("value object name").value
         self.expect("from")
         src = self.qualified_ref()
@@ -332,10 +342,10 @@ class _ValueModelParser(_Parser):
                                        "object kind (resource|task|goal|quality)")
         status = FlowStatus.NORMAL
         if self.eat("status"):
-            tok = self.peek()
-            if tok.kind is TokKind.IDENT and tok.value in ("problematic", "missing"):
-                self.advance()
-                status = FlowStatus(tok.value)
+            tok = self.tokens[self.pos]
+            if tok.kind is _IDENT and tok.value in _FLOW_STATUS_WORDS:
+                self.pos += 1
+                status = _FLOW_STATUS_WORDS[tok.value]
             else:
                 self.error("E-SYNTAX",
                            f"expected problematic or missing, found {tok.value!r}", tok.span)
@@ -356,7 +366,6 @@ class _ValueModelParser(_Parser):
         raw_flows.append((flow, src, dst))
 
     def parse_stimulus(self, model: ValueModel) -> None:
-        self.expect("stimulus")
         name = self.name("stimulus name")
         self.expect("in")
         owner = self.name("owning actor").value
@@ -455,16 +464,19 @@ class _GoalModelParser(_Parser):
         model = GoalModel(name, draft=draft)
         refinements: list[_RawRefinement] = []
         contributions: list[_RawContribution] = []
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.statement()) is not None:
+            word = tok.value if tok.kind is _IDENT else ""
             try:
-                if self.at("actor"):
+                if word == "actor":
+                    self.pos += 1
                     self.parse_actor(model, refinements, contributions)
-                elif self.at("depend"):
-                    self.parse_depend(model)
-                elif self.at("partof"):
-                    self.parse_partof(model)
+                elif word == "depend":
+                    self.pos += 1
+                    self.parse_depend(model, tok)
+                elif word == "partof":
+                    self.pos += 1
+                    self.parse_partof(model, tok)
                 else:
-                    tok = self.peek()
                     self.error("E-SYNTAX",
                                f"expected actor, depend, or partof, found {tok.value!r}",
                                tok.span)
@@ -479,7 +491,6 @@ class _GoalModelParser(_Parser):
         return self.result(model)
 
     def parse_actor(self, model: GoalModel, refinements, contributions) -> None:
-        self.expect("actor")
         name = self.name("actor name")
         actor = GActor(id=name.value, name=name.value, span=name.span)
         model.actors.append(actor)
@@ -491,25 +502,26 @@ class _GoalModelParser(_Parser):
                 AssociationKind.PART_OF, name.value, parent.value, span=parent.span))
         if not self.eat("{"):
             return
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.statement()) is not None:
+            word = tok.value if tok.kind is _IDENT else ""
             try:
-                tok = self.peek()
-                if tok.kind is TokKind.IDENT and tok.value in _ELEMENT_KIND_WORDS:
-                    self.advance()
+                if word in _ELEMENT_KIND_WORDS:
+                    self.pos += 1
                     element = self.name("element name")
                     actor.elements.append(GElement(
-                        id=element.value, kind=_ELEMENT_KIND_WORDS[tok.value],
+                        id=element.value, kind=_ELEMENT_KIND_WORDS[word],
                         name=element.value, span=element.span))
-                elif self.at("layer"):
-                    focus, layer, kw = self.layer_stmt()
+                elif word == "layer":
+                    self.pos += 1
+                    focus, layer = self.layer_stmt()
                     if focus in actor.layer_assignments:
                         self.error("E-DUP",
-                                   f"duplicate layer assignment for focus {focus!r}", kw.span)
+                                   f"duplicate layer assignment for focus {focus!r}", tok.span)
                     actor.layer_assignments[focus] = layer
-                elif self.at("bapo"):
-                    for tag in self.bapo_stmt():
-                        actor.bapo_tags.add(tag)
-                elif tok.kind in (TokKind.IDENT, TokKind.STRING):
+                elif word == "bapo":
+                    self.pos += 1
+                    actor.bapo_tags.update(self.bapo_stmt())
+                elif word or tok.kind is _STRING:
                     self.parse_link_stmt(actor, refinements, contributions)
                 else:
                     self.error("E-SYNTAX",
@@ -522,25 +534,25 @@ class _GoalModelParser(_Parser):
 
     def parse_link_stmt(self, actor: GActor, refinements, contributions) -> None:
         source = self.name("element reference")
-        tok = self.peek()
-        if tok.kind is TokKind.IDENT and tok.value in ("and", "or"):
-            self.advance()
+        tok = self.tokens[self.pos]
+        word = tok.value if tok.kind is _IDENT else ""
+        if word in _REFINEMENT_WORDS:
+            self.pos += 1
             children = self.name_list()
             refinements.append(_RawRefinement(
-                source.value, RefinementKind(tok.value), children, actor, source))
-        elif tok.kind is TokKind.IDENT and tok.value in _STRENGTH_WORDS:
-            self.advance()
+                source.value, _REFINEMENT_WORDS[word], children, actor, source))
+        elif word in _STRENGTH_WORDS:
+            self.pos += 1
             target = self.name("contribution target")
             contributions.append(_RawContribution(
-                source.value, _STRENGTH_WORDS[tok.value], target.value, actor, target))
+                source.value, _STRENGTH_WORDS[word], target.value, actor, target))
         else:
             self.error("E-SYNTAX",
                        f"expected and/or/makes/helps/hurts/breaks after {source.value!r}",
                        tok.span)
             raise _ParseAbort()
 
-    def parse_depend(self, model: GoalModel) -> None:
-        kw = self.expect("depend")
+    def parse_depend(self, model: GoalModel, kw: Token) -> None:
         dr_actor, dr_el = self.qualified_ref()
         self.expect("->")
         de_actor, de_el = self.qualified_ref()
@@ -559,8 +571,7 @@ class _GoalModelParser(_Parser):
             span=kw.span,
         ))
 
-    def parse_partof(self, model: GoalModel) -> None:
-        kw = self.expect("partof")
+    def parse_partof(self, model: GoalModel, kw: Token) -> None:
         part = self.name("actor").value
         self.expect("->")
         whole = self.name("actor").value
@@ -574,14 +585,18 @@ class _GoalModelParser(_Parser):
                 self.error("E-DUP", f"duplicate identifier {actor.id!r}", actor.span)
             seen[actor.id] = actor.span
         elements: dict[str, GElement] = {}
+        # Each actor's own elements by id, keyed by actor identity; as in the
+        # model-wide map, the last declaration of a duplicate id wins.
+        local_maps: dict[int, dict[str, GElement]] = {}
         for actor in model.actors:
+            local_maps[id(actor)] = local = {}
             for el in actor.elements:
                 if el.id in seen or el.id in elements:
                     self.error("E-DUP", f"duplicate identifier {el.id!r}", el.span)
-                elements[el.id] = el
+                elements[el.id] = local[el.id] = el
 
         for raw in refinements:
-            local = {e.id: e for e in raw.actor.elements}
+            local = local_maps[id(raw.actor)]
             parent = local.get(raw.parent)
             if parent is None:
                 self.error("E-REF",
@@ -613,8 +628,7 @@ class _GoalModelParser(_Parser):
                 parent.refinement = Refinement(raw.kind, tuple(raw.children))
 
         for raw in contributions:
-            local = {e.id: e for e in raw.actor.elements}
-            source = local.get(raw.source)
+            source = local_maps[id(raw.actor)].get(raw.source)
             if source is None:
                 self.error("E-REF",
                            f"unknown element {raw.source!r} in actor {raw.actor.id!r}",
@@ -638,7 +652,7 @@ class _GoalModelParser(_Parser):
                 if actor is None:
                     self.error("E-REF", f"unknown actor {end.actor!r}", dep.span)
                 elif end.element is not None and actor.open \
-                        and end.element not in {e.id for e in actor.elements}:
+                        and end.element not in local_maps[id(actor)]:
                     self.error("E-REF",
                                f"unknown element {end.element!r} in actor {end.actor!r}",
                                dep.span)
@@ -671,25 +685,25 @@ class _ApiDescriptorParser(_Parser):
         observed = Characteristics()
         curve: list[ValueCurveSample] = []
         rationales: list[str] = []
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.statement()) is not None:
+            word = tok.value if tok.kind is _IDENT else ""
             try:
-                if self.at("stage"):
-                    kw = self.advance()
+                if word == "stage":
+                    self.pos += 1
                     value = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
                     if stage is not None:
-                        self.error("E-DUP", "stage declared twice", kw.span)
-                    stage, stage_span = value, kw.span
-                elif self.at("observed"):
-                    self.advance()
+                        self.error("E-DUP", "stage declared twice", tok.span)
+                    stage, stage_span = value, tok.span
+                elif word == "observed":
+                    self.pos += 1
                     self.parse_observed(observed)
-                elif self.at("curve"):
-                    self.advance()
+                elif word == "curve":
+                    self.pos += 1
                     self.parse_curve_sample(curve)
-                elif self.at("rationale"):
-                    self.advance()
+                elif word == "rationale":
+                    self.pos += 1
                     rationales.append(self.name("rationale tag").value)
                 else:
-                    tok = self.peek()
                     self.error("E-SYNTAX",
                                "expected stage, observed, curve, or rationale, "
                                f"found {tok.value!r}", tok.span)
@@ -699,7 +713,7 @@ class _ApiDescriptorParser(_Parser):
         try:
             self.expect("}")
             eof = self.peek()
-            if eof.kind is not TokKind.EOF:
+            if eof.kind is not _EOF:
                 self.error("E-SYNTAX", f"unexpected trailing input {eof.value!r}", eof.span)
         except _ParseAbort:
             pass
@@ -713,19 +727,19 @@ class _ApiDescriptorParser(_Parser):
 
     def parse_observed(self, observed: Characteristics) -> None:
         tok = self.peek()
-        if tok.kind is not TokKind.IDENT or tok.value not in _OBSERVED_FIELDS:
+        if tok.kind is not _IDENT or tok.value not in _OBSERVED_WORDS:
             self.error("E-SYNTAX", f"unknown characteristic {tok.value!r}", tok.span)
             raise _ParseAbort()
-        self.advance()
-        attr, enum_cls = _OBSERVED_FIELDS[tok.value]
+        self.pos += 1
+        attr = tok.value
+        values = _OBSERVED_WORDS[attr]
         vtok = self.peek()
-        values = {v.value: v for v in enum_cls}
-        if vtok.kind is not TokKind.IDENT or vtok.value not in values:
-            self.error("E-SYNTAX", f"unknown {tok.value} value {vtok.value!r}", vtok.span)
+        if vtok.kind is not _IDENT or vtok.value not in values:
+            self.error("E-SYNTAX", f"unknown {attr} value {vtok.value!r}", vtok.span)
             raise _ParseAbort()
-        self.advance()
+        self.pos += 1
         if getattr(observed, attr) is not None:
-            self.error("E-DUP", f"characteristic {tok.value} observed twice", tok.span)
+            self.error("E-DUP", f"characteristic {attr} observed twice", tok.span)
         setattr(observed, attr, values[vtok.value])
 
     def parse_curve_sample(self, curve: list[ValueCurveSample]) -> None:
@@ -753,13 +767,13 @@ class _MetricCatalogParser(_Parser):
     def parse(self) -> ParseResult:
         metrics: list[MetricDef] = []
         names: dict[str, SourceSpan] = {}
-        while self.peek().kind is not TokKind.EOF:
+        while (tok := self.peek()).kind is not _EOF:
             try:
-                if not self.at("metric"):
-                    tok = self.peek()
+                if tok.value != "metric" or tok.kind is not _IDENT:
                     self.error("E-SYNTAX", f"expected metric block, found {tok.value!r}",
                                tok.span)
                     raise _ParseAbort()
+                self.pos += 1
                 self.parse_metric(metrics, names)
             except _ParseAbort:
                 self.sync({"metric"})
@@ -768,7 +782,6 @@ class _MetricCatalogParser(_Parser):
 
     def parse_metric(self, metrics: list[MetricDef],
                      names: dict[str, SourceSpan]) -> None:
-        self.expect("metric")
         tok = self.name("metric name")
         name, span = tok.value, tok.span
         if name in names:
@@ -777,14 +790,13 @@ class _MetricCatalogParser(_Parser):
         metric = MetricDef(name=name, span=span)
         self.expect("{")
         seen: set[str] = set()
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.statement()) is not None:
             try:
-                tok = self.peek()
-                if tok.kind is not TokKind.IDENT or tok.value not in _METRIC_BODY:
+                if tok.kind is not _IDENT or tok.value not in _METRIC_BODY:
                     self.error("E-SYNTAX", f"unknown metric field {tok.value!r}", tok.span)
                     raise _ParseAbort()
                 field_name = tok.value
-                self.advance()
+                self.pos += 1
                 if field_name in seen:
                     self.error("E-DUP", f"metric field {field_name} given twice", tok.span)
                 seen.add(field_name)
@@ -834,9 +846,11 @@ class _ScenarioParser(_Parser):
         except _ParseAbort:
             return self.result(None)
         assignments: dict[str, Label] = {}
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.statement()) is not None:
             try:
-                self.expect("label")
+                if tok.value != "label" or tok.kind is not _IDENT:
+                    self.fail("'label'", tok)
+                self.pos += 1
                 target = self.name("element or dependum id")
                 self.expect("=")
                 label = self.keyword_choice(LABEL_WORDS, "label")
@@ -894,7 +908,7 @@ def parse_model(text: str, filename: str = "<input>") -> ParseResult:
     if diagnostics:
         return ParseResult(None, diagnostics)
     head = tokens[0]
-    parser = _DISPATCH.get(head.value) if head.kind is TokKind.IDENT else None
+    parser = _DISPATCH.get(head.value) if head.kind is _IDENT else None
     if parser is None:
         return ParseResult(None, [Diagnostic(
             Severity.ERROR, "E-SYNTAX",
