@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -337,6 +338,8 @@ def _load_curve_csv(path: str) -> list[ValueCurveSample]:
             t, value = float(row[0]), float(row[2])
         except ValueError as exc:
             raise _Failure(f"{path}: row {i + 1}: {exc}") from exc
+        if not math.isfinite(t):  # nan would pass the forward-in-time check
+            raise _Failure(f"{path}: row {i + 1}: time {t} is not finite")
         stage = stages.get(row[1].strip().lower())
         if stage is None:
             raise _Failure(f"{path}: row {i + 1}: unknown stage {row[1]!r}")

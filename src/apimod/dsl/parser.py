@@ -407,17 +407,16 @@ class _ValueModelParser(_Parser):
         endpoints = set(actors)
         activity_owner = {act.id: a.id for a in model.actors for act in a.activities}
         endpoints.update(activity_owner)
+        # Resolve from the name tokens, not the joined text: names may
+        # contain dots.
         for flow, src, dst in raw_flows:
-            for attr, tokens in (("source", src), ("target", dst)):
-                ref = getattr(flow, attr)
-                if "." in ref:
-                    actor_id, _, act_id = ref.partition(".")
-                    if actor_id not in actors or activity_owner.get(act_id) != actor_id:
-                        self.error("E-REF", f"unknown endpoint {ref!r}", _ref_span(*tokens))
-                    else:
-                        setattr(flow, attr, act_id)
-                elif ref not in endpoints:
-                    self.error("E-REF", f"unknown endpoint {ref!r}", _ref_span(*tokens))
+            for attr, (owner, element) in (("source", src), ("target", dst)):
+                act_id = element.value if element is not None else ""
+                if act_id and activity_owner.get(act_id) == owner.value:
+                    setattr(flow, attr, act_id)
+                elif act_id or owner.value not in endpoints:
+                    self.error("E-REF", f"unknown endpoint {getattr(flow, attr)!r}",
+                               _ref_span(owner, element))
             if flow.source == flow.target:
                 self.error("E-SELF", "value flow must connect two distinct endpoints",
                            _ref_span(*src))

@@ -179,6 +179,17 @@ def test_lifecycle_with_curve_csv(capsys):
     assert "M1" not in out
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_lifecycle_curve_csv_rejects_non_finite_time(capsys, tmp_path, time):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(f"2,plan,0.2\n{time},plan,0.5\n1,plan,0.9\n", encoding="utf-8")
+    code, out, err = run(capsys, "lifecycle", str(CORPUS / "device_settings.api"),
+                         "--curve", str(curve))
+    assert code == 2
+    assert out == ""
+    assert err == f"{curve}: row 2: time {float(time)} is not finite\n"
+
+
 def test_lifecycle_flags_value_mismatch(capsys, tmp_path):
     api = tmp_path / "hot.api"
     api.write_text('api Hot { stage plan curve 0 plan 0.9 }', encoding="utf-8")

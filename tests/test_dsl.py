@@ -5,7 +5,8 @@ import random
 import pytest
 
 from apimod.core import (
-    ElementKind, FlowStatus, Label, RefinementKind, Severity,
+    Activity, ElementKind, FlowStatus, Label, RefinementKind, Severity, VActor,
+    ValueFlow, ValueModel, ValueObject,
 )
 from apimod.dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
@@ -106,6 +107,43 @@ def test_self_flow_is_rejected():
         }""")
     assert not r.ok
     assert [d.code for d in errors(r)] == ["E-SELF"]
+
+
+def test_actor_name_with_a_dot_is_a_flow_endpoint():
+    r = parse_value_model("""
+        valuemodel M {
+          actor "a.b" { activity x }
+          actor C
+          flow F from "a.b" to C
+          flow G from C to "a.b".x
+        }""")
+    assert r.diagnostics == []
+    assert [(f.source, f.target) for f in r.model.flows] == [("a.b", "C"), ("C", "x")]
+
+
+def test_unknown_endpoint_under_a_dotted_actor_keeps_its_message():
+    r = parse_value_model("""
+        valuemodel M {
+          actor "a.b" { activity x }
+          actor C
+          flow F from "a.b".y to C
+        }""")
+    assert [(d.code, d.message) for d in r.diagnostics] == [
+        ("E-REF", "unknown endpoint 'a.b.y'")]
+
+
+def test_value_model_with_dotted_actor_round_trips():
+    model = ValueModel("M")
+    model.actors = [VActor(id="a.b", name="a.b", activities=[Activity(id="x.y", name="x.y")]),
+                    VActor(id="C", name="C")]
+    model.flows = [ValueFlow(id="f1", source="a.b", target="C",
+                             obj=ValueObject("F", ElementKind.RESOURCE)),
+                   ValueFlow(id="f2", source="C", target="x.y",
+                             obj=ValueObject("G", ElementKind.RESOURCE))]
+    text = print_model(model)
+    again = parse_value_model(text)
+    assert again.diagnostics == []
+    assert print_model(again.model) == text
 
 
 def test_partnership_cycle_is_rejected():
@@ -232,6 +270,51 @@ def test_closed_actor_element_ref_is_deferred_to_validate():
           depend A.Hidden -> B.T : resource R
         }""")
     assert r.ok  # the parser cannot see into a closed actor
+
+
+def diagnostics_at(result):
+    return [(d.code, d.message, d.span.start_line, d.span.start_col)
+            for d in result.diagnostics]
+
+
+def test_duplicate_element_id_links_to_its_last_declaration():
+    r = parse_goal_model("""goalmodel M {
+          actor A {
+            goal G
+            quality G
+            goal P
+            quality Q
+            G and P
+            P or G
+            G helps Q
+          }
+        }""")
+    assert diagnostics_at(r) == [
+        ("E-DUP", "duplicate identifier 'G'", 4, 21),
+        ("E-REFINE", "quality 'G' cannot be refined; use contribution links", 7, 13),
+        ("E-REFINE", "quality 'G' cannot be a refinement child", 8, 13),
+    ]
+
+
+def test_refinement_child_in_another_actor_is_eref():
+    r = parse_goal_model("""goalmodel M {
+          actor A { goal G }
+          actor B { goal P  task T  P and T, G }
+        }""")
+    assert diagnostics_at(r) == [
+        ("E-REF", "unknown element 'G' in actor 'B'", 3, 37)]
+
+
+@pytest.mark.parametrize("actor_a, expected", [
+    ("actor A { goal G }", [("E-REF", "unknown element 'Ghost' in actor 'A'", 3, 11)]),
+    ("actor A", []),  # closed: checked by validate_goal_model instead
+])
+def test_dependency_end_missing_from_open_versus_closed_actor(actor_a, expected):
+    r = parse_goal_model(f"""goalmodel M {{
+          {actor_a}  actor B {{ task T }}
+          depend A.Ghost -> B.T : resource R
+        }}""")
+    assert diagnostics_at(r) == expected
 
 
 # ---------------------------------------------------------------------------
