@@ -845,11 +845,9 @@ class _ScenarioParser(_Parser):
         except _ParseAbort:
             return self.result(None)
         assignments: dict[str, Label] = {}
-        while (tok := self.statement()) is not None:
+        while self.statement() is not None:
             try:
-                if tok.value != "label" or tok.kind is not _IDENT:
-                    self.fail("'label'", tok)
-                self.pos += 1
+                self.expect("label")
                 target = self.name("element or dependum id")
                 self.expect("=")
                 label = self.keyword_choice(LABEL_WORDS, "label")
