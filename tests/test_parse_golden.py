@@ -1,15 +1,18 @@
-"""Golden parse behaviour: about a thousand seeded texts through all six
+"""Golden parse behaviour: 900 seeded texts through all six
 `parse_*` entry points, compared with hashes recorded in
 `tests/data/parse_golden.json`.
 
-The texts are the files of `corpus/` and `tests/data/`, models printed from
-the `helpers` generators, and seeded token-level mutations of each: a token
-dropped, duplicated, swapped with another or overwritten by a copy of
-another, a keyword inserted, the text cut short. Every outcome is the sha256 of the rendered diagnostics plus the
+The texts are the model files of `corpus/` and `tests/data/` (one of the
+dialect suffixes in `MODEL_SUFFIXES`; other tests' expected outputs there
+are not inputs), models printed from the `helpers` generators, and seeded
+token-level mutations of each: a token dropped, duplicated, swapped with
+another or overwritten by a copy of another, a keyword inserted, the text
+cut short. Every outcome is the sha256 of the rendered diagnostics plus the
 printed model (or `None`), kept as its first 16 hex digits. Nothing here
 depends on set or hash order, so every Python version reads the same texts.
 
-Regenerate the file only for an intended change of parse behaviour:
+Regenerate the file only for an intended change of parse behaviour or of
+the texts:
 
     PYTHONPATH=src python tests/test_parse_golden.py
 """
@@ -37,6 +40,7 @@ GOLDEN = DATA / "parse_golden.json"
 PARSERS = (parse_model, parse_value_model, parse_goal_model,
            parse_api_descriptor, parse_metric_catalog, parse_scenario)
 VARIANTS = 11  # mutated texts per base text
+MODEL_SUFFIXES = (".gm", ".vm", ".api", ".metrics", ".scn")
 
 # Chunks that join back to the text: strings (closed or not), comments,
 # arrows, names, numbers, blank runs and any other single character.
@@ -53,7 +57,7 @@ def base_texts() -> list[tuple[str, str]]:
     """(label, text) for every unmutated text, in a fixed order."""
     root = CORPUS.parent
     files = sorted(p for d in (CORPUS, DATA) for p in d.rglob("*")
-                   if p.is_file() and p != GOLDEN)
+                   if p.is_file() and p.suffix in MODEL_SUFFIXES)
     texts = [(p.relative_to(root).as_posix(), p.read_text(encoding="utf-8"))
              for p in files]
     for i in range(25):
