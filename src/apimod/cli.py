@@ -11,6 +11,7 @@ import csv
 import math
 import sys
 from pathlib import Path
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     ApimodError, Diagnostic, GoalModel, ValueModel, sort_diagnostics,
@@ -30,7 +31,8 @@ from .govern import (
 )
 from .lifecycle import (
     ApiDescriptor, LifecycleStage, MismatchThresholds, ValueCurveSample,
-    detect_value_mismatches, lint_characteristics, transition_checklist,
+    curve_step_problems, detect_value_mismatches, lint_characteristics,
+    transition_checklist,
 )
 from .link import link_metrics, who_report
 from .report import exit_code_for, export_dot, make_report, report_json
@@ -155,9 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 class _Failure(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.exit_code = code
+    """A clean error: its message goes to stderr and the exit code is 2."""
 
 
 class _ParseFailure(Exception):
@@ -165,6 +165,45 @@ class _ParseFailure(Exception):
         super().__init__(f"{path}: parse failed")
         self.path = path
         self.diagnostics = diagnostics
+
+
+class _Outcome(NamedTuple):
+    """What a command found. `artifact` is the text `-o` writes; `lines` is
+    the text report after the diagnostics."""
+
+    files: list[str]
+    diagnostics: list[Diagnostic]
+    analysis: dict
+    lines: Sequence[str] = ()
+    artifact: Optional[str] = None
+
+
+def _render(args, command: str, outcome: _Outcome) -> int:
+    """Write a command's result and return its exit code.
+
+    With --json the report envelope goes to stdout. An artifact goes to -o
+    or stdout, and its diagnostics to whichever of stdout and stderr it left
+    free. Otherwise the diagnostics and then the text lines go to stdout.
+    """
+    diagnostics = sort_diagnostics(outcome.diagnostics)
+    if args.json:
+        sys.stdout.write(report_json(make_report(
+            command, outcome.files, diagnostics, outcome.analysis)))
+        return exit_code_for(diagnostics, args.strict)
+    stream = sys.stdout
+    if outcome.artifact is not None:
+        if args.output is None:
+            sys.stdout.write(outcome.artifact)
+            stream = sys.stderr
+        else:
+            try:
+                Path(args.output).write_text(outcome.artifact, encoding="utf-8")
+            except OSError as exc:
+                raise _Failure(f"cannot write {args.output}: "
+                               f"{exc.strerror or exc}") from exc
+    for line in [d.render() for d in diagnostics] + list(outcome.lines):
+        print(line, file=stream)
+    return exit_code_for(diagnostics, args.strict)
 
 
 def _read(path: str) -> str:
@@ -177,25 +216,22 @@ def _read(path: str) -> str:
                        f"(byte offset {exc.start})") from exc
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) for each row of a CSV file that has data.
 
-
-def _emit(args, command: str, files: list[str], diagnostics: list[Diagnostic],
-          analysis: dict, text_lines: list[str]) -> int:
-    diagnostics = sort_diagnostics(diagnostics)
-    if args.json:
-        sys.stdout.write(report_json(make_report(command, files, diagnostics,
-                                                 analysis)))
-    else:
-        for d in diagnostics:
-            print(d.render())
-        for line in text_lines:
-            print(line)
-    return exit_code_for(diagnostics, args.strict)
+    Blank rows and a first row equal to `header` are skipped; a row with
+    fewer cells than `header` is an error."""
+    try:
+        rows = list(csv.reader(_read(path).splitlines()))
+    except csv.Error as exc:
+        raise _Failure(f"{path}: {exc}") from exc
+    for i, row in enumerate(rows):
+        if not row or (i == 0 and [c.strip().lower() for c in row[:len(header)]]
+                       == header):
+            continue
+        if len(row) < len(header):
+            raise _Failure(f"{path}: row {i + 1}: expected {','.join(header)}")
+        yield i + 1, row
 
 
 def _parse_file(parse, path: str):
@@ -210,7 +246,7 @@ def _parse_file(parse, path: str):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Outcome:
     text = _read(args.file)
     result = parse_model(text, args.file)
     diagnostics = list(result.diagnostics)
@@ -239,59 +275,41 @@ def _cmd_check(args) -> int:
                 diagnostics += check_layer_coverage(model, focus)
             diagnostics += check_bapo_coverage(model)
             analysis["focuses"] = focuses
-    return _emit(args, "check", [args.file], diagnostics, analysis, [])
+    return _Outcome([args.file], diagnostics, analysis)
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> _Outcome:
     result = _parse_file(parse_value_model, args.file)
     goal, diagnostics = transform_value_to_goal(result.model)
     text = print_goal_model(goal)
-    if args.json:
-        analysis = {"goalModel": text}
-        return _emit(args, "transform", [args.file], diagnostics, analysis, [])
-    _write_output(text, args.output)
-    stream = sys.stderr if args.output is None else sys.stdout
-    for d in sort_diagnostics(diagnostics):
-        print(d.render(), file=stream)
-    return exit_code_for(diagnostics, args.strict)
+    return _Outcome([args.file], diagnostics, {"goalModel": text}, artifact=text)
 
 
-def _evaluation_lines(model: GoalModel, result) -> list[str]:
-    lines = [f"scenario: {result.scenario}", f"rule set: {RULE_SET}",
-             f"iterations: {result.iterations}"]
-    dependums = {d.id: d.dependum for d in model.dependencies}
-    for node in evaluation_nodes(model):
-        mark = " (overridden)" if node in result.overridden else ""
-        if node in dependums:
-            dep = dependums[node]
-            lines.append(f"  {node} [{dep.kind.value} {dep.name}] = "
-                         f"{result.labels[node].value}{mark}")
-        else:
-            lines.append(f"  {node} = {result.labels[node].value}{mark}")
-    return lines
-
-
-def _evaluation_payload(model: GoalModel, result) -> dict:
-    return {
-        "scenario": result.scenario,
-        "ruleSet": RULE_SET,
-        "iterations": result.iterations,
-        "labels": {node: result.labels[node].value
-                   for node in evaluation_nodes(model)},
-        "overridden": sorted(result.overridden),
-    }
-
-
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> _Outcome:
     model = _parse_file(parse_goal_model, args.file).model
     scenario = _parse_file(parse_scenario, args.scenario).model
     result = propagate(model, scenario)
-    analysis = _evaluation_payload(model, result)
-    return _emit(args, "evaluate", [args.file, args.scenario],
-                 result.diagnostics, analysis, _evaluation_lines(model, result))
+    dependums = {d.id: d.dependum for d in model.dependencies}
+    lines = [f"scenario: {result.scenario}", f"rule set: {RULE_SET}",
+             f"iterations: {result.iterations}"]
+    labels = {}
+    for node in evaluation_nodes(model):
+        labels[node] = result.labels[node].value
+        dep = dependums.get(node)
+        kind = f" [{dep.kind.value} {dep.name}]" if dep is not None else ""
+        mark = " (overridden)" if node in result.overridden else ""
+        lines.append(f"  {node}{kind} = {labels[node]}{mark}")
+    analysis = {
+        "scenario": result.scenario,
+        "ruleSet": RULE_SET,
+        "iterations": result.iterations,
+        "labels": labels,
+        "overridden": sorted(result.overridden),
+    }
+    return _Outcome([args.file, args.scenario], result.diagnostics, analysis, lines)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> _Outcome:
     model = _parse_file(parse_goal_model, args.file).model
     paths = [p for p in args.scenarios.split(",") if p]
     scenarios = [_parse_file(parse_scenario, p).model for p in paths]
@@ -317,43 +335,31 @@ def _cmd_compare(args) -> int:
         "ranking": [{"scenario": name, "rank": rank}
                     for name, rank in table.ranking],
     }
-    return _emit(args, "compare", [args.file] + paths, [], analysis, lines)
+    return _Outcome([args.file] + paths, [], analysis, lines)
 
 
 def _load_curve_csv(path: str) -> list[ValueCurveSample]:
     stages = {s.value: s for s in LifecycleStage}
-    rank = {s: i for i, s in enumerate(LifecycleStage)}
     samples: list[ValueCurveSample] = []
-    try:
-        rows = list(csv.reader(_read(path).splitlines()))
-    except csv.Error as exc:
-        raise _Failure(f"{path}: {exc}") from exc
-    for i, row in enumerate(rows):
-        if not row or (i == 0 and [c.strip().lower() for c in row[:3]]
-                       == ["t", "stage", "value"]):
-            continue
-        if len(row) < 3:
-            raise _Failure(f"{path}: row {i + 1}: expected t,stage,value")
+    for n, row in _csv_rows(path, ["t", "stage", "value"]):
         try:
             t, value = float(row[0]), float(row[2])
         except ValueError as exc:
-            raise _Failure(f"{path}: row {i + 1}: {exc}") from exc
+            raise _Failure(f"{path}: row {n}: {exc}") from exc
         if not math.isfinite(t):  # nan would pass the forward-in-time check
-            raise _Failure(f"{path}: row {i + 1}: time {t} is not finite")
+            raise _Failure(f"{path}: row {n}: time {t} is not finite")
         stage = stages.get(row[1].strip().lower())
         if stage is None:
-            raise _Failure(f"{path}: row {i + 1}: unknown stage {row[1]!r}")
-        if not 0.0 <= value <= 1.0:
-            raise _Failure(f"{path}: row {i + 1}: value {value} outside [0, 1]")
-        if samples and (t <= samples[-1].t
-                        or rank[stage] < rank[samples[-1].stage]):
-            raise _Failure(f"{path}: row {i + 1}: samples must move forward "
-                           "in time and stage")
-        samples.append(ValueCurveSample(t, stage, value))
+            raise _Failure(f"{path}: row {n}: unknown stage {row[1]!r}")
+        sample = ValueCurveSample(t, stage, value)
+        problems = curve_step_problems(samples[-1] if samples else None, sample)
+        if problems:
+            raise _Failure(f"{path}: row {n}: {problems[0][1]}")
+        samples.append(sample)
     return samples
 
 
-def _cmd_lifecycle(args) -> int:
+def _cmd_lifecycle(args) -> _Outcome:
     descriptor = _parse_file(parse_api_descriptor, args.file).model
     if args.curve:
         descriptor.curve = _load_curve_csv(args.curve)
@@ -381,27 +387,10 @@ def _cmd_lifecycle(args) -> int:
         "uncatalogued": checklist.uncatalogued,
         "thresholds": {"high": args.high, "drop": args.drop},
     }
-    return _emit(args, "lifecycle", [args.file], diagnostics, analysis, lines)
+    return _Outcome([args.file], diagnostics, analysis, lines)
 
 
-def _load_items_csv(path: str) -> list[DecisionItem]:
-    items: list[DecisionItem] = []
-    rows = list(csv.reader(_read(path).splitlines()))
-    for i, row in enumerate(rows):
-        if not row or (i == 0 and [c.strip().lower() for c in row[:3]]
-                       == ["name", "a", "b"]):
-            continue
-        if len(row) < 3:
-            raise _Failure(f"{path}: row {i + 1}: expected name,a,b")
-        try:
-            items.append(DecisionItem(row[0].strip(), parse_score(row[1]),
-                                      parse_score(row[2])))
-        except ValueError as exc:
-            raise _Failure(f"{path}: row {i + 1}: {exc}") from exc
-    return items
-
-
-def _cmd_govern(args) -> int:
+def _cmd_govern(args) -> _Outcome:
     if args.govern_command == "openness":
         goods = classify_openness(Exclusion(args.exclusion),
                                   Subtractability(args.subtractability))
@@ -410,7 +399,7 @@ def _cmd_govern(args) -> int:
         analysis = {"exclusion": args.exclusion,
                     "subtractability": args.subtractability,
                     "goodsClass": goods.value}
-        return _emit(args, "govern openness", [], [], analysis, lines)
+        return _Outcome([], [], analysis, lines)
     if args.govern_command == "catalog":
         catalog = load_governance_catalog()
         lines = ["aspects:"]
@@ -419,8 +408,14 @@ def _cmd_govern(args) -> int:
         lines.append("strategies:")
         lines += [f"  {item['name']}: {item['description']}"
                   for item in catalog["strategies"]]
-        return _emit(args, "govern catalog", [], [], catalog, lines)
-    items = _load_items_csv(args.file)
+        return _Outcome([], [], catalog, lines)
+    items = []
+    for n, row in _csv_rows(args.file, ["name", "a", "b"]):
+        try:
+            items.append(DecisionItem(row[0].strip(), parse_score(row[1]),
+                                      parse_score(row[2])))
+        except ValueError as exc:
+            raise _Failure(f"{args.file}: row {n}: {exc}") from exc
     ranked = prioritize_items(items, args.mode, args.threshold)
     lines = [f"mode: {args.mode} (threshold {args.threshold:g})"]
     lines += [f"  {quadrant.value} {item.name} (a={item.a:g}, b={item.b:g})"
@@ -431,15 +426,15 @@ def _cmd_govern(args) -> int:
         "items": [{"name": item.name, "a": item.a, "b": item.b,
                    "quadrant": quadrant.value} for item, quadrant in ranked],
     }
-    return _emit(args, "govern classify", [args.file], [], analysis, lines)
+    return _Outcome([args.file], [], analysis, lines)
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> _Outcome:
     if args.metrics_command == "check":
         catalog = _parse_file(parse_metric_catalog, args.catalog).model
         diagnostics = check_metric_catalog(catalog)
-        return _emit(args, "metrics check", [args.catalog], diagnostics,
-                     {"metrics": [m.name for m in catalog]}, [])
+        return _Outcome([args.catalog], diagnostics,
+                        {"metrics": [m.name for m in catalog]})
     if args.metrics_command == "dimensions":
         catalog = _parse_file(parse_metric_catalog, args.catalog).model
         coverage = dimension_coverage_report(catalog)
@@ -455,7 +450,7 @@ def _cmd_metrics(args) -> int:
             "gaps": [{"dimension": d.value, "question": qn}
                      for d, qn in coverage.gaps],
         }
-        return _emit(args, "metrics dimensions", [args.catalog], [], analysis, lines)
+        return _Outcome([args.catalog], [], analysis, lines)
     if args.metrics_command == "automation":
         catalog = _parse_file(parse_metric_catalog, args.catalog).model
         rep = automation_report(catalog)
@@ -472,7 +467,7 @@ def _cmd_metrics(args) -> int:
             "unclassified": rep.unclassified,
             "note": rep.note,
         }
-        return _emit(args, "metrics automation", [args.catalog], [], analysis, lines)
+        return _Outcome([args.catalog], [], analysis, lines)
     if args.metrics_command == "who":
         model = _parse_file(parse_goal_model, args.model).model
         catalog = _parse_file(parse_metric_catalog, args.catalog).model
@@ -485,33 +480,23 @@ def _cmd_metrics(args) -> int:
         analysis = {"rows": [{"metric": r.metric, "why": r.why, "who": r.who,
                               "where": r.where, "actors": r.actors}
                              for r in rows]}
-        return _emit(args, "metrics who", [args.model, args.catalog], [],
-                     analysis, lines)
+        return _Outcome([args.model, args.catalog], [], analysis, lines)
     # link
     model = _parse_file(parse_goal_model, args.model).model
     catalog = _parse_file(parse_metric_catalog, args.catalog).model
     linked, diagnostics = link_metrics(model, catalog)
     text = print_goal_model(linked)
-    if args.json:
-        return _emit(args, "metrics link", [args.model, args.catalog],
-                     diagnostics, {"goalModel": text}, [])
-    _write_output(text, args.output)
-    stream = sys.stderr if args.output is None else sys.stdout
-    for d in sort_diagnostics(diagnostics):
-        print(d.render(), file=stream)
-    return exit_code_for(diagnostics, args.strict)
+    return _Outcome([args.model, args.catalog], diagnostics, {"goalModel": text},
+                    artifact=text)
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> _Outcome:
     result = _parse_file(parse_model, args.file)
     if not isinstance(result.model, (ValueModel, GoalModel)):
         raise _Failure(f"{args.file}: only value and goal models can be exported")
     dot = export_dot(result.model, cluster_by_actor=not args.flat,
                      layer_bands=args.focus)
-    if args.json:
-        return _emit(args, "export", [args.file], [], {"dot": dot}, [])
-    _write_output(dot, args.output)
-    return 0
+    return _Outcome([args.file], [], {"dot": dot}, artifact=dot)
 
 
 _HANDLERS = {
@@ -532,23 +517,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits for usage errors and --help
         return int(exc.code or 0)
+    sub = getattr(args, f"{args.command}_command", None)  # govern and metrics
+    command = f"{args.command} {sub}" if sub else args.command
     try:
-        return _HANDLERS[args.command](args)
-    except _ParseFailure as exc:
-        command = " ".join(filter(None, [
-            args.command,
-            getattr(args, "govern_command", None),
-            getattr(args, "metrics_command", None)]))
-        if getattr(args, "json", False):
-            sys.stdout.write(report_json(make_report(
-                command, [exc.path], exc.diagnostics, {})))
-        else:
-            for d in exc.diagnostics:
-                print(d.render())
-        return 2
+        try:
+            outcome = _HANDLERS[args.command](args)
+        except _ParseFailure as exc:
+            outcome = _Outcome([exc.path], exc.diagnostics, {})
+        return _render(args, command, outcome)
     except _Failure as exc:
         print(str(exc), file=sys.stderr)
-        return exc.exit_code
+        return 2
     except ApimodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

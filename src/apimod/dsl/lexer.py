@@ -117,7 +117,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             if kind is string:
                 value = lexeme[1:-1]
                 if "\\" in value:
-                    value = _ESCAPE_RE.sub(r"\1", value)
+                    value = _ESCAPE_RE.sub(lambda m: m[1], value)
             append(Token(kind, value, filename, line, end - len(lexeme) + 1, end))
     col = len(row) + 1
     append(Token(TokKind.EOF, "", filename, line, col, col))

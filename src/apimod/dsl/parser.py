@@ -30,6 +30,7 @@ from ..govern import AutomationLevel, Dimension, MetricDef
 from ..lifecycle import (
     ApiDescriptor, Change, Characteristics, Commitment, Compatibility,
     Governance, LifecycleStage, Stability, Support, ValueCurveSample,
+    curve_step_problems,
 )
 from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
 
@@ -61,7 +62,6 @@ _BAPO_WORDS = {t.value: t for t in BapoTag}
 _STAGE_WORDS = {s.value: s for s in LifecycleStage}
 _DIMENSION_WORDS = {d.value: d for d in Dimension}
 _AUTOMATION_WORDS = {a.value: a for a in AutomationLevel}
-_STAGE_RANK = {s: i for i, s in enumerate(LifecycleStage)}
 
 #: `observed` characteristic (a `Characteristics` attribute) -> its value words.
 _OBSERVED_WORDS = {
@@ -745,14 +745,10 @@ class _ApiDescriptorParser(_Parser):
         t, tspan = self.number("sample time")
         stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
         value, vspan = self.number("sample value")
-        if not 0.0 <= value <= 1.0:
-            self.error("E-RANGE", f"curve value {value} outside [0, 1]", vspan)
-        if curve:
-            if t <= curve[-1].t:
-                self.error("E-ORDER", "curve samples must have increasing times", tspan)
-            if _STAGE_RANK[stage] < _STAGE_RANK[curve[-1].stage]:
-                self.error("E-ORDER", "curve stages may not move backward", tspan)
-        curve.append(ValueCurveSample(t, stage, value))
+        sample = ValueCurveSample(t, stage, value)
+        for code, message in curve_step_problems(curve[-1] if curve else None, sample):
+            self.error(code, message, vspan if code == "E-RANGE" else tspan)
+        curve.append(sample)
 
 
 # ---------------------------------------------------------------------------

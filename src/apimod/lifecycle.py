@@ -20,6 +20,10 @@ class LifecycleStage(Enum):
     RETIRE = "retire"
 
 
+#: Position of each stage in the lifecycle; a curve may not move backward.
+STAGE_RANK = {s: i for i, s in enumerate(LifecycleStage)}
+
+
 class Stability(Enum):
     UNSTABLE = "unstable"
     MAINLY_STABLE = "mainly_stable"
@@ -81,6 +85,23 @@ class ValueCurveSample:
     value: float
 
 
+def curve_step_problems(before: Optional[ValueCurveSample],
+                        sample: ValueCurveSample) -> list[tuple[str, str]]:
+    """(code, message) for each rule `sample` breaks as the point after
+    `before` (None for the first point): E-RANGE for a value outside [0, 1],
+    then E-ORDER for a time that does not increase and for a stage that
+    moves backward."""
+    problems = []
+    if not 0.0 <= sample.value <= 1.0:
+        problems.append(("E-RANGE", f"curve value {sample.value} outside [0, 1]"))
+    if before is not None:
+        if sample.t <= before.t:
+            problems.append(("E-ORDER", "curve samples must have increasing times"))
+        if STAGE_RANK[sample.stage] < STAGE_RANK[before.stage]:
+            problems.append(("E-ORDER", "curve stages may not move backward"))
+    return problems
+
+
 @dataclass
 class ApiDescriptor:
     name: str
@@ -131,10 +152,6 @@ _EXPECTED = {
     ),
 }
 
-CHARACTERISTIC_NAMES = ["stability", "change", "commitment", "governance",
-                        "compatibility", "support"]
-
-
 def expected_characteristics(stage: LifecycleStage) -> Characteristics:
     """The full expected row for a stage; all six fields are set."""
     row = _EXPECTED[stage]
@@ -184,9 +201,6 @@ class MismatchThresholds:
     plan_window: int = 2
 
 
-_STAGE_RANK = {s: i for i, s in enumerate(LifecycleStage)}
-
-
 def detect_value_mismatches(d: ApiDescriptor,
                             cfg: MismatchThresholds = MismatchThresholds()
                             ) -> list[Diagnostic]:
@@ -232,7 +246,7 @@ def detect_value_mismatches(d: ApiDescriptor,
                 add("M4", f"value fell to {s.value:g} at t={s.t:g}, from an in-operation "
                           f"peak of {peak:g}, while still operational")
     first_end = next((s for s in d.curve
-                      if _STAGE_RANK[s.stage] >= _STAGE_RANK[LifecycleStage.DEPRECATION]),
+                      if STAGE_RANK[s.stage] >= STAGE_RANK[LifecycleStage.DEPRECATION]),
                      None)
     if first_end is not None and first_end.value >= cfg.high:
         add("M5", f"value is still {first_end.value:g} (>= {cfg.high:g}) when "

@@ -190,6 +190,50 @@ def test_lifecycle_curve_csv_rejects_non_finite_time(capsys, tmp_path, time):
     assert err == f"{curve}: row 2: time {float(time)} is not finite\n"
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,plan,0.1\n1,plan,1.5\n", "curve value 1.5 outside [0, 1]"),
+    ("0,plan,0.1\n2,plan,0.2\n1,plan,0.3\n",
+     "curve samples must have increasing times"),
+    ("0,operation,0.1\n1,plan,0.2\n", "curve stages may not move backward"),
+], ids=["value-range", "time-order", "stage-order"])
+def test_lifecycle_curve_csv_breaking_a_curve_rule_exits_two(capsys, tmp_path,
+                                                             rows, message):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,stage,value\n" + rows, encoding="utf-8")
+    code, out, err = run(capsys, "lifecycle", str(CORPUS / "device_settings.api"),
+                         "--curve", str(curve))
+    assert code == 2
+    assert out == ""
+    row = rows.count("\n") + 1
+    assert err == f"{curve}: row {row}: {message}\n"
+
+
+def test_govern_classify_oversized_csv_field_is_a_clean_error(capsys, tmp_path):
+    items = tmp_path / "items.csv"
+    items.write_text("name,a,b\n" + "x" * 140_000 + ",0.1,0.2\n", encoding="utf-8")
+    code, out, err = run(capsys, "govern", "classify", "--mode", "impl", str(items))
+    assert code == 2
+    assert out == ""
+    assert err == f"{items}: field larger than field limit (131072)\n"
+
+
+def test_output_into_a_missing_directory_is_a_clean_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "dir" / "x.gm"
+    code, out, err = run(capsys, "transform", str(CORPUS / "device_api.vm"),
+                         "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot write {target}: No such file or directory\n"
+
+
+def test_output_onto_a_directory_is_a_clean_error(capsys, tmp_path):
+    code, out, err = run(capsys, "export", str(CORPUS / "device_api.gm"),
+                         "-o", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot write {tmp_path}: Is a directory\n"
+
+
 def test_lifecycle_flags_value_mismatch(capsys, tmp_path):
     api = tmp_path / "hot.api"
     api.write_text('api Hot { stage plan curve 0 plan 0.9 }', encoding="utf-8")

@@ -9,9 +9,9 @@ from apimod.core import ApimodError, Severity
 from apimod.lifecycle import (
     ApiDescriptor, Change, Characteristics, Compatibility, Governance,
     LifecycleStage, MismatchThresholds, Stability, Support,
-    ValueCurveSample, characteristics_matrix_text, detect_value_mismatches,
-    expected_characteristics, lint_characteristics, load_trigger_catalog,
-    transition_checklist,
+    ValueCurveSample, characteristics_matrix_text, curve_step_problems,
+    detect_value_mismatches, expected_characteristics, lint_characteristics,
+    load_trigger_catalog, transition_checklist,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -106,6 +106,28 @@ def test_unobserved_fields_are_informational():
     assert len(infos) == 5
     assert all(x.severity is Severity.INFO for x in infos)
     assert not [x for x in diags if x.code == "W-CHAR"]
+
+
+# ---------------------------------------------------------------------------
+# Curve rules
+# ---------------------------------------------------------------------------
+
+def test_curve_step_problems_reports_range_before_order():
+    before = ValueCurveSample(2.0, O, 0.5)
+    assert curve_step_problems(before, ValueCurveSample(3.0, P, 1.5)) == [
+        ("E-RANGE", "curve value 1.5 outside [0, 1]"),
+        ("E-ORDER", "curve stages may not move backward"),
+    ]
+    assert curve_step_problems(before, ValueCurveSample(1.0, P, 0.5)) == [
+        ("E-ORDER", "curve samples must have increasing times"),
+        ("E-ORDER", "curve stages may not move backward"),
+    ]
+
+
+def test_curve_step_problems_first_sample_checks_only_range():
+    assert curve_step_problems(None, ValueCurveSample(-5.0, R, 0.0)) == []
+    assert [code for code, _ in curve_step_problems(
+        None, ValueCurveSample(0.0, P, -0.1))] == ["E-RANGE"]
 
 
 # ---------------------------------------------------------------------------
