@@ -189,20 +189,20 @@ def _render(args, command: str, outcome: _Outcome) -> int:
     if args.json:
         sys.stdout.write(report_json(make_report(
             command, outcome.files, diagnostics, outcome.analysis)))
-        return exit_code_for(diagnostics, args.strict)
-    stream = sys.stdout
-    if outcome.artifact is not None:
-        if args.output is None:
-            sys.stdout.write(outcome.artifact)
-            stream = sys.stderr
-        else:
-            try:
-                Path(args.output).write_text(outcome.artifact, encoding="utf-8")
-            except OSError as exc:
-                raise _Failure(f"cannot write {args.output}: "
-                               f"{exc.strerror or exc}") from exc
-    for line in [d.render() for d in diagnostics] + list(outcome.lines):
-        print(line, file=stream)
+    else:
+        stream = sys.stdout
+        if outcome.artifact is not None:
+            if args.output is None:
+                sys.stdout.write(outcome.artifact)
+                stream = sys.stderr
+            else:
+                try:
+                    Path(args.output).write_text(outcome.artifact, encoding="utf-8")
+                except OSError as exc:
+                    raise _Failure(f"cannot write {args.output}: "
+                                   f"{exc.strerror or exc}") from exc
+        for line in [d.render() for d in diagnostics] + list(outcome.lines):
+            print(line, file=stream)
     return exit_code_for(diagnostics, args.strict)
 
 
