@@ -219,14 +219,16 @@ def _read(path: str) -> str:
 def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(row number, cells) for each row of a CSV file that has data.
 
-    Blank rows and a first row equal to `header` are skipped; a row with
-    fewer cells than `header` is an error."""
+    A leading UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports write
+    one), blank rows and a first non-blank row equal to `header` are skipped;
+    a row with fewer cells than `header` is an error."""
     try:
-        rows = list(csv.reader(_read(path).splitlines()))
+        rows = list(csv.reader(_read(path).removeprefix("\ufeff").splitlines()))
     except csv.Error as exc:
         raise _Failure(f"{path}: {exc}") from exc
+    first = next((i for i, row in enumerate(rows) if row), None)
     for i, row in enumerate(rows):
-        if not row or (i == 0 and [c.strip().lower() for c in row[:len(header)]]
+        if not row or (i == first and [c.strip().lower() for c in row[:len(header)]]
                        == header):
             continue
         if len(row) < len(header):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,7 @@ class Severity(Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """1-based source range; `file` may be a path or a synthetic name."""
 
     file: str

@@ -32,6 +32,7 @@ from ..lifecycle import (
     Governance, LifecycleStage, Stability, Support, ValueCurveSample,
     curve_step_problems,
 )
+from ..validate import reference_problems
 from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
 
 
@@ -195,6 +196,14 @@ class _Parser:
                 return
             self.pos += 1
 
+    def report_duplicates(self, declared: list) -> None:
+        """E-DUP for each declaration whose id an earlier one already took."""
+        seen: set[str] = set()
+        for obj in declared:
+            if obj.id in seen:
+                self.error("E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
+            seen.add(obj.id)
+
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
 
@@ -259,14 +268,14 @@ class _ValueModelParser(_Parser):
         except _ParseAbort:
             return self.result(None)
         model = ValueModel(name)
-        raw_parents: list[tuple[VActor, Token]] = []
+        parents: dict[int, Token] = {}  # actor identity -> its parent's name
         raw_flows: list[tuple[ValueFlow, _Ref, _Ref]] = []
         while (tok := self.statement()) is not None:
             word = tok.value if tok.kind is _IDENT else ""
             try:
                 if word == "actor":
                     self.pos += 1
-                    self.parse_actor(model, raw_parents)
+                    self.parse_actor(model, parents)
                 elif word == "flow":
                     self.pos += 1
                     self.parse_flow(model, raw_flows, tok)
@@ -284,15 +293,15 @@ class _ValueModelParser(_Parser):
             self.expect("}")
         except _ParseAbort:
             pass
-        self.link_and_check(model, raw_parents, raw_flows)
+        self.link_and_check(model, parents, raw_flows)
         return self.result(model)
 
-    def parse_actor(self, model: ValueModel,
-                    raw_parents: list[tuple[VActor, Token]]) -> None:
+    def parse_actor(self, model: ValueModel, parents: dict[int, Token]) -> None:
         name = self.name("actor name")
         actor = VActor(id=name.value, name=name.value, span=name.span)
         if self.eat("in"):
-            raw_parents.append((actor, self.name("parent actor")))
+            parent = parents[id(actor)] = self.name("parent actor")
+            actor.parent = parent.value
         model.actors.append(actor)
         if not self.eat("{"):
             return
@@ -372,57 +381,37 @@ class _ValueModelParser(_Parser):
         model.stimuli.append(Stimulus(id=name.value, name=name.value, at=owner,
                                       span=name.span))
 
-    def link_and_check(self, model: ValueModel, raw_parents, raw_flows) -> None:
-        seen: dict[str, SourceSpan] = {}
-        for actor in model.actors:
-            if actor.id in seen:
-                self.error("E-DUP", f"duplicate identifier {actor.id!r}", actor.span)
-            seen[actor.id] = actor.span
-            for act in actor.activities:
-                if act.id in seen:
-                    self.error("E-DUP", f"duplicate identifier {act.id!r}", act.span)
-                seen[act.id] = act.span
-        for stim in model.stimuli:
-            if stim.id in seen:
-                self.error("E-DUP", f"duplicate identifier {stim.id!r}", stim.span)
-            seen[stim.id] = stim.span
+    def link_and_check(self, model: ValueModel, parents, raw_flows) -> None:
+        self.report_duplicates(
+            [x for a in model.actors for x in (a, *a.activities)] + model.stimuli)
 
-        actors = model.actor_map()
-        for actor, parent in raw_parents:
-            if parent.value not in actors:
-                self.error("E-REF", f"unknown parent actor {parent.value!r}", parent.span)
-            else:
-                actor.parent = parent.value
-        # Partnership chains must not loop back on themselves.
-        for actor in model.actors:
-            hops, cur = 0, actor.parent
-            while cur is not None and hops <= len(model.actors):
-                if cur == actor.id:
-                    self.error("E-CYCLE", f"partnership cycle through {actor.id!r}",
-                               actor.span)
-                    break
-                cur = actors[cur].parent if cur in actors else None
-                hops += 1
-
-        endpoints = set(actors)
+        # `Actor.activity` is bound here, from the name tokens rather than the
+        # joined text (names may contain dots); any other endpoint is left to
+        # `reference_problems`.
         activity_owner = {act.id: a.id for a in model.actors for act in a.activities}
-        endpoints.update(activity_owner)
-        # Resolve from the name tokens, not the joined text: names may
-        # contain dots.
+        ends: dict[tuple[int, str], _Ref] = {}
         for flow, src, dst in raw_flows:
             for attr, (owner, element) in (("source", src), ("target", dst)):
-                act_id = element.value if element is not None else ""
-                if act_id and activity_owner.get(act_id) == owner.value:
-                    setattr(flow, attr, act_id)
-                elif act_id or owner.value not in endpoints:
+                if element is None or not element.value:
+                    ends[id(flow), attr] = owner, element
+                elif activity_owner.get(element.value) == owner.value:
+                    setattr(flow, attr, element.value)
+                else:
                     self.error("E-REF", f"unknown endpoint {getattr(flow, attr)!r}",
                                _ref_span(owner, element))
             if flow.source == flow.target:
                 self.error("E-SELF", "value flow must connect two distinct endpoints",
                            _ref_span(*src))
-        for stim in model.stimuli:
-            if stim.at not in actors:
-                self.error("E-REF", f"unknown actor {stim.at!r}", stim.span)
+        for kind, ref, owner in reference_problems(model):
+            if kind == "parent":
+                self.error("E-REF", f"unknown parent actor {ref!r}", parents[id(owner)].span)
+            elif kind == "cycle":
+                self.error("E-CYCLE", f"partnership cycle through {ref!r}", owner.span)
+            elif kind == "stimulus":
+                self.error("E-REF", f"unknown actor {ref!r}", owner.span)
+            elif (id(owner), kind) in ends:
+                self.error("E-REF", f"unknown endpoint {ref!r}",
+                           _ref_span(*ends[id(owner), kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,22 +422,9 @@ _GM_TOP = {"actor", "depend", "partof"}
 _GM_BODY = {"goal", "task", "quality", "resource", "layer", "bapo"}
 
 
-@dataclass
-class _RawRefinement:
-    parent: str
-    kind: RefinementKind
-    children: list[str]
-    actor: GActor
-    at: Token  # reported on error
-
-
-@dataclass
-class _RawContribution:
-    source: str
-    strength: ContributionStrength
-    target: str
-    actor: GActor
-    at: Token  # reported on error
+#: A link statement before it is placed on its source element: its actor,
+#: source id, link, and the token it is reported at.
+_Pending = tuple[GActor, str, Refinement | Contribution, Token]
 
 
 class _GoalModelParser(_Parser):
@@ -461,14 +437,13 @@ class _GoalModelParser(_Parser):
         except _ParseAbort:
             return self.result(None)
         model = GoalModel(name, draft=draft)
-        refinements: list[_RawRefinement] = []
-        contributions: list[_RawContribution] = []
+        pending: list[_Pending] = []
         while (tok := self.statement()) is not None:
             word = tok.value if tok.kind is _IDENT else ""
             try:
                 if word == "actor":
                     self.pos += 1
-                    self.parse_actor(model, refinements, contributions)
+                    self.parse_actor(model, pending)
                 elif word == "depend":
                     self.pos += 1
                     self.parse_depend(model, tok)
@@ -486,10 +461,10 @@ class _GoalModelParser(_Parser):
             self.expect("}")
         except _ParseAbort:
             pass
-        self.link_and_check(model, refinements, contributions)
+        self.link_and_check(model, pending)
         return self.result(model)
 
-    def parse_actor(self, model: GoalModel, refinements, contributions) -> None:
+    def parse_actor(self, model: GoalModel, pending: list[_Pending]) -> None:
         name = self.name("actor name")
         actor = GActor(id=name.value, name=name.value, span=name.span)
         model.actors.append(actor)
@@ -521,7 +496,7 @@ class _GoalModelParser(_Parser):
                     self.pos += 1
                     actor.bapo_tags.update(self.bapo_stmt())
                 elif word or tok.kind is _STRING:
-                    self.parse_link_stmt(actor, refinements, contributions)
+                    self.parse_link_stmt(actor, pending)
                 else:
                     self.error("E-SYNTAX",
                                f"expected actor-body statement, found {tok.value!r}",
@@ -531,20 +506,20 @@ class _GoalModelParser(_Parser):
                 self.sync(_GM_BODY)
         self.expect("}")
 
-    def parse_link_stmt(self, actor: GActor, refinements, contributions) -> None:
+    def parse_link_stmt(self, actor: GActor, pending: list[_Pending]) -> None:
         source = self.name("element reference")
         tok = self.tokens[self.pos]
         word = tok.value if tok.kind is _IDENT else ""
         if word in _REFINEMENT_WORDS:
             self.pos += 1
-            children = self.name_list()
-            refinements.append(_RawRefinement(
-                source.value, _REFINEMENT_WORDS[word], children, actor, source))
+            children = tuple(self.name_list())
+            pending.append((actor, source.value,
+                            Refinement(_REFINEMENT_WORDS[word], children), source))
         elif word in _STRENGTH_WORDS:
             self.pos += 1
             target = self.name("contribution target")
-            contributions.append(_RawContribution(
-                source.value, _STRENGTH_WORDS[word], target.value, actor, target))
+            pending.append((actor, source.value,
+                            Contribution(target.value, _STRENGTH_WORDS[word]), target))
         else:
             self.error("E-SYNTAX",
                        f"expected and/or/makes/helps/hurts/breaks after {source.value!r}",
@@ -577,91 +552,66 @@ class _GoalModelParser(_Parser):
         model.associations.append(AssociationLink(
             AssociationKind.PART_OF, part, whole, span=kw.span))
 
-    def link_and_check(self, model: GoalModel, refinements, contributions) -> None:
-        seen: dict[str, SourceSpan] = {}
-        for actor in model.actors:
-            if actor.id in seen:
-                self.error("E-DUP", f"duplicate identifier {actor.id!r}", actor.span)
-            seen[actor.id] = actor.span
-        elements: dict[str, GElement] = {}
+    def link_and_check(self, model: GoalModel, pending: list[_Pending]) -> None:
+        self.report_duplicates(
+            model.actors + [el for a in model.actors for el in a.elements])
         # Each actor's own elements by id, keyed by actor identity; as in the
         # model-wide map, the last declaration of a duplicate id wins.
-        local_maps: dict[int, dict[str, GElement]] = {}
-        for actor in model.actors:
-            local_maps[id(actor)] = local = {}
-            for el in actor.elements:
-                if el.id in seen or el.id in elements:
-                    self.error("E-DUP", f"duplicate identifier {el.id!r}", el.span)
-                elements[el.id] = local[el.id] = el
+        local_maps = {id(a): {el.id: el for el in a.elements} for a in model.actors}
+        elements = {k: el for local in local_maps.values() for k, el in local.items()}
 
-        for raw in refinements:
-            local = local_maps[id(raw.actor)]
-            parent = local.get(raw.parent)
-            if parent is None:
-                self.error("E-REF",
-                           f"unknown element {raw.parent!r} in actor {raw.actor.id!r}",
-                           raw.at.span)
-                continue
-            if parent.kind is ElementKind.QUALITY:
-                self.error("E-REFINE",
-                           f"quality {parent.id!r} cannot be refined; use contribution links",
-                           raw.at.span)
-                continue
-            if parent.refinement is not None:
-                self.error("E-REFINE",
-                           f"element {parent.id!r} already has a refinement", raw.at.span)
-                continue
-            ok = True
-            for child in raw.children:
-                cel = local.get(child)
-                if cel is None:
-                    self.error("E-REF",
-                               f"unknown element {child!r} in actor {raw.actor.id!r}",
-                               raw.at.span)
-                    ok = False
-                elif cel.kind is ElementKind.QUALITY:
-                    self.error("E-REFINE",
-                               f"quality {child!r} cannot be a refinement child", raw.at.span)
-                    ok = False
-            if ok:
-                parent.refinement = Refinement(raw.kind, tuple(raw.children))
+        unresolved: dict[int, list[str]] = {}  # statement token -> its unknown ids
+        for kind, ref, owner in reference_problems(model, pending):
+            if kind == "end":
+                self.error("E-REF", f"unknown element {ref.element!r} in actor "
+                           f"{ref.actor!r}", owner.span)
+            elif kind in ("actor", "partof"):
+                self.error("E-REF", f"unknown actor {ref!r}", owner.span)
+            elif kind != "closed":
+                unresolved.setdefault(id(owner), []).append(ref)
 
-        for raw in contributions:
-            source = local_maps[id(raw.actor)].get(raw.source)
-            if source is None:
-                self.error("E-REF",
-                           f"unknown element {raw.source!r} in actor {raw.actor.id!r}",
-                           raw.at.span)
-                continue
-            target = elements.get(raw.target)
-            if target is None:
-                self.error("E-REF", f"unknown contribution target {raw.target!r}", raw.at.span)
-                continue
-            if target.kind is not ElementKind.QUALITY:
-                self.error("E-CONTRIB",
-                           f"contribution target {target.id!r} is a {target.kind.value}; "
-                           "contributions target qualities only", raw.at.span)
-                continue
-            source.contributions.append(Contribution(raw.target, raw.strength))
+        # Every id looked up below resolves. A statement is placed on its
+        # source element only if no rule rejects it.
+        for actor, source, link, at in pending:
+            missing = unresolved.get(id(at), ()) if unresolved else ()
+            local = local_maps[id(actor)]
+            el = None if source in missing else local[source]
+            if el is None:  # nothing else of the statement was checked
+                self.error("E-REF", f"unknown element {source!r} in actor {actor.id!r}",
+                           at.span)
+            elif isinstance(link, Contribution):
+                kind = None if missing else elements[link.target].kind
+                if kind is None:
+                    self.error("E-REF", f"unknown contribution target {link.target!r}",
+                               at.span)
+                elif kind is not ElementKind.QUALITY:
+                    self.error("E-CONTRIB", f"contribution target {link.target!r} is a "
+                               f"{kind.value}; contributions target qualities only", at.span)
+                else:
+                    el.contributions.append(link)
+            elif el.kind is ElementKind.QUALITY:
+                self.error("E-REFINE", f"quality {source!r} cannot be refined; use "
+                           "contribution links", at.span)
+            elif el.refinement is not None:
+                self.error("E-REFINE", f"element {source!r} already has a refinement",
+                           at.span)
+            else:
+                ok = not missing
+                for child in link.children:
+                    if child in missing:
+                        self.error("E-REF", f"unknown element {child!r} in actor "
+                                   f"{actor.id!r}", at.span)
+                    elif local[child].kind is ElementKind.QUALITY:
+                        self.error("E-REFINE", f"quality {child!r} cannot be a refinement "
+                                   "child", at.span)
+                        ok = False
+                if ok:
+                    el.refinement = link
 
-        actors = model.actor_map()
         for dep in model.dependencies:
-            for end in (dep.depender, dep.dependee):
-                actor = actors.get(end.actor)
-                if actor is None:
-                    self.error("E-REF", f"unknown actor {end.actor!r}", dep.span)
-                elif end.element is not None and actor.open \
-                        and end.element not in local_maps[id(actor)]:
-                    self.error("E-REF",
-                               f"unknown element {end.element!r} in actor {end.actor!r}",
-                               dep.span)
             if dep.depender.actor == dep.dependee.actor \
                     and dep.depender.element == dep.dependee.element:
                 self.error("E-SELF", "dependency must connect two distinct ends", dep.span)
-        for link in model.associations:
-            for actor_id in (link.source, link.target):
-                if actor_id not in actors:
-                    self.error("E-REF", f"unknown actor {actor_id!r}", link.span)
 
 
 # ---------------------------------------------------------------------------

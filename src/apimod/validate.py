@@ -1,69 +1,150 @@
 """Structural and methodological model checks.
 
-Value models are checked for dangling flow endpoints and stimulus owners,
-reciprocity, scoping, a captured API, and a stimulus; goal models for
-refinement cycles, floating elements, mistyped contributions, and dangling
-refinement children and dependency ends. Layer and BAPO coverage checks work
-on both model types.
+`reference_problems` alone decides whether a model's references resolve. For
+goal models it follows iStar 2.0: refinement children stay inside their
+parent's actor, and dependencies name elements only of open actors. The
+parser reports its problems as E-REF at the tokens, validation as E-DANGLE at
+the model objects (E-CYCLE for a partnership cycle). Value models are also
+checked for reciprocity, scoping, a captured API and a stimulus; goal models
+for refinement cycles, floating elements, refined qualities and mistyped
+contributions. Layer and BAPO coverage checks work on both model types.
 """
 
 from __future__ import annotations
 
 from .core import (
-    BAPO_ORDER, Diagnostic, ElementKind, GoalModel, LAYER_ORDER, Severity,
-    ValueModel, sort_diagnostics,
+    BAPO_ORDER, Diagnostic, ElementKind, GoalModel, LAYER_ORDER, Refinement,
+    Severity, ValueModel, sort_diagnostics,
 )
+
+
+def reference_problems(model: ValueModel | GoalModel,
+                       pending=()) -> list[tuple[str, object, object]]:
+    """`(kind, ref, owner)` for each reference of `model` that does not
+    resolve: `ref` as written, `owner` the object holding it. Value models:
+    `parent`, `cycle` (a partnership chain back to the actor), `source` and
+    `target` (flow endpoints) and `stimulus`. Goal models: for each link
+    placed on an element and each `pending` statement not yet placed, both
+    as `(actor, source id, Refinement or Contribution, owner)`, `element`
+    (its source; then nothing else of it is checked), `child` or
+    `contribution` (its target); then `actor`, `end` and `closed` for
+    dependency ends (`ref` is the `DependencyEnd`) and `partof`. Where ids
+    repeat, the last declaration resolves."""
+    problems: list[tuple[str, object, object]] = []
+    if isinstance(model, ValueModel):
+        actors = model.actor_map()
+        endpoints = set(actors)
+        endpoints.update([act.id for a in model.actors for act in a.activities])
+        for actor in model.actors:
+            if actor.parent is None:
+                continue
+            if actor.parent not in actors:
+                problems.append(("parent", actor.parent, actor))
+            hops, cur = 0, actor.parent
+            while cur in actors and hops <= len(model.actors):
+                if cur == actor.id:
+                    problems.append(("cycle", cur, actor))
+                    break
+                hops, cur = hops + 1, actors[cur].parent
+        for flow in model.flows:
+            if flow.source not in endpoints:
+                problems.append(("source", flow.source, flow))
+            if flow.target not in endpoints:
+                problems.append(("target", flow.target, flow))
+        for stim in model.stimuli:
+            if stim.at not in actors:
+                problems.append(("stimulus", stim.at, stim))
+        return problems
+
+    actors = {}
+    scopes: dict[int, set[str]] = {}  # keyed by actor identity
+    elements: set[str] = set()
+    for actor in model.actors:
+        actors[actor.id] = actor
+        scopes[id(actor)] = ids = {el.id for el in actor.elements}
+        elements |= ids
+    links = [(actor, el.id, link, el) for actor in model.actors for el in actor.elements
+             for link in (el.refinement, *el.contributions) if link is not None]
+    links += pending
+    for actor, source, link, owner in links:
+        ids = scopes[id(actor)]
+        if source not in ids:
+            problems.append(("element", source, owner))
+        elif type(link) is Refinement:
+            for child in link.children:
+                if child not in ids:
+                    problems.append(("child", child, owner))
+        elif link.target not in elements:
+            problems.append(("contribution", link.target, owner))
+    for dep in model.dependencies:
+        for end in (dep.depender, dep.dependee):
+            actor = actors.get(end.actor)
+            if actor is None:
+                problems.append(("actor", end.actor, dep))
+            elif end.element is None:
+                continue
+            elif not actor.open:  # iStar 2.0: a closed actor shows no elements
+                problems.append(("closed", end, dep))
+            elif end.element not in scopes[id(actor)]:
+                problems.append(("end", end, dep))
+    for link in model.associations:
+        for end in (link.source, link.target):
+            if end not in actors:
+                problems.append(("partof", end, link))
+    return problems
+
+
+#: How validation words each `reference_problems` kind, for owner `o`, ref `r`.
+_DANGLING = {
+    "parent": "actor {o.id!r} is part of unknown actor {r!r}",
+    "cycle": "partnership cycle through {r!r}",
+    "source": "flow {o.id!r} references unknown endpoint {r!r}",
+    "target": "flow {o.id!r} references unknown endpoint {r!r}",
+    "stimulus": "stimulus {o.id!r} is placed at unknown actor {r!r}",
+    "child": "refinement of {o.id!r} names {r!r}, which is no element of its actor",
+    "contribution": "contribution from {o.id!r} targets unknown element {r!r}",
+    "actor": "dependency {o.id!r} references unknown actor {r!r}",
+    "end": "dependency {o.id!r} references unknown element {r.element!r} in actor {r.actor!r}",
+    "closed": "dependency {o.id!r} references element {r.element!r} of closed actor "
+              "{r.actor!r}",
+    "partof": "part-of link {o.source!r} -> {o.target!r} names unknown actor {r!r}",
+}
+
+
+def _reference_diagnostics(model) -> list[Diagnostic]:
+    """One E-DANGLE (E-CYCLE for a partnership cycle) per reference problem,
+    at its owner."""
+    return [Diagnostic(Severity.ERROR, "E-CYCLE" if kind == "cycle" else "E-DANGLE",
+                       _DANGLING[kind].format(o=owner, r=ref), owner.span)
+            for kind, ref, owner in reference_problems(model)]
 
 
 def validate_value_model(model: ValueModel,
                          strict_reciprocity: bool = False) -> list[Diagnostic]:
-    """Dangling references, reciprocity, scoping, and completeness checks
+    """Reference problems, reciprocity, scoping, and completeness checks
     (§-style construction hygiene). With `strict_reciprocity`, every actor
     pair with a flow must also have a backflow."""
-    diags: list[Diagnostic] = []
+    diags = _reference_diagnostics(model)
     owner = {a.id: a.id for a in model.actors}
     for actor in model.actors:
         for act in actor.activities:
             owner[act.id] = actor.id
 
-    for flow in model.flows:
-        for end in (flow.source, flow.target):
-            if end not in owner:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E-DANGLE",
-                    f"flow {flow.id!r} references unknown endpoint {end!r}",
-                    flow.span))
-    actor_ids = {a.id for a in model.actors}
-    for stim in model.stimuli:
-        if stim.at not in actor_ids:
-            diags.append(Diagnostic(
-                Severity.ERROR, "E-DANGLE",
-                f"stimulus {stim.id!r} is placed at unknown actor {stim.at!r}",
-                stim.span))
-
-    outgoing: dict[str, int] = {a.id: 0 for a in model.actors}
-    incoming: dict[str, int] = {a.id: 0 for a in model.actors}
-    for flow in model.flows:
-        src = owner.get(flow.source)
-        dst = owner.get(flow.target)
-        if src in outgoing:
-            outgoing[src] += 1
-        if dst in incoming:
-            incoming[dst] += 1
-
+    providers = {owner.get(f.source) for f in model.flows}
+    receivers = {owner.get(f.target) for f in model.flows}
     for actor in model.actors:
-        out_n, in_n = outgoing[actor.id], incoming[actor.id]
-        if out_n == 0 and in_n == 0:
+        provides, receives = actor.id in providers, actor.id in receivers
+        if not provides and not receives:
             diags.append(Diagnostic(
                 Severity.WARNING, "W-ISOLATED",
                 f"actor {actor.id!r} exchanges no value; is it in scope?",
                 actor.span))
-        elif out_n == 0:
+        elif not provides:
             diags.append(Diagnostic(
                 Severity.WARNING, "W-RECIP",
                 f"actor {actor.id!r} receives value but provides none",
                 actor.span))
-        elif in_n == 0:
+        elif not receives:
             diags.append(Diagnostic(
                 Severity.WARNING, "W-RECIP",
                 f"actor {actor.id!r} provides value but receives none",
@@ -117,7 +198,7 @@ def _refinement_cycles(model: GoalModel) -> list[list[str]]:
             v, it = work[-1]
             advanced = False
             for w in it:
-                if w not in graph:
+                if not graph.get(w):  # a leaf or unknown id: on no cycle
                     continue
                 if w not in index:
                     index[w] = low[w] = counter[0]
@@ -146,46 +227,35 @@ def _refinement_cycles(model: GoalModel) -> list[list[str]]:
                 if len(scc) > 1 or v in graph.get(v, ()):
                     cycles.append(sorted(scc))
 
-    for node in graph:
-        if node not in index:
+    for node, children in graph.items():
+        if children and node not in index:
             strongconnect(node)
     return sorted(cycles)
 
 
 def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
-    """Construction-rule checks: cycles, floating elements, contribution
-    typing, dangling refinement children and dependency ends."""
-    diags: list[Diagnostic] = []
+    """Construction-rule checks: reference problems, refinement cycles,
+    floating elements, refined qualities and contribution typing."""
+    diags = _reference_diagnostics(model)
     elements = model.element_map()
-    actors = model.actor_map()
 
     for cycle in _refinement_cycles(model):
         diags.append(Diagnostic(
             Severity.ERROR, "E-CYCLE",
             "refinement cycle through " + ", ".join(repr(c) for c in cycle)))
 
-    attached: set[str] = set()
+    attached = {end.element for dep in model.dependencies
+                for end in (dep.depender, dep.dependee) if end.element is not None}
     for actor in model.actors:
         for el in actor.elements:
             if el.refinement is not None:
                 attached.add(el.id)
                 attached.update(el.refinement.children)
-                for child in el.refinement.children:
-                    if child not in elements:
-                        diags.append(Diagnostic(
-                            Severity.ERROR, "E-DANGLE",
-                            f"refinement of {el.id!r} names unknown element "
-                            f"{child!r}", el.span))
             for c in el.contributions:
                 attached.add(el.id)
                 attached.add(c.target)
-                target = elements.get(c.target)
-                if target is None:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E-DANGLE",
-                        f"contribution from {el.id!r} targets unknown element "
-                        f"{c.target!r}", el.span))
-                elif target.kind is not ElementKind.QUALITY:
+                target = elements.get(c.target)  # None: a reference problem
+                if target is not None and target.kind is not ElementKind.QUALITY:
                     diags.append(Diagnostic(
                         Severity.ERROR, "E-CONTRIB",
                         f"contribution from {el.id!r} targets "
@@ -196,30 +266,6 @@ def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
                     Severity.ERROR, "E-REFINE",
                     f"quality {el.id!r} must not be refined; use contribution "
                     "links", el.span))
-
-    actor_elements = {a.id: {e.id for e in a.elements} for a in actors.values()}
-    for dep in model.dependencies:
-        for end in (dep.depender, dep.dependee):
-            actor = actors.get(end.actor)
-            if actor is None:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E-DANGLE",
-                    f"dependency {dep.id!r} references unknown actor "
-                    f"{end.actor!r}", dep.span))
-                continue
-            if end.element is not None:
-                attached.add(end.element)
-                if not actor.open:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E-DANGLE",
-                        f"dependency {dep.id!r} references element "
-                        f"{end.element!r} of closed actor {end.actor!r}",
-                        dep.span))
-                elif end.element not in actor_elements[actor.id]:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E-DANGLE",
-                        f"dependency {dep.id!r} references unknown element "
-                        f"{end.element!r} in actor {end.actor!r}", dep.span))
 
     for actor in model.actors:
         for el in actor.elements:

@@ -208,6 +208,27 @@ def test_lifecycle_curve_csv_breaking_a_curve_rule_exits_two(capsys, tmp_path,
     assert err == f"{curve}: row {row}: {message}\n"
 
 
+@pytest.mark.parametrize("argv, csv_name", [
+    (["lifecycle", str(CORPUS / "device_settings.api"), "--curve"], "curve.csv"),
+    (["govern", "classify", "--mode", "impl"], "items.csv"),
+], ids=["curve", "items"])
+def test_csv_with_a_byte_order_mark_reads_like_without(capsys, tmp_path, argv, csv_name):
+    marked = tmp_path / csv_name
+    marked.write_bytes(b"\xef\xbb\xbf" + (CORPUS / csv_name).read_bytes())
+    plain = run(capsys, *argv, str(CORPUS / csv_name))
+    assert run(capsys, *argv, str(marked)) == plain
+    assert plain[0] in (0, 1) and plain[2] == ""
+
+
+def test_lifecycle_curve_csv_header_after_a_blank_line_is_skipped(capsys, tmp_path):
+    api = tmp_path / "x.api"
+    api.write_text("api X { stage plan }", encoding="utf-8")
+    curve = tmp_path / "curve.csv"
+    curve.write_text("\nt,stage,value\n0,plan,0.1\n", encoding="utf-8")
+    code, _, err = run(capsys, "lifecycle", str(api), "--curve", str(curve))
+    assert (code, err) == (0, "")
+
+
 def test_govern_classify_oversized_csv_field_is_a_clean_error(capsys, tmp_path):
     items = tmp_path / "items.csv"
     items.write_text("name,a,b\n" + "x" * 140_000 + ",0.1,0.2\n", encoding="utf-8")

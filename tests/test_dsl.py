@@ -132,6 +132,17 @@ def test_unknown_endpoint_under_a_dotted_actor_keeps_its_message():
         ("E-REF", "unknown endpoint 'a.b.y'")]
 
 
+def test_dotted_endpoint_is_bound_from_its_tokens_not_its_joined_text():
+    r = parse_value_model("""
+        valuemodel M {
+          actor B
+          actor "B.x"
+          flow F from B.x to B
+        }""")
+    assert [(d.code, d.message) for d in r.diagnostics] == [
+        ("E-REF", "unknown endpoint 'B.x'")]
+
+
 def test_value_model_with_dotted_actor_round_trips():
     model = ValueModel("M")
     model.actors = [VActor(id="a.b", name="a.b", activities=[Activity(id="x.y", name="x.y")]),

@@ -138,6 +138,13 @@ def test_precondition_rejects_dangling_stimulus_and_flow():
         transform_value_to_goal(dataclasses.replace(model, flows=[flow]))
 
 
+def test_precondition_rejects_dangling_parent_actor():
+    model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
+    actor = dataclasses.replace(model.actors[0], parent="Ghost")
+    with pytest.raises(ApimodError, match="unknown actor 'Ghost'"):
+        transform_value_to_goal(dataclasses.replace(model, actors=[actor, *model.actors[1:]]))
+
+
 def test_annotations_carry_over():
     goal, _ = transform_value_to_goal(
         vm((CORPUS / "device_api.vm").read_text(encoding="utf-8")))

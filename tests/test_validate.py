@@ -1,21 +1,22 @@
-"""Model checks: reciprocity, cycles, floats, coverage."""
+"""Model checks: references, reciprocity, cycles, floats, coverage."""
 
 import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
-    ElementKind, GActor, GElement, GoalModel, Refinement, RefinementKind,
-    Severity,
+    AssociationKind, AssociationLink, Contribution, DependencyEnd, ElementKind,
+    GActor, GElement, GoalModel, Refinement, RefinementKind, Severity,
 )
-from apimod.dsl import parse_goal_model, parse_value_model
+from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_model
 from apimod.validate import (
     check_bapo_coverage, check_layer_coverage, validate_goal_model,
     validate_value_model,
 )
 
-from helpers import CORPUS
+from helpers import CORPUS, gen_goal_model, gen_value_model
 
 
 def codes(diags):
@@ -234,6 +235,131 @@ def test_flow_with_unknown_endpoints_dangles():
     assert [d.message for d in diags] == [
         "flow 'f1' references unknown endpoint 'Camera Platform.Govern API'",
         "flow 'f1' references unknown endpoint 'ghost'"]
+
+
+def test_dangling_parent_actor_dangles():
+    model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
+    model.actors[0] = dataclasses.replace(model.actors[0], parent="Ghost")
+    diags = validate_value_model(model)
+    assert codes(diags) == ["E-DANGLE"]
+    assert "'Ghost'" in diags[0].message and diags[0].span == model.actors[0].span
+
+
+def test_partnership_cycle_is_an_error():
+    model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
+    first, second = model.actors[:2]
+    model.actors[:2] = [dataclasses.replace(first, parent=second.id),
+                        dataclasses.replace(second, parent=first.id)]
+    diags = [d for d in validate_value_model(model) if d.severity is Severity.ERROR]
+    assert codes(diags) == ["E-CYCLE", "E-CYCLE"]
+    assert {d.message for d in diags} == {f"partnership cycle through {first.id!r}",
+                                          f"partnership cycle through {second.id!r}"}
+
+
+def test_part_of_link_to_unknown_actor_dangles():
+    model = gm("goalmodel M { actor A { goal G } actor B  partof A -> B }")
+    model.associations[0] = dataclasses.replace(model.associations[0], target="Ghost")
+    diags = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
+    assert codes(diags) == ["E-DANGLE"]
+    assert "'Ghost'" in diags[0].message
+
+
+def test_refinement_child_of_another_actor_dangles():
+    model = GoalModel("m", actors=[
+        GActor("A", "A", elements=[GElement(
+            "G", ElementKind.GOAL, "G",
+            refinement=Refinement(RefinementKind.AND, ("T",)))]),
+        GActor("B", "B", elements=[GElement("T", ElementKind.TASK, "T")])])
+    diags = validate_goal_model(model)
+    assert codes(diags) == ["E-DANGLE"]
+    assert "'T'" in diags[0].message and "its actor" in diags[0].message
+
+
+# ---------------------------------------------------------------------------
+# Validation and the parser agree on which references resolve
+# ---------------------------------------------------------------------------
+
+GHOST = "no such id"
+
+
+def _break_goal_reference(model, rng):
+    """Break one reference of a generated goal model in place; False if it
+    has none of the chosen kind."""
+    elements = [(a, el) for a in model.actors for el in a.elements]
+    kind = rng.choice(["child", "contribution", "dependency", "partof"])
+    if kind == "child":
+        refined = [(a, el) for a, el in elements if el.refinement is not None]
+        if not refined:
+            return False
+        actor, el = rng.choice(refined)
+        # A ghost, or an element of another actor: both leave the actor.
+        others = [o.id for a, o in elements if a is not actor] + [GHOST]
+        children = list(el.refinement.children)
+        children[rng.randrange(len(children))] = rng.choice(others)
+        el.refinement = Refinement(el.refinement.kind, tuple(children))
+    elif kind == "contribution":
+        sources = [el for _, el in elements if el.contributions]
+        if not sources:
+            return False
+        el = rng.choice(sources)
+        i = rng.randrange(len(el.contributions))
+        el.contributions[i] = Contribution(GHOST, el.contributions[i].strength)
+    elif kind == "dependency":
+        if not model.dependencies:
+            return False
+        dep = rng.choice(model.dependencies)
+        side = rng.choice(["depender", "dependee"])
+        end = getattr(dep, side)
+        open_actor = any(a.id == end.actor and a.elements for a in model.actors)
+        broken = (DependencyEnd(end.actor, GHOST) if open_actor and rng.random() < 0.5
+                  else DependencyEnd(GHOST, end.element))
+        setattr(dep, side, broken)
+    else:
+        ends = [rng.choice(model.actors).id, GHOST]
+        rng.shuffle(ends)
+        model.associations.append(AssociationLink(AssociationKind.PART_OF, *ends))
+    return True
+
+
+def _break_value_reference(model, rng):
+    """Break one reference of a generated value model in place; False if it
+    has none of the chosen kind."""
+    kind = rng.choice(["flow", "stimulus", "parent", "cycle"])
+    if kind == "flow":
+        if not model.flows:
+            return False
+        setattr(rng.choice(model.flows), rng.choice(["source", "target"]), GHOST)
+    elif kind == "stimulus":
+        if not model.stimuli:
+            return False
+        rng.choice(model.stimuli).at = GHOST
+    elif kind == "parent":
+        rng.choice(model.actors).parent = GHOST
+    else:
+        first, second = rng.choice(model.actors), rng.choice(model.actors)
+        first.parent, second.parent = second.id, first.id
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), goal=st.booleans(), broken=st.booleans())
+def test_validation_flags_a_reference_exactly_when_the_printed_model_fails_to_link(
+        seed, goal, broken):
+    rng = random.Random(seed)
+    if goal:
+        model, validate = gen_goal_model(rng, max_elements=10), validate_goal_model
+        reference_codes = {"E-DANGLE"}  # E-CYCLE here is a refinement cycle
+    else:
+        model, validate = gen_value_model(rng, max_elements=12), validate_value_model
+        reference_codes = {"E-DANGLE", "E-CYCLE"}
+    if broken:
+        breaker = _break_goal_reference if goal else _break_value_reference
+        broken = breaker(model, rng)
+    flagged = any(d.code in reference_codes for d in validate(model))
+    reparsed = parse_model(print_model(model))
+    unlinked = any(d.code in ("E-REF", "E-CYCLE") for d in reparsed.diagnostics)
+    assert flagged == unlinked
+    assert flagged == broken
 
 
 def test_cycle_detection_matches_dfs_oracle_on_random_graphs():
