@@ -188,6 +188,16 @@ class ApimodError(Exception):
         self.code = code
 
 
+def load_package_data(name: str):
+    """The JSON document `name` shipped in `apimod.data`. The loaders are
+    the only users of `importlib.resources`, so it is imported here and a
+    command that loads no catalog does not pay for it at start-up."""
+    import json
+    from importlib import resources
+    return json.loads(resources.files("apimod.data").joinpath(name)
+                      .read_text(encoding="utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # Cross-cutting annotations
 # ---------------------------------------------------------------------------
@@ -391,10 +401,3 @@ class ValueModel:
 
     def actor_map(self) -> dict[str, VActor]:
         return {a.id: a for a in self.actors}
-
-    def activity_owner(self, activity_id: str) -> Optional[VActor]:
-        for a in self.actors:
-            for act in a.activities:
-                if act.id == activity_id:
-                    return a
-        return None

@@ -8,9 +8,12 @@ Five dialects share one lexer:
 * ``metric <name> { ... }``*      metric catalog (one block per metric)
 * ``scenario <name> { ... }``     initial labels for evaluation
 
-A malformed statement produces one Error diagnostic and parsing resumes at
-the next statement keyword, so several problems are reported in one run.
-Every reported span points inside the offending token range.
+Each braced block has one table from its statement keywords to their
+handlers, and `_Parser.block` is the one loop that reads a block's
+statements through it. A malformed statement produces one Error diagnostic
+and parsing resumes at the next keyword of the block's statement table, so
+several problems are reported in one run. Every reported span points inside
+the offending token range.
 """
 
 from __future__ import annotations
@@ -21,18 +24,17 @@ from typing import NoReturn, Optional
 from ..core import (
     Activity, AssociationKind, AssociationLink, BapoTag, ContributionStrength,
     Contribution, Dependency, DependencyEnd, Dependum, Diagnostic, ElementKind,
-    FlowStatus, GActor, GElement, GoalModel, Label, LABEL_WORDS, Layer,
+    FlowStatus, GActor, GElement, GoalModel, LABEL_WORDS, Layer,
     Refinement, RefinementKind, Severity, SourceSpan, Stimulus, VActor,
     ValueFlow, ValueModel, ValueObject, sort_diagnostics,
 )
 from ..evaluate import Scenario
 from ..govern import AutomationLevel, Dimension, MetricDef
 from ..lifecycle import (
-    ApiDescriptor, Change, Characteristics, Commitment, Compatibility,
-    Governance, LifecycleStage, Stability, Support, ValueCurveSample,
-    curve_step_problems,
+    ApiDescriptor, Change, Commitment, Compatibility, Governance, LifecycleStage,
+    Stability, Support, ValueCurveSample, curve_step_problems,
 )
-from ..validate import reference_problems
+from ..validate import duplicate_ids, reference_problems
 from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
 
 
@@ -103,9 +105,11 @@ def _ref_span(actor: Token, element: Optional[Token]) -> SourceSpan:
 
 
 class _Parser:
-    """Token cursor and recovery shared by the dialect parsers. `pos` never
-    moves past the end-of-input token, so the current token is always
-    `tokens[pos]`."""
+    """Token cursor, statement loop and recovery shared by the dialect
+    parsers. `pos` never moves past the end-of-input token, so the current
+    token is always `tokens[pos]`. Statement handlers keep what they build
+    on the parser: the model, the actor whose body is being read, and the
+    dialect's pending links."""
 
     def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
         self.tokens = tokens
@@ -130,14 +134,6 @@ class _Parser:
             self.pos += 1
             return tok
         self.fail(repr(value), tok)
-
-    def statement(self) -> Optional[Token]:
-        """The head token of the next statement in a block, or None at the
-        block's closing brace or the end of input."""
-        tok = self.tokens[self.pos]
-        if tok.kind is _EOF or (tok.value == "}" and tok.kind is _PUNCT):
-            return None
-        return tok
 
     def name(self, what: str = "name") -> Token:
         """The next token as a name. Callers take its span only where they
@@ -176,7 +172,36 @@ class _Parser:
         self.error("E-SYNTAX", f"expected {what}, found {shown!r}", tok.span)
         raise _ParseAbort()
 
-    def sync(self, keywords: set[str]) -> None:
+    def block(self, statements: dict, unexpected: str, other=None) -> None:
+        """Read a block's statements up to its closing brace or the end of
+        input. `statements` maps each statement keyword to its handler,
+        called as `handler(parser, head)` once the head is consumed. Any
+        other head is passed to `other(head)` if it is a name, and is
+        otherwise reported as E-SYNTAX `unexpected`, formatted with the
+        head's `value` and with `shown`, the text `fail` shows for it. After
+        an error, parsing resumes at the next keyword of `statements`."""
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind is _EOF or (kind is _PUNCT and tok.value == "}"):
+                return
+            try:
+                handler = statements.get(tok.value) if kind is _IDENT else None
+                if handler is not None:
+                    self.pos += 1
+                    handler(self, tok)
+                elif other is not None and (kind is _IDENT or kind is _STRING):
+                    other(tok)
+                else:
+                    shown = tok.value or str(kind.value)
+                    self.error("E-SYNTAX", unexpected.format(value=tok.value, shown=shown),
+                               tok.span)
+                    raise _ParseAbort()
+            except _ParseAbort:
+                self.sync(statements)
+
+    def sync(self, keywords) -> None:
         """Skip tokens until a statement keyword or block boundary."""
         depth = 0
         tokens = self.tokens
@@ -196,13 +221,19 @@ class _Parser:
                 return
             self.pos += 1
 
-    def report_duplicates(self, declared: list) -> None:
-        """E-DUP for each declaration whose id an earlier one already took."""
-        seen: set[str] = set()
-        for obj in declared:
-            if obj.id in seen:
-                self.error("E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
-            seen.add(obj.id)
+    def close(self) -> bool:
+        """Consume the `}` that ends a model's outermost block. A missing
+        one is reported without unwinding, since nothing encloses it."""
+        try:
+            self.expect("}")
+            return True
+        except _ParseAbort:
+            return False
+
+    def report_duplicates(self, model) -> None:
+        """E-DUP at each declaration whose id is taken (see `duplicate_ids`)."""
+        for obj in duplicate_ids(model):
+            self.error("E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
 
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
@@ -219,30 +250,31 @@ class _Parser:
             names.append(self.name().value)
         return names
 
-    def layer_stmt(self) -> tuple[str, Layer]:
-        """The rest of `layer(focus) = layer` after its keyword."""
+    def parse_layer(self, kw: Token) -> None:
+        """`layer(focus) = layer` in an actor body."""
         self.expect("(")
         focus = self.name("api focus").value
         self.expect(")")
         self.expect("=")
         layer = self.keyword_choice(_LAYER_WORDS, "layer (domain|usage|api|asset)")
-        return focus, layer
+        assignments = self.actor.layer_assignments
+        if focus in assignments:
+            self.error("E-DUP", f"duplicate layer assignment for focus {focus!r}", kw.span)
+        assignments[focus] = layer
 
-    def bapo_stmt(self) -> list[BapoTag]:
-        """The rest of `bapo = tag, ...` after its keyword."""
+    def parse_bapo(self, kw: Token) -> None:
+        """`bapo = tag, ...` in an actor body."""
         self.expect("=")
-        tags = []
         while True:
             tok = self.tokens[self.pos]
-            if tok.kind is _IDENT and tok.value in _BAPO_WORDS:
-                self.pos += 1
-                tags.append(_BAPO_WORDS[tok.value])
-            else:
+            if tok.kind is not _IDENT or tok.value not in _BAPO_WORDS:
                 self.error("E-SYNTAX", f"expected BAPO tag (B|A|P|O), found {tok.value!r}",
                            tok.span)
                 raise _ParseAbort()
+            self.pos += 1
+            self.actor.bapo_tags.add(_BAPO_WORDS[tok.value])
             if not self.eat(","):
-                return tags
+                return
 
     def qualified_ref(self) -> _Ref:
         """`Actor` or `Actor.element`: the actor and element name tokens."""
@@ -255,10 +287,6 @@ class _Parser:
 # Value models
 # ---------------------------------------------------------------------------
 
-_VM_TOP = {"actor", "flow", "stimulus"}
-_VM_BODY = {"activity", "api", "market", "layer", "bapo"}
-
-
 class _ValueModelParser(_Parser):
     def parse(self) -> ParseResult:
         try:
@@ -267,79 +295,36 @@ class _ValueModelParser(_Parser):
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
-        model = ValueModel(name)
-        parents: dict[int, Token] = {}  # actor identity -> its parent's name
-        raw_flows: list[tuple[ValueFlow, _Ref, _Ref]] = []
-        while (tok := self.statement()) is not None:
-            word = tok.value if tok.kind is _IDENT else ""
-            try:
-                if word == "actor":
-                    self.pos += 1
-                    self.parse_actor(model, parents)
-                elif word == "flow":
-                    self.pos += 1
-                    self.parse_flow(model, raw_flows, tok)
-                elif word == "stimulus":
-                    self.pos += 1
-                    self.parse_stimulus(model)
-                else:
-                    self.error("E-SYNTAX",
-                               f"expected actor, flow, or stimulus, found {tok.value!r}",
-                               tok.span)
-                    raise _ParseAbort()
-            except _ParseAbort:
-                self.sync(_VM_TOP)
-        try:
-            self.expect("}")
-        except _ParseAbort:
-            pass
-        self.link_and_check(model, parents, raw_flows)
-        return self.result(model)
+        self.model = ValueModel(name)
+        self.parents: dict[int, Token] = {}  # actor identity -> its parent's name
+        self.raw_flows: list[tuple[ValueFlow, _Ref, _Ref]] = []
+        self.block(self.STATEMENTS, "expected actor, flow, or stimulus, found {value!r}")
+        self.close()
+        self.link_and_check()
+        return self.result(self.model)
 
-    def parse_actor(self, model: ValueModel, parents: dict[int, Token]) -> None:
+    def parse_actor(self, kw: Token) -> None:
         name = self.name("actor name")
-        actor = VActor(id=name.value, name=name.value, span=name.span)
+        actor = self.actor = VActor(id=name.value, name=name.value, span=name.span)
         if self.eat("in"):
-            parent = parents[id(actor)] = self.name("parent actor")
+            parent = self.parents[id(actor)] = self.name("parent actor")
             actor.parent = parent.value
-        model.actors.append(actor)
-        if not self.eat("{"):
-            return
-        while (tok := self.statement()) is not None:
-            word = tok.value if tok.kind is _IDENT else ""
-            try:
-                if word == "activity":
-                    self.pos += 1
-                    activity = self.name("activity name")
-                    actor.activities.append(Activity(id=activity.value, name=activity.value,
-                                                     span=activity.span))
-                elif word == "api":
-                    self.pos += 1
-                    actor.api_role = True
-                elif word == "market":
-                    self.pos += 1
-                    actor.market_segment = True
-                elif word == "layer":
-                    self.pos += 1
-                    focus, layer = self.layer_stmt()
-                    if focus in actor.layer_assignments:
-                        self.error("E-DUP", f"duplicate layer assignment for focus {focus!r}",
-                                   tok.span)
-                    actor.layer_assignments[focus] = layer
-                elif word == "bapo":
-                    self.pos += 1
-                    actor.bapo_tags.update(self.bapo_stmt())
-                else:
-                    self.error("E-SYNTAX",
-                               f"expected actor-body statement, found {tok.value!r}",
-                               tok.span)
-                    raise _ParseAbort()
-            except _ParseAbort:
-                self.sync(_VM_BODY)
-        self.expect("}")
+        self.model.actors.append(actor)
+        if self.eat("{"):
+            self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}")
+            self.expect("}")
 
-    def parse_flow(self, model: ValueModel,
-                   raw_flows: list[tuple[ValueFlow, _Ref, _Ref]], kw: Token) -> None:
+    def parse_activity(self, kw: Token) -> None:
+        name = self.name("activity name")
+        self.actor.activities.append(Activity(id=name.value, name=name.value, span=name.span))
+
+    def parse_api(self, kw: Token) -> None:
+        self.actor.api_role = True
+
+    def parse_market(self, kw: Token) -> None:
+        self.actor.market_segment = True
+
+    def parse_flow(self, kw: Token) -> None:
         obj_name = self.name("value object name").value
         self.expect("from")
         src = self.qualified_ref()
@@ -363,7 +348,7 @@ class _ValueModelParser(_Parser):
         if self.eat("group"):
             group = self.name("group id").value
         flow = ValueFlow(
-            id=f"f{len(raw_flows) + 1}",
+            id=f"f{len(self.raw_flows) + 1}",
             source=_ref_text(*src),
             target=_ref_text(*dst),
             obj=ValueObject(obj_name, kind),
@@ -371,26 +356,30 @@ class _ValueModelParser(_Parser):
             group=group,
             span=kw.span,
         )
-        model.flows.append(flow)
-        raw_flows.append((flow, src, dst))
+        self.model.flows.append(flow)
+        self.raw_flows.append((flow, src, dst))
 
-    def parse_stimulus(self, model: ValueModel) -> None:
+    def parse_stimulus(self, kw: Token) -> None:
         name = self.name("stimulus name")
         self.expect("in")
         owner = self.name("owning actor").value
-        model.stimuli.append(Stimulus(id=name.value, name=name.value, at=owner,
-                                      span=name.span))
+        self.model.stimuli.append(Stimulus(id=name.value, name=name.value, at=owner,
+                                           span=name.span))
 
-    def link_and_check(self, model: ValueModel, parents, raw_flows) -> None:
-        self.report_duplicates(
-            [x for a in model.actors for x in (a, *a.activities)] + model.stimuli)
+    STATEMENTS = {"actor": parse_actor, "flow": parse_flow, "stimulus": parse_stimulus}
+    ACTOR_STATEMENTS = {"activity": parse_activity, "api": parse_api, "market": parse_market,
+                        "layer": _Parser.parse_layer, "bapo": _Parser.parse_bapo}
+
+    def link_and_check(self) -> None:
+        model = self.model
+        self.report_duplicates(model)
 
         # `Actor.activity` is bound here, from the name tokens rather than the
         # joined text (names may contain dots); any other endpoint is left to
         # `reference_problems`.
         activity_owner = {act.id: a.id for a in model.actors for act in a.activities}
         ends: dict[tuple[int, str], _Ref] = {}
-        for flow, src, dst in raw_flows:
+        for flow, src, dst in self.raw_flows:
             for attr, (owner, element) in (("source", src), ("target", dst)):
                 if element is None or not element.value:
                     ends[id(flow), attr] = owner, element
@@ -404,7 +393,8 @@ class _ValueModelParser(_Parser):
                            _ref_span(*src))
         for kind, ref, owner in reference_problems(model):
             if kind == "parent":
-                self.error("E-REF", f"unknown parent actor {ref!r}", parents[id(owner)].span)
+                self.error("E-REF", f"unknown parent actor {ref!r}",
+                           self.parents[id(owner)].span)
             elif kind == "cycle":
                 self.error("E-CYCLE", f"partnership cycle through {ref!r}", owner.span)
             elif kind == "stimulus":
@@ -417,10 +407,6 @@ class _ValueModelParser(_Parser):
 # ---------------------------------------------------------------------------
 # Goal models
 # ---------------------------------------------------------------------------
-
-_GM_TOP = {"actor", "depend", "partof"}
-_GM_BODY = {"goal", "task", "quality", "resource", "layer", "bapo"}
-
 
 #: A link statement before it is placed on its source element: its actor,
 #: source id, link, and the token it is reported at.
@@ -436,97 +422,55 @@ class _GoalModelParser(_Parser):
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
-        model = GoalModel(name, draft=draft)
-        pending: list[_Pending] = []
-        while (tok := self.statement()) is not None:
-            word = tok.value if tok.kind is _IDENT else ""
-            try:
-                if word == "actor":
-                    self.pos += 1
-                    self.parse_actor(model, pending)
-                elif word == "depend":
-                    self.pos += 1
-                    self.parse_depend(model, tok)
-                elif word == "partof":
-                    self.pos += 1
-                    self.parse_partof(model, tok)
-                else:
-                    self.error("E-SYNTAX",
-                               f"expected actor, depend, or partof, found {tok.value!r}",
-                               tok.span)
-                    raise _ParseAbort()
-            except _ParseAbort:
-                self.sync(_GM_TOP)
-        try:
-            self.expect("}")
-        except _ParseAbort:
-            pass
-        self.link_and_check(model, pending)
-        return self.result(model)
+        self.model = GoalModel(name, draft=draft)
+        self.pending: list[_Pending] = []
+        self.block(self.STATEMENTS, "expected actor, depend, or partof, found {value!r}")
+        self.close()
+        self.link_and_check()
+        return self.result(self.model)
 
-    def parse_actor(self, model: GoalModel, pending: list[_Pending]) -> None:
+    def parse_actor(self, kw: Token) -> None:
         name = self.name("actor name")
-        actor = GActor(id=name.value, name=name.value, span=name.span)
-        model.actors.append(actor)
+        self.actor = GActor(id=name.value, name=name.value, span=name.span)
+        self.model.actors.append(self.actor)
         if self.eat("in"):
             # Goal models keep actors side by side; nesting syntax is
             # accepted and recorded as a part-of association.
             parent = self.name("parent actor")
-            model.associations.append(AssociationLink(
+            self.model.associations.append(AssociationLink(
                 AssociationKind.PART_OF, name.value, parent.value, span=parent.span))
-        if not self.eat("{"):
-            return
-        while (tok := self.statement()) is not None:
-            word = tok.value if tok.kind is _IDENT else ""
-            try:
-                if word in _ELEMENT_KIND_WORDS:
-                    self.pos += 1
-                    element = self.name("element name")
-                    actor.elements.append(GElement(
-                        id=element.value, kind=_ELEMENT_KIND_WORDS[word],
-                        name=element.value, span=element.span))
-                elif word == "layer":
-                    self.pos += 1
-                    focus, layer = self.layer_stmt()
-                    if focus in actor.layer_assignments:
-                        self.error("E-DUP",
-                                   f"duplicate layer assignment for focus {focus!r}", tok.span)
-                    actor.layer_assignments[focus] = layer
-                elif word == "bapo":
-                    self.pos += 1
-                    actor.bapo_tags.update(self.bapo_stmt())
-                elif word or tok.kind is _STRING:
-                    self.parse_link_stmt(actor, pending)
-                else:
-                    self.error("E-SYNTAX",
-                               f"expected actor-body statement, found {tok.value!r}",
-                               tok.span)
-                    raise _ParseAbort()
-            except _ParseAbort:
-                self.sync(_GM_BODY)
-        self.expect("}")
+        if self.eat("{"):
+            self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}",
+                       self.parse_link_stmt)
+            self.expect("}")
 
-    def parse_link_stmt(self, actor: GActor, pending: list[_Pending]) -> None:
+    def parse_element(self, kw: Token) -> None:
+        element = self.name("element name")
+        self.actor.elements.append(GElement(
+            id=element.value, kind=_ELEMENT_KIND_WORDS[kw.value],
+            name=element.value, span=element.span))
+
+    def parse_link_stmt(self, head: Token) -> None:
         source = self.name("element reference")
         tok = self.tokens[self.pos]
         word = tok.value if tok.kind is _IDENT else ""
         if word in _REFINEMENT_WORDS:
             self.pos += 1
             children = tuple(self.name_list())
-            pending.append((actor, source.value,
-                            Refinement(_REFINEMENT_WORDS[word], children), source))
+            self.pending.append((self.actor, source.value,
+                                 Refinement(_REFINEMENT_WORDS[word], children), source))
         elif word in _STRENGTH_WORDS:
             self.pos += 1
             target = self.name("contribution target")
-            pending.append((actor, source.value,
-                            Contribution(target.value, _STRENGTH_WORDS[word]), target))
+            self.pending.append((self.actor, source.value,
+                                 Contribution(target.value, _STRENGTH_WORDS[word]), target))
         else:
             self.error("E-SYNTAX",
                        f"expected and/or/makes/helps/hurts/breaks after {source.value!r}",
                        tok.span)
             raise _ParseAbort()
 
-    def parse_depend(self, model: GoalModel, kw: Token) -> None:
+    def parse_depend(self, kw: Token) -> None:
         dr_actor, dr_el = self.qualified_ref()
         self.expect("->")
         de_actor, de_el = self.qualified_ref()
@@ -537,31 +481,36 @@ class _GoalModelParser(_Parser):
         initial = None
         if self.eat("="):
             initial = self.keyword_choice(LABEL_WORDS, "label")
-        model.dependencies.append(Dependency(
-            id=f"d{len(model.dependencies) + 1}",
+        dependencies = self.model.dependencies
+        dependencies.append(Dependency(
+            id=f"d{len(dependencies) + 1}",
             depender=DependencyEnd(dr_actor.value, dr_el.value if dr_el else None),
             dependum=Dependum(kind, dname, initial),
             dependee=DependencyEnd(de_actor.value, de_el.value if de_el else None),
             span=kw.span,
         ))
 
-    def parse_partof(self, model: GoalModel, kw: Token) -> None:
+    def parse_partof(self, kw: Token) -> None:
         part = self.name("actor").value
         self.expect("->")
         whole = self.name("actor").value
-        model.associations.append(AssociationLink(
+        self.model.associations.append(AssociationLink(
             AssociationKind.PART_OF, part, whole, span=kw.span))
 
-    def link_and_check(self, model: GoalModel, pending: list[_Pending]) -> None:
-        self.report_duplicates(
-            model.actors + [el for a in model.actors for el in a.elements])
+    STATEMENTS = {"actor": parse_actor, "depend": parse_depend, "partof": parse_partof}
+    ACTOR_STATEMENTS = {**dict.fromkeys(_ELEMENT_KIND_WORDS, parse_element),
+                        "layer": _Parser.parse_layer, "bapo": _Parser.parse_bapo}
+
+    def link_and_check(self) -> None:
+        model = self.model
+        self.report_duplicates(model)
         # Each actor's own elements by id, keyed by actor identity; as in the
         # model-wide map, the last declaration of a duplicate id wins.
         local_maps = {id(a): {el.id: el for el in a.elements} for a in model.actors}
         elements = {k: el for local in local_maps.values() for k, el in local.items()}
 
         unresolved: dict[int, list[str]] = {}  # statement token -> its unknown ids
-        for kind, ref, owner in reference_problems(model, pending):
+        for kind, ref, owner in reference_problems(model, self.pending):
             if kind == "end":
                 self.error("E-REF", f"unknown element {ref.element!r} in actor "
                            f"{ref.actor!r}", owner.span)
@@ -572,7 +521,7 @@ class _GoalModelParser(_Parser):
 
         # Every id looked up below resolves. A statement is placed on its
         # source element only if no rule rejects it.
-        for actor, source, link, at in pending:
+        for actor, source, link, at in self.pending:
             missing = unresolved.get(id(at), ()) if unresolved else ()
             local = local_maps[id(actor)]
             el = None if source in missing else local[source]
@@ -618,9 +567,6 @@ class _GoalModelParser(_Parser):
 # API descriptors
 # ---------------------------------------------------------------------------
 
-_API_BODY = {"stage", "observed", "curve", "rationale"}
-
-
 class _ApiDescriptorParser(_Parser):
     def parse(self) -> ParseResult:
         try:
@@ -629,52 +575,24 @@ class _ApiDescriptorParser(_Parser):
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
-        stage: Optional[LifecycleStage] = None
-        stage_span: Optional[SourceSpan] = None
-        observed = Characteristics()
-        curve: list[ValueCurveSample] = []
-        rationales: list[str] = []
-        while (tok := self.statement()) is not None:
-            word = tok.value if tok.kind is _IDENT else ""
-            try:
-                if word == "stage":
-                    self.pos += 1
-                    value = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
-                    if stage is not None:
-                        self.error("E-DUP", "stage declared twice", tok.span)
-                    stage, stage_span = value, tok.span
-                elif word == "observed":
-                    self.pos += 1
-                    self.parse_observed(observed)
-                elif word == "curve":
-                    self.pos += 1
-                    self.parse_curve_sample(curve)
-                elif word == "rationale":
-                    self.pos += 1
-                    rationales.append(self.name("rationale tag").value)
-                else:
-                    self.error("E-SYNTAX",
-                               "expected stage, observed, curve, or rationale, "
-                               f"found {tok.value!r}", tok.span)
-                    raise _ParseAbort()
-            except _ParseAbort:
-                self.sync(_API_BODY)
-        try:
-            self.expect("}")
-            eof = self.peek()
-            if eof.kind is not _EOF:
-                self.error("E-SYNTAX", f"unexpected trailing input {eof.value!r}", eof.span)
-        except _ParseAbort:
-            pass
-        if stage is None and not self.has_errors():
+        self.api = ApiDescriptor(name, LifecycleStage.PLAN)
+        self.staged = False  # a stage statement was read
+        self.block(self.STATEMENTS,
+                   "expected stage, observed, curve, or rationale, found {value!r}")
+        if self.close() and (eof := self.peek()).kind is not _EOF:
+            self.error("E-SYNTAX", f"unexpected trailing input {eof.value!r}", eof.span)
+        if not self.staged and not self.has_errors():
             self.error("E-SYNTAX", "api descriptor is missing a stage declaration",
                        self.peek().span)
-        model = ApiDescriptor(
-            name=name, declared_stage=stage or LifecycleStage.PLAN,
-            observed=observed, curve=curve, transition_rationales=rationales)
-        return self.result(model)
+        return self.result(self.api)
 
-    def parse_observed(self, observed: Characteristics) -> None:
+    def parse_stage(self, kw: Token) -> None:
+        stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
+        if self.staged:
+            self.error("E-DUP", "stage declared twice", kw.span)
+        self.api.declared_stage, self.staged = stage, True
+
+    def parse_observed(self, kw: Token) -> None:
         tok = self.peek()
         if tok.kind is not _IDENT or tok.value not in _OBSERVED_WORDS:
             self.error("E-SYNTAX", f"unknown characteristic {tok.value!r}", tok.span)
@@ -687,25 +605,41 @@ class _ApiDescriptorParser(_Parser):
             self.error("E-SYNTAX", f"unknown {attr} value {vtok.value!r}", vtok.span)
             raise _ParseAbort()
         self.pos += 1
+        observed = self.api.observed
         if getattr(observed, attr) is not None:
             self.error("E-DUP", f"characteristic {attr} observed twice", tok.span)
         setattr(observed, attr, values[vtok.value])
 
-    def parse_curve_sample(self, curve: list[ValueCurveSample]) -> None:
+    def parse_curve_sample(self, kw: Token) -> None:
         t, tspan = self.number("sample time")
         stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
         value, vspan = self.number("sample value")
         sample = ValueCurveSample(t, stage, value)
+        curve = self.api.curve
         for code, message in curve_step_problems(curve[-1] if curve else None, sample):
             self.error(code, message, vspan if code == "E-RANGE" else tspan)
         curve.append(sample)
+
+    def parse_rationale(self, kw: Token) -> None:
+        self.api.transition_rationales.append(self.name("rationale tag").value)
+
+    STATEMENTS = {"stage": parse_stage, "observed": parse_observed,
+                  "curve": parse_curve_sample, "rationale": parse_rationale}
 
 
 # ---------------------------------------------------------------------------
 # Metric catalogs
 # ---------------------------------------------------------------------------
 
-_METRIC_BODY = {"what", "why", "who", "where", "dimensions", "automation", "links"}
+def _metric_field(read):
+    """The handler of a metric field whose value `read(parser)` parses. A
+    field may be given once per metric."""
+    def handler(self, kw: Token) -> None:
+        if kw.value in self.seen:
+            self.error("E-DUP", f"metric field {kw.value} given twice", kw.span)
+        self.seen.add(kw.value)
+        setattr(self.metric, kw.value, read(self))
+    return handler
 
 
 class _MetricCatalogParser(_Parser):
@@ -732,50 +666,35 @@ class _MetricCatalogParser(_Parser):
         if name in names:
             self.error("E-DUP", f"duplicate metric {name!r}", span)
         names[name] = span
-        metric = MetricDef(name=name, span=span)
+        self.metric = MetricDef(name=name, span=span)
         self.expect("{")
-        seen: set[str] = set()
-        while (tok := self.statement()) is not None:
-            try:
-                if tok.kind is not _IDENT or tok.value not in _METRIC_BODY:
-                    self.error("E-SYNTAX", f"unknown metric field {tok.value!r}", tok.span)
-                    raise _ParseAbort()
-                field_name = tok.value
-                self.pos += 1
-                if field_name in seen:
-                    self.error("E-DUP", f"metric field {field_name} given twice", tok.span)
-                seen.add(field_name)
-                if field_name == "what":
-                    metric.what = self.name("text").value
-                elif field_name == "why":
-                    metric.why = self.name("text").value
-                elif field_name == "who":
-                    metric.who = self.name_list()
-                elif field_name == "where":
-                    metric.where = self.name_list()
-                elif field_name == "links":
-                    metric.links = self.name_list()
-                elif field_name == "dimensions":
-                    dims = set()
-                    while True:
-                        dim = self.keyword_choice(
-                            _DIMENSION_WORDS,
-                            "dimension (business|usage|design|implementation)")
-                        dims.add(dim)
-                        if not self.eat(","):
-                            break
-                    metric.dimensions = dims
-                elif field_name == "automation":
-                    level = self.keyword_choice(
-                        _AUTOMATION_WORDS, "automation level (automatable|partial|manual)")
-                    metric.automation = level
-            except _ParseAbort:
-                self.sync(_METRIC_BODY)
-        try:
-            self.expect("}")
-        except _ParseAbort:
-            pass
-        metrics.append(metric)
+        self.seen: set[str] = set()  # the fields given so far
+        self.block(self.STATEMENTS, "unknown metric field {value!r}")
+        self.close()
+        metrics.append(self.metric)
+
+    def read_text(self) -> str:
+        return self.name("text").value
+
+    def read_dimensions(self) -> set[Dimension]:
+        dims = set()
+        while True:
+            dims.add(self.keyword_choice(
+                _DIMENSION_WORDS, "dimension (business|usage|design|implementation)"))
+            if not self.eat(","):
+                return dims
+
+    def read_automation(self) -> AutomationLevel:
+        return self.keyword_choice(
+            _AUTOMATION_WORDS, "automation level (automatable|partial|manual)")
+
+    STATEMENTS = {
+        "what": _metric_field(read_text), "why": _metric_field(read_text),
+        "who": _metric_field(_Parser.name_list), "where": _metric_field(_Parser.name_list),
+        "links": _metric_field(_Parser.name_list),
+        "dimensions": _metric_field(read_dimensions),
+        "automation": _metric_field(read_automation),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -790,24 +709,21 @@ class _ScenarioParser(_Parser):
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
-        assignments: dict[str, Label] = {}
-        while self.statement() is not None:
-            try:
-                self.expect("label")
-                target = self.name("element or dependum id")
-                self.expect("=")
-                label = self.keyword_choice(LABEL_WORDS, "label")
-                if target.value in assignments:
-                    self.error("E-DUP", f"label assigned twice for {target.value!r}",
-                               target.span)
-                assignments[target.value] = label
-            except _ParseAbort:
-                self.sync({"label"})
-        try:
-            self.expect("}")
-        except _ParseAbort:
-            pass
-        return self.result(Scenario(name, assignments))
+        self.scenario = Scenario(name)
+        self.block(self.STATEMENTS, "expected 'label', found {shown!r}")
+        self.close()
+        return self.result(self.scenario)
+
+    def parse_label(self, kw: Token) -> None:
+        target = self.name("element or dependum id")
+        self.expect("=")
+        label = self.keyword_choice(LABEL_WORDS, "label")
+        assignments = self.scenario.assignments
+        if target.value in assignments:
+            self.error("E-DUP", f"label assigned twice for {target.value!r}", target.span)
+        assignments[target.value] = label
+
+    STATEMENTS = {"label": parse_label}
 
 
 # ---------------------------------------------------------------------------

@@ -165,32 +165,27 @@ def compile_rules(model: GoalModel) -> Rules:
     if errors:
         raise ApimodError(
             "model does not validate: " + "; ".join(d.message for d in errors))
-    nodes = list(dict.fromkeys(evaluation_nodes(model)))
+    nodes = evaluation_nodes(model)  # validation rejects a repeated id
     index = {node: i for i, node in enumerate(nodes)}
     elements = {e.id for a in model.actors for e in a.elements}
     inputs = [([], [], []) for _ in nodes]
     for actor in model.actors:
         for el in actor.elements:
-            if el.refinement is not None:  # a repeated id keeps the last one
-                children = [index[c] for c in el.refinement.children]
+            if el.refinement is not None:
                 and_inputs, or_children, _ = inputs[index[el.id]]
-                and_inputs[:], or_children[:] = (
-                    (children, []) if el.refinement.kind is RefinementKind.AND
-                    else ([], children))
+                (and_inputs if el.refinement.kind is RefinementKind.AND
+                 else or_children).extend(index[c] for c in el.refinement.children)
             for c in el.contributions:
                 inputs[index[c.target]][2].append(
                     (index[el.id], _CONTRIBUTED[c.strength]))
     initial = [0] * len(nodes)
-    dependee_of = {}  # a repeated dependency id keeps the last dependee
     for d in model.dependencies:
         if d.depender.element in elements:
             inputs[index[d.depender.element]][0].append(index[d.id])
         if d.dependee.element in elements:
-            dependee_of[index[d.id]] = index[d.dependee.element]
+            inputs[index[d.id]][2].append((index[d.dependee.element], _CARRIED))
         if d.dependum.initial_label is not None:
             initial[index[d.id]] |= _CARRIED[_CODE[d.dependum.initial_label]]
-    for dep, dependee in dependee_of.items():
-        inputs[dep][2].append((dependee, _CARRIED))
     readers: list[set[int]] = [set() for _ in nodes]
     for node, (and_inputs, or_children, sources) in enumerate(inputs):
         for source in and_inputs + or_children + [s for s, _ in sources]:

@@ -4,13 +4,13 @@ change decision quadrants, prioritization, and metric-catalog checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Optional
 
-from .core import Diagnostic, Severity, SourceSpan, sort_diagnostics
+from .core import (
+    Diagnostic, Severity, SourceSpan, load_package_data, sort_diagnostics,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,7 @@ def automation_report(metrics: list[MetricDef]) -> AutomationReport:
 
 def load_governance_catalog() -> dict[str, list[dict]]:
     """Read-only catalog of governance aspects and strategies."""
-    data = resources.files("apimod.data").joinpath("governance_catalog.json")
-    return json.loads(data.read_text(encoding="utf-8"))
+    return load_package_data("governance_catalog.json")
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ value-curve mismatch detection, and transition-trigger checklists.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from importlib import resources
 from typing import Optional
 
-from .core import ApimodError, Diagnostic, Severity, sort_diagnostics
+from .core import (
+    ApimodError, Diagnostic, Severity, load_package_data, sort_diagnostics,
+)
 
 
 class LifecycleStage(Enum):
@@ -292,8 +292,7 @@ def _normalize_tag(text: str) -> str:
 
 
 def load_trigger_catalog() -> dict[str, list[dict]]:
-    data = resources.files("apimod.data").joinpath("transition_triggers.json")
-    return json.loads(data.read_text(encoding="utf-8"))
+    return load_package_data("transition_triggers.json")
 
 
 def transition_checklist(d: ApiDescriptor) -> TransitionReport:

@@ -8,12 +8,11 @@ envelope across commands and are byte-stable for identical inputs.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from . import __version__
 from .core import (
     Diagnostic, ElementKind, GoalModel, LAYER_ORDER, Layer, Severity,
-    ValueModel,
+    ValueModel, load_package_data,
 )
 
 _ELEMENT_SHAPES = {
@@ -207,8 +206,7 @@ def report_json(report: dict) -> str:
 
 def report_schema() -> dict:
     """The published envelope schema shipped with the package."""
-    data = resources.files("apimod.data").joinpath("report.schema.json")
-    return json.loads(data.read_text(encoding="utf-8"))
+    return load_package_data("report.schema.json")
 
 
 def exit_code_for(diagnostics: list[Diagnostic], strict: bool = False) -> int:

@@ -1,10 +1,12 @@
 """Structural and methodological model checks.
 
+`duplicate_ids` alone decides which declarations repeat an id, and
 `reference_problems` alone decides whether a model's references resolve. For
 goal models it follows iStar 2.0: refinement children stay inside their
 parent's actor, and dependencies name elements only of open actors. The
 parser reports its problems as E-REF at the tokens, validation as E-DANGLE at
-the model objects (E-CYCLE for a partnership cycle). Value models are also
+the model objects (E-CYCLE for a partnership cycle); both report a repeated
+id as E-DUP at the declaration that repeats it. Value models are also
 checked for reciprocity, scoping, a captured API and a stimulus; goal models
 for refinement cycles, floating elements, refined qualities and mistyped
 contributions. Layer and BAPO coverage checks work on both model types.
@@ -16,6 +18,31 @@ from .core import (
     BAPO_ORDER, Diagnostic, ElementKind, GoalModel, LAYER_ORDER, Refinement,
     Severity, ValueModel, sort_diagnostics,
 )
+
+
+def _repeated(declared, seen: set) -> list:
+    """The objects of `declared` whose id is in `seen` or an earlier one's.
+    Adds every id to `seen`."""
+    repeats = []
+    for obj in declared:
+        if obj.id in seen:
+            repeats.append(obj)
+        seen.add(obj.id)
+    return repeats
+
+
+def duplicate_ids(model: ValueModel | GoalModel) -> list:
+    """The declarations whose id an earlier declaration of the same
+    namespace holds. A value model's actors, activities and stimuli share
+    one namespace. A goal model's actors and elements share one, and its
+    evaluation nodes, elements and then dependencies (`d1`, `d2`, ...),
+    share another, so a dependency whose id names an element repeats it."""
+    if isinstance(model, ValueModel):
+        return _repeated([x for a in model.actors for x in (a, *a.activities)]
+                         + model.stimuli, set())
+    elements = [el for a in model.actors for el in a.elements]
+    return (_repeated(model.actors + elements, set())
+            + _repeated(model.dependencies, {el.id for el in elements}))
 
 
 def reference_problems(model: ValueModel | GoalModel,
@@ -111,20 +138,23 @@ _DANGLING = {
 }
 
 
-def _reference_diagnostics(model) -> list[Diagnostic]:
-    """One E-DANGLE (E-CYCLE for a partnership cycle) per reference problem,
-    at its owner."""
-    return [Diagnostic(Severity.ERROR, "E-CYCLE" if kind == "cycle" else "E-DANGLE",
-                       _DANGLING[kind].format(o=owner, r=ref), owner.span)
-            for kind, ref, owner in reference_problems(model)]
+def _id_diagnostics(model) -> list[Diagnostic]:
+    """One E-DUP per repeated id, then one E-DANGLE (E-CYCLE for a
+    partnership cycle) per reference problem, at its owner."""
+    diags = [Diagnostic(Severity.ERROR, "E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
+             for obj in duplicate_ids(model)]
+    return diags + [Diagnostic(Severity.ERROR, "E-CYCLE" if kind == "cycle" else "E-DANGLE",
+                               _DANGLING[kind].format(o=owner, r=ref), owner.span)
+                    for kind, ref, owner in reference_problems(model)]
 
 
 def validate_value_model(model: ValueModel,
                          strict_reciprocity: bool = False) -> list[Diagnostic]:
-    """Reference problems, reciprocity, scoping, and completeness checks
-    (§-style construction hygiene). With `strict_reciprocity`, every actor
-    pair with a flow must also have a backflow."""
-    diags = _reference_diagnostics(model)
+    """Repeated ids, reference problems, reciprocity, scoping, and
+    completeness checks (§-style construction hygiene). With
+    `strict_reciprocity`, every actor pair with a flow must also have a
+    backflow."""
+    diags = _id_diagnostics(model)
     owner = {a.id: a.id for a in model.actors}
     for actor in model.actors:
         for act in actor.activities:
@@ -234,9 +264,10 @@ def _refinement_cycles(model: GoalModel) -> list[list[str]]:
 
 
 def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
-    """Construction-rule checks: reference problems, refinement cycles,
-    floating elements, refined qualities and contribution typing."""
-    diags = _reference_diagnostics(model)
+    """Construction-rule checks: repeated ids, reference problems,
+    refinement cycles, floating elements, refined qualities and contribution
+    typing."""
+    diags = _id_diagnostics(model)
     elements = model.element_map()
 
     for cycle in _refinement_cycles(model):

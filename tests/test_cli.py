@@ -160,6 +160,21 @@ def test_evaluate_conflict_warns_and_exits_one(capsys, tmp_path):
     assert "W-CONFLICT" in out and "Q = conflict" in out
 
 
+def test_element_named_like_a_dependency_id_exits_two(capsys, tmp_path):
+    model = tmp_path / "m.gm"
+    model.write_text("goalmodel M {\n"
+                     "  actor A { quality d1  task X  task T  X helps d1 }\n"
+                     "  actor B { goal G }\n"
+                     "  depend A.T -> B.G : resource R\n"
+                     "}\n", encoding="utf-8")
+    scn = tmp_path / "s.scn"
+    scn.write_text("scenario s { label X = satisfied label G = denied }",
+                   encoding="utf-8")
+    code, out, _ = run(capsys, "evaluate", str(model), "--scenario", str(scn))
+    assert code == 2
+    assert out == f"{model}:4:3: error E-DUP duplicate identifier 'd1'\n"
+
+
 def test_compare_ranks_scenarios(capsys):
     code, out, _ = run(capsys, "compare", str(CORPUS / "ecosystem.gm"),
                        "--scenarios",

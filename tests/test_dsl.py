@@ -508,3 +508,83 @@ def test_printing_is_deterministic():
     rng = random.Random(7)
     model = gen_goal_model(rng)
     assert print_model(model) == print_model(model)
+
+
+# ---------------------------------------------------------------------------
+# Unexpected statement heads, block by block
+# ---------------------------------------------------------------------------
+
+#: Per braced block: a text whose statement head is `HEAD`, the error each
+#: unexpected head gets (punctuation, a number, an empty quoted name and a
+#: keyword of another block), and the errors of the two statements after it,
+#: which show that parsing resumed at the block's next statement keywords.
+STATEMENT_HEADS = {
+    "value-model top": (
+        "valuemodel M {\n  HEAD\n  stimulus = in A\n  actor =\n}",
+        {"=": ("expected actor, flow, or stimulus, found '='", 2, 3),
+         "7": ("expected actor, flow, or stimulus, found '7'", 2, 3),
+         '""': ("expected actor, flow, or stimulus, found ''", 2, 3),
+         "depend": ("expected actor, flow, or stimulus, found 'depend'", 2, 3)},
+        [("expected stimulus name, found '='", 3, 12),
+         ("expected actor name, found '='", 4, 9)]),
+    "value-model actor body": (
+        "valuemodel M {\n  actor A {\n    HEAD\n    activity =\n    layer =\n  }\n}",
+        {"=": ("expected actor-body statement, found '='", 3, 5),
+         "7": ("expected actor-body statement, found '7'", 3, 5),
+         '""': ("expected actor-body statement, found ''", 3, 5),
+         "goal": ("expected actor-body statement, found 'goal'", 3, 5)},
+        [("expected activity name, found '='", 4, 14),
+         ("expected '(', found '='", 5, 11)]),
+    "goal-model top": (
+        "goalmodel M {\n  HEAD\n  partof = -> A\n  depend =\n}",
+        {"=": ("expected actor, depend, or partof, found '='", 2, 3),
+         "7": ("expected actor, depend, or partof, found '7'", 2, 3),
+         '""': ("expected actor, depend, or partof, found ''", 2, 3),
+         "flow": ("expected actor, depend, or partof, found 'flow'", 2, 3)},
+        [("expected actor, found '='", 3, 10),
+         ("expected actor reference, found '='", 4, 10)]),
+    "goal-model actor body": (
+        # A name starts a link statement, so `""` and a keyword of another
+        # block are read as its source.
+        "goalmodel M {\n  actor A {\n    HEAD\n    task =\n    bapo = X\n  }\n}",
+        {"=": ("expected actor-body statement, found '='", 3, 5),
+         "7": ("expected actor-body statement, found '7'", 3, 5),
+         '""': ("expected and/or/makes/helps/hurts/breaks after ''", 4, 5),
+         "activity": ("expected element reference, found 'activity'", 3, 5)},
+        [("expected element name, found '='", 4, 10),
+         ("expected BAPO tag (B|A|P|O), found 'X'", 5, 12)]),
+    "api body": (
+        "api A {\n  HEAD\n  rationale =\n  stage =\n}",
+        {"=": ("expected stage, observed, curve, or rationale, found '='", 2, 3),
+         "7": ("expected stage, observed, curve, or rationale, found '7'", 2, 3),
+         '""': ("expected stage, observed, curve, or rationale, found ''", 2, 3),
+         "label": ("expected stage, observed, curve, or rationale, found 'label'", 2, 3)},
+        [("expected rationale tag, found '='", 3, 13),
+         ("expected lifecycle stage, found '='", 4, 9)]),
+    "metric body": (
+        'metric "M" {\n  HEAD\n  automation =\n  dimensions =\n}',
+        {"=": ("unknown metric field '='", 2, 3),
+         "7": ("unknown metric field '7'", 2, 3),
+         '""': ("unknown metric field ''", 2, 3),
+         "stage": ("unknown metric field 'stage'", 2, 3)},
+        [("expected automation level (automatable|partial|manual), found '='", 3, 14),
+         ("expected dimension (business|usage|design|implementation), found '='", 4, 14)]),
+    "scenario body": (
+        # Scenarios show an empty name by its token kind.
+        "scenario s {\n  HEAD\n  label = = denied\n  label G = 7\n}",
+        {"=": ("expected 'label', found '='", 2, 3),
+         "7": ("expected 'label', found '7'", 2, 3),
+         '""': ("expected 'label', found 'string'", 2, 3),
+         "actor": ("expected 'label', found 'actor'", 2, 3)},
+        [("expected element or dependum id, found '='", 3, 9),
+         ("expected label, found '7'", 4, 13)]),
+}
+
+
+@pytest.mark.parametrize("block, head", [
+    (block, head) for block, (_, heads, _) in STATEMENT_HEADS.items() for head in heads])
+def test_unexpected_statement_head_is_reported_and_parsing_resumes(block, head):
+    text, heads, later = STATEMENT_HEADS[block]
+    r = parse_model(text.replace("HEAD", head))
+    assert r.model is None
+    assert diagnostics_at(r) == [("E-SYNTAX", *d) for d in [heads[head], *later]]

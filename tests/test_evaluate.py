@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from apimod import evaluate
 from apimod.core import (
-    ApimodError, Dependency, DependencyEnd, Dependum, ElementKind, GActor,
+    ApimodError, Contribution, ContributionStrength, Dependency, DependencyEnd,
+    Dependum, ElementKind, GActor,
     GElement, GoalModel, Label, Refinement, RefinementKind, Severity,
 )
 from apimod.dsl import parse_goal_model, parse_scenario
@@ -350,6 +351,29 @@ def test_dangling_refinement_child_is_rejected_before_propagation():
                  refinement=Refinement(RefinementKind.AND, ("ghost",)))])])
     with pytest.raises(ApimodError, match="'ghost'"):
         propagate(model, Scenario("s", {}))
+
+
+def test_element_named_like_a_dependency_id_is_rejected_before_propagation():
+    def model(quality):
+        return GoalModel("m", actors=[
+            GActor("A", "A", elements=[
+                GElement(quality, ElementKind.QUALITY, quality),
+                GElement("X", ElementKind.TASK, "X",
+                         contributions=[Contribution(quality, ContributionStrength.HELPS)]),
+                GElement("T", ElementKind.TASK, "T")]),
+            GActor("B", "B", elements=[GElement("G", ElementKind.GOAL, "G")])],
+            dependencies=[Dependency("d1", DependencyEnd("A", "T"),
+                                     Dependum(ElementKind.RESOURCE, "R"),
+                                     DependencyEnd("B", "G"))])
+
+    scenario = Scenario("s", {"X": S, "G": D})
+    for evaluate_it in (lambda m: propagate(m, scenario),
+                        lambda m: compare_scenarios(m, [scenario, scenario])):
+        with pytest.raises(ApimodError, match="duplicate identifier 'd1'"):
+            evaluate_it(model("d1"))
+    # Renamed, the quality and the dependum are two nodes again.
+    labels = propagate(model("Q"), scenario).labels
+    assert (labels["Q"], labels["d1"], labels["T"]) == (PS, D, D)
 
 
 def test_rules_from_another_model_are_refused():

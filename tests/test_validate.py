@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
-    AssociationKind, AssociationLink, Contribution, DependencyEnd, ElementKind,
+    Activity, AssociationKind, AssociationLink, Contribution, DependencyEnd, ElementKind,
     GActor, GElement, GoalModel, Refinement, RefinementKind, Severity,
 )
 from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_model
@@ -273,6 +273,24 @@ def test_refinement_child_of_another_actor_dangles():
     diags = validate_goal_model(model)
     assert codes(diags) == ["E-DANGLE"]
     assert "'T'" in diags[0].message and "its actor" in diags[0].message
+
+
+def test_repeated_id_in_another_actor_is_a_duplicate():
+    model = GoalModel("m", actors=[
+        GActor("A", "A", elements=[GElement("G", ElementKind.GOAL, "G")]),
+        GActor("B", "B", elements=[GElement("G", ElementKind.TASK, "G")])])
+    diags = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
+    assert [(d.code, d.message) for d in diags] == [("E-DUP", "duplicate identifier 'G'")]
+    assert "E-DUP" in codes(parse_model(print_model(model)).diagnostics)
+
+
+def test_activity_named_like_an_actor_is_a_duplicate():
+    model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
+    first, second = model.actors[:2]
+    second.activities.append(Activity(first.id, first.id))
+    diags = [d for d in validate_value_model(model) if d.severity is Severity.ERROR]
+    assert [(d.code, d.message) for d in diags] == [
+        ("E-DUP", f"duplicate identifier {first.id!r}")]
 
 
 # ---------------------------------------------------------------------------
