@@ -222,8 +222,8 @@ class _Parser:
             self.pos += 1
 
     def close(self) -> bool:
-        """Consume the `}` that ends a model's outermost block. A missing
-        one is reported without unwinding, since nothing encloses it."""
+        """Consume the `}` of a top-level block. A missing one is reported
+        without unwinding, since no enclosing block could recover."""
         try:
             self.expect("}")
             return True
