@@ -31,8 +31,8 @@ from ..core import (
 from ..evaluate import Scenario
 from ..govern import AutomationLevel, Dimension, MetricDef
 from ..lifecycle import (
-    ApiDescriptor, Change, Commitment, Compatibility, Governance, LifecycleStage,
-    Stability, Support, ValueCurveSample, curve_step_problems,
+    CHARACTERISTICS, ApiDescriptor, LifecycleStage, ValueCurveSample,
+    curve_step_problems,
 )
 from ..validate import duplicate_ids, reference_problems
 from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
@@ -67,14 +67,8 @@ _DIMENSION_WORDS = {d.value: d for d in Dimension}
 _AUTOMATION_WORDS = {a.value: a for a in AutomationLevel}
 
 #: `observed` characteristic (a `Characteristics` attribute) -> its value words.
-_OBSERVED_WORDS = {
-    field: {v.value: v for v in enum_cls}
-    for field, enum_cls in (
-        ("stability", Stability), ("change", Change), ("commitment", Commitment),
-        ("governance", Governance), ("compatibility", Compatibility),
-        ("support", Support),
-    )
-}
+_OBSERVED_WORDS = {name: {v.value: v for v in values}
+                   for name, values in CHARACTERISTICS.items()}
 
 
 def _lex(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:

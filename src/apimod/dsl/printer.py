@@ -14,15 +14,17 @@ from ..lifecycle import ApiDescriptor
 from .lexer import quote_name as q
 
 
-def _annotation_lines(actor: VActor | GActor, indent: str) -> list[str]:
-    lines = []
+def _actor_block(out: list[str], head: str, body: list[str],
+                 actor: VActor | GActor) -> None:
+    """Append an actor statement to `out`: `head`, then in braces `body` and
+    the actor's BAPO tags and layer assignments, or `head` alone if all
+    three are empty."""
     if actor.bapo_tags:
         tags = ", ".join(t.value for t in BAPO_ORDER if t in actor.bapo_tags)
-        lines.append(f"{indent}bapo = {tags}")
+        body.append(f"    bapo = {tags}")
     for focus in sorted(actor.layer_assignments):
-        lines.append(f"{indent}layer({q(focus)}) = "
-                     f"{actor.layer_assignments[focus].value}")
-    return lines
+        body.append(f"    layer({q(focus)}) = {actor.layer_assignments[focus].value}")
+    out += [head + " {", *body, "  }"] if body else [head]
 
 
 def print_value_model(model: ValueModel) -> str:
@@ -31,20 +33,12 @@ def print_value_model(model: ValueModel) -> str:
         head = f"  actor {q(actor.id)}"
         if actor.parent is not None:
             head += f" in {q(actor.parent)}"
-        body: list[str] = []
-        for act in actor.activities:
-            body.append(f"    activity {q(act.id)}")
+        body = [f"    activity {q(act.id)}" for act in actor.activities]
         if actor.api_role:
             body.append("    api")
         if actor.market_segment:
             body.append("    market")
-        body.extend(_annotation_lines(actor, "    "))
-        if body:
-            out.append(head + " {")
-            out.extend(body)
-            out.append("  }")
-        else:
-            out.append(head)
+        _actor_block(out, head, body, actor)
     for flow in model.flows:
         stmt = (f"  flow {q(flow.obj.name)} from {q(flow.source)} "
                 f"to {q(flow.target)} : {flow.obj.kind.value}")
@@ -65,9 +59,7 @@ def print_goal_model(model: GoalModel) -> str:
         head += " draft"
     out = [head + " {"]
     for actor in model.actors:
-        body: list[str] = []
-        for el in actor.elements:
-            body.append(f"    {el.kind.value} {q(el.id)}")
+        body = [f"    {el.kind.value} {q(el.id)}" for el in actor.elements]
         for el in actor.elements:
             if el.refinement is not None:
                 children = ", ".join(q(c) for c in el.refinement.children)
@@ -75,13 +67,7 @@ def print_goal_model(model: GoalModel) -> str:
         for el in actor.elements:
             for c in el.contributions:
                 body.append(f"    {q(el.id)} {c.strength.value} {q(c.target)}")
-        body.extend(_annotation_lines(actor, "    "))
-        if body:
-            out.append(f"  actor {q(actor.id)} {{")
-            out.extend(body)
-            out.append("  }")
-        else:
-            out.append(f"  actor {q(actor.id)}")
+        _actor_block(out, f"  actor {q(actor.id)}", body, actor)
     for link in model.associations:
         out.append(f"  partof {q(link.source)} -> {q(link.target)}")
     for dep in model.dependencies:

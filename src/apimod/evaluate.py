@@ -1,9 +1,10 @@
 """Qualitative label propagation over goal models and metric hierarchies.
 
 The engine works in evidence space: every node (element or dependum) holds an
-:class:`~apimod.core.EvidencePair` that only ever gains evidence, so the
-fixpoint exists and is reached quickly even when actors depend on each other
-in cycles. Labels are projections of the pairs.
+evidence pair, the positive and negative evidence of
+:class:`~apimod.core.EvidencePair` packed into a 4-bit code, and a pair only
+ever gains evidence, so the fixpoint exists and is reached quickly even when
+actors depend on each other in cycles. Labels are projections of the pairs.
 
 Rules applied until quiescence:
 

@@ -4,7 +4,7 @@ value-curve mismatch detection, and transition-trigger checklists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -63,9 +63,17 @@ class Support(Enum):
     NONE = "none"
 
 
+#: Each lifecycle characteristic, in report order, and the enum of its values.
+CHARACTERISTICS: dict[str, type[Enum]] = {
+    "stability": Stability, "change": Change, "commitment": Commitment,
+    "governance": Governance, "compatibility": Compatibility, "support": Support,
+}
+
+
 @dataclass
 class Characteristics:
-    """One value per characteristic; None means not observed."""
+    """One value per characteristic of `CHARACTERISTICS`; None means not
+    observed."""
 
     stability: Optional[Stability] = None
     change: Optional[Change] = None
@@ -75,7 +83,7 @@ class Characteristics:
     support: Optional[Support] = None
 
     def items(self) -> list[tuple[str, Optional[Enum]]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, getattr(self, name)) for name in CHARACTERISTICS]
 
 
 @dataclass(frozen=True)

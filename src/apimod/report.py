@@ -11,9 +11,10 @@ import json
 
 from . import __version__
 from .core import (
-    Diagnostic, ElementKind, GoalModel, LAYER_ORDER, Layer, Severity,
-    ValueModel, load_package_data,
+    ApimodError, Diagnostic, ElementKind, GoalModel, Layer, Severity, ValueModel,
+    load_package_data,
 )
+from .validate import reference_diagnostic, reference_problems
 
 _ELEMENT_SHAPES = {
     ElementKind.GOAL: "ellipse",
@@ -40,131 +41,96 @@ def export_dot(model, cluster_by_actor: bool = True,
 
     One node per actor boundary and per element (activities and stimuli for
     value models); one edge per refinement child, contribution, dependency,
-    association, or value flow. With `layer_bands`, actors are grouped into
-    four ranks for the given API of focus instead of per-actor clusters.
+    association, or value flow. Each actor is a cluster, or with
+    `cluster_by_actor=False` its nodes are listed flat. With `layer_bands`,
+    actors are instead grouped into four ranks for the given API of focus,
+    each a plain circle, and the other nodes follow them. A model with a
+    reference that does not resolve raises ApimodError naming the first one
+    (E-DANGLE; E-CYCLE for a partnership cycle).
     """
+    if not isinstance(model, (GoalModel, ValueModel)):
+        raise TypeError(f"cannot export {type(model).__name__}")
+    problems = reference_problems(model)
+    if problems:
+        d = reference_diagnostic(*problems[0])
+        raise ApimodError(f"cannot export {model.name!r}: {d.message}", code=d.code)
+    cluster = cluster_by_actor and layer_bands is None
+    indent = "    " if cluster else "  "
+
+    # Per model kind: each actor's member node lines (`members`), the node
+    # lines that follow the bands (`loose`), each actor's shape, the edges.
+    edges: list[str] = []
     if isinstance(model, GoalModel):
-        return _goal_dot(model, cluster_by_actor, layer_bands)
-    if isinstance(model, ValueModel):
-        return _value_dot(model, cluster_by_actor, layer_bands)
-    raise TypeError(f"cannot export {type(model).__name__}")
-
-
-def _band_preamble(model, focus: str, out: list[str]) -> None:
-    by_layer: dict[Layer, list[str]] = {layer: [] for layer in LAYER_ORDER}
-    unassigned: list[str] = []
-    for actor in model.actors:
-        layer = actor.layer_assignments.get(focus)
-        if layer is None:
-            unassigned.append(actor.id)
-        else:
-            by_layer[layer].append(actor.id)
-    for layer in _BAND_ORDER:
-        out.append(f'  subgraph "band_{layer.value}" {{')
-        out.append("    rank=same;")
-        out.append(f'    "band:{layer.value}" [shape=plaintext, '
-                   f'label={_q(layer.value)}];')
-        for actor_id in by_layer[layer]:
-            out.append(f"    {_actor_node(actor_id)} "
-                       f"[label={_q(actor_id)}, shape=circle];")
-        out.append("  }")
-    chain = " -> ".join(f'"band:{layer.value}"' for layer in _BAND_ORDER)
-    out.append(f"  {chain} [style=invis];")
-    for actor_id in unassigned:
-        out.append(f"  {_actor_node(actor_id)} "
-                   f"[label={_q(actor_id)}, shape=circle];")
-
-
-def _goal_dot(model: GoalModel, cluster: bool, bands: str | None) -> str:
-    out = [f"digraph {_q(model.name)} {{"]
-    if bands is not None:
-        _band_preamble(model, bands, out)
+        members = [[f"{indent}{_q(el.id)} [label={_q(el.name)}, "
+                    f"shape={_ELEMENT_SHAPES[el.kind]}];" for el in actor.elements]
+                   for actor in model.actors]
+        loose = [line for lines in members for line in lines]
+        shapes = ["circle"] * len(model.actors)
         for actor in model.actors:
             for el in actor.elements:
-                out.append(f"  {_q(el.id)} [label={_q(el.name)}, "
-                           f"shape={_ELEMENT_SHAPES[el.kind]}];")
+                if el.refinement is not None:
+                    kind = _q(el.refinement.kind.value)
+                    for child in el.refinement.children:
+                        edges.append(f"  {_q(child)} -> {_q(el.id)} [label={kind}];")
+                for c in el.contributions:
+                    edges.append(f"  {_q(el.id)} -> {_q(c.target)} "
+                                 f"[label={_q(c.strength.value)}, style=dashed];")
+        edges += [f"  {_actor_node(link.source)} -> {_actor_node(link.target)} "
+                  f'[label="part of"];' for link in model.associations]
+        for dep in model.dependencies:
+            src, dst = (_q(end.element) if end.element is not None else _actor_node(end.actor)
+                        for end in (dep.depender, dep.dependee))
+            label = f"{dep.dependum.kind.value} {dep.dependum.name}"
+            if dep.dependum.initial_label is not None:
+                label += f" [{dep.dependum.initial_label.value}]"
+            edges.append(f"  {src} -> {dst} [label={_q(label)}, style=bold];")
     else:
-        for actor in model.actors:
-            if cluster:
-                out.append(f"  subgraph {_q('cluster_' + actor.id)} {{")
-                out.append(f"    label={_q(actor.name)};")
-                indent = "    "
-            else:
-                indent = "  "
-            out.append(f"{indent}{_actor_node(actor.id)} "
-                       f"[label={_q(actor.name)}, shape=circle];")
-            for el in actor.elements:
-                out.append(f"{indent}{_q(el.id)} [label={_q(el.name)}, "
-                           f"shape={_ELEMENT_SHAPES[el.kind]}];")
-            if cluster:
-                out.append("  }")
-    for actor in model.actors:
-        for el in actor.elements:
-            if el.refinement is not None:
-                for child in el.refinement.children:
-                    out.append(f"  {_q(child)} -> {_q(el.id)} "
-                               f"[label={_q(el.refinement.kind.value)}];")
-            for c in el.contributions:
-                out.append(f"  {_q(el.id)} -> {_q(c.target)} "
-                           f"[label={_q(c.strength.value)}, style=dashed];")
-    for link in model.associations:
-        out.append(f"  {_actor_node(link.source)} -> {_actor_node(link.target)} "
-                   f'[label="part of"];')
-    for dep in model.dependencies:
-        def anchor(end) -> str:
-            return _q(end.element) if end.element is not None \
-                else _actor_node(end.actor)
-        label = f"{dep.dependum.kind.value} {dep.dependum.name}"
-        if dep.dependum.initial_label is not None:
-            label += f" [{dep.dependum.initial_label.value}]"
-        out.append(f"  {anchor(dep.depender)} -> {anchor(dep.dependee)} "
-                   f"[label={_q(label)}, style=bold];")
-    out.append("}")
-    return "\n".join(out) + "\n"
+        activities = [[f"{indent}{_q(act.id)} [label={_q(act.name)}, shape=hexagon];"
+                       for act in actor.activities] for actor in model.actors]
+        stimuli = [(stim.at, f"{indent}{_q(stim.id)} [label={_q(stim.name)}, "
+                             f"shape=circle, color=red];") for stim in model.stimuli]
+        members = [lines + [line for at, line in stimuli if at == actor.id]
+                   for actor, lines in zip(model.actors, activities)]
+        loose = [line for lines in activities for line in lines]
+        loose += [line for _, line in stimuli]
+        shapes = ["doublecircle" if actor.api_role else "circle" for actor in model.actors]
+        activity_ids = {act.id for a in model.actors for act in a.activities}
+        styles = {"normal": "solid", "problematic": "dashed", "missing": "dotted"}
+        for flow in model.flows:
+            src, dst = (_q(ref) if ref in activity_ids else _actor_node(ref)
+                        for ref in (flow.source, flow.target))
+            label = f"{flow.obj.name} : {flow.obj.kind.value}"
+            edges.append(f"  {src} -> {dst} [label={_q(label)}, "
+                         f"style={styles[flow.status.value]}];")
 
-
-def _value_dot(model: ValueModel, cluster: bool, bands: str | None) -> str:
+    # One layout: the four rank bands and then `loose`, or the actors each
+    # as a cluster or flat; then the edges.
     out = [f"digraph {_q(model.name)} {{"]
-    if bands is not None:
-        _band_preamble(model, bands, out)
+    if layer_bands is not None:
+        # actors without a layer for the focus (key None) follow the bands
+        bands: dict[Layer | None, list[str]] = {key: [] for key in (*_BAND_ORDER, None)}
         for actor in model.actors:
-            for act in actor.activities:
-                out.append(f"  {_q(act.id)} [label={_q(act.name)}, shape=hexagon];")
-        for stim in model.stimuli:
-            out.append(f"  {_q(stim.id)} [label={_q(stim.name)}, "
-                       f"shape=circle, color=red];")
+            layer = actor.layer_assignments.get(layer_bands)
+            bands[layer].append(f"{'  ' if layer is None else '    '}{_actor_node(actor.id)} "
+                                f"[label={_q(actor.id)}, shape=circle];")
+        for layer in _BAND_ORDER:
+            out += [f'  subgraph "band_{layer.value}" {{', "    rank=same;",
+                    f'    "band:{layer.value}" [shape=plaintext, label={_q(layer.value)}];',
+                    *bands[layer], "  }"]
+        chain = " -> ".join(f'"band:{layer.value}"' for layer in _BAND_ORDER)
+        out.append(f"  {chain} [style=invis];")
+        out += bands[None] + loose
     else:
-        for actor in model.actors:
+        for actor, lines, shape in zip(model.actors, members, shapes):
             if cluster:
-                out.append(f"  subgraph {_q('cluster_' + actor.id)} {{")
-                out.append(f"    label={_q(actor.name)};")
-                indent = "    "
-            else:
-                indent = "  "
-            shape = "doublecircle" if actor.api_role else "circle"
+                out += [f"  subgraph {_q('cluster_' + actor.id)} {{",
+                        f"    label={_q(actor.name)};"]
             out.append(f"{indent}{_actor_node(actor.id)} "
                        f"[label={_q(actor.name)}, shape={shape}];")
-            for act in actor.activities:
-                out.append(f"{indent}{_q(act.id)} [label={_q(act.name)}, "
-                           f"shape=hexagon];")
-            for stim in model.stimuli:
-                if stim.at == actor.id:
-                    out.append(f"{indent}{_q(stim.id)} [label={_q(stim.name)}, "
-                               f"shape=circle, color=red];")
+            out += lines
             if cluster:
                 out.append("  }")
-
-    activity_ids = {act.id for a in model.actors for act in a.activities}
-
-    def anchor(ref: str) -> str:
-        return _q(ref) if ref in activity_ids else _actor_node(ref)
-
-    styles = {"normal": "solid", "problematic": "dashed", "missing": "dotted"}
-    for flow in model.flows:
-        label = f"{flow.obj.name} : {flow.obj.kind.value}"
-        style = styles[flow.status.value]
-        out.append(f"  {anchor(flow.source)} -> {anchor(flow.target)} "
-                   f"[label={_q(label)}, style={style}];")
+    out += edges
     out.append("}")
     return "\n".join(out) + "\n"
 

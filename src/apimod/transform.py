@@ -7,7 +7,8 @@ provider. Problematic or missing flows yield dependums that start out denied.
 
 The output is a draft: it is structurally valid but deliberately shallow,
 and one reminder diagnostic per actor asks for the goals and qualities only
-a human can supply.
+a human can supply. The goal-model grammar numbers dependencies `d1`, `d2`,
+..., so an activity or stimulus named like one of them is refused (E-DUP).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .core import (
     Dependum, Diagnostic, ElementKind, GActor, GElement, GoalModel, Label,
     Severity, ValueModel, sort_diagnostics,
 )
-from .validate import validate_value_model
+from .validate import duplicate_ids, validate_value_model
 
 
 def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnostic]]:
@@ -69,4 +70,8 @@ def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnost
             span=flow.span,
         ))
 
+    repeated = duplicate_ids(goal)
+    if repeated:
+        raise ApimodError(f"activity or stimulus {repeated[0].id!r} repeats the id of a "
+                          "dependency, which the draft numbers d1, d2, ...", code="E-DUP")
     return goal, sort_diagnostics(diagnostics)

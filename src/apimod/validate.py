@@ -138,14 +138,18 @@ _DANGLING = {
 }
 
 
+def reference_diagnostic(kind: str, ref, owner) -> Diagnostic:
+    """One `reference_problems` entry as an E-DANGLE error (E-CYCLE for a
+    partnership cycle) at its owner."""
+    return Diagnostic(Severity.ERROR, "E-CYCLE" if kind == "cycle" else "E-DANGLE",
+                      _DANGLING[kind].format(o=owner, r=ref), owner.span)
+
+
 def _id_diagnostics(model) -> list[Diagnostic]:
-    """One E-DUP per repeated id, then one E-DANGLE (E-CYCLE for a
-    partnership cycle) per reference problem, at its owner."""
+    """One E-DUP per repeated id, then one diagnostic per reference problem."""
     diags = [Diagnostic(Severity.ERROR, "E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
              for obj in duplicate_ids(model)]
-    return diags + [Diagnostic(Severity.ERROR, "E-CYCLE" if kind == "cycle" else "E-DANGLE",
-                               _DANGLING[kind].format(o=owner, r=ref), owner.span)
-                    for kind, ref, owner in reference_problems(model)]
+    return diags + [reference_diagnostic(*problem) for problem in reference_problems(model)]
 
 
 def validate_value_model(model: ValueModel,

@@ -121,6 +121,17 @@ def test_transform_writes_output_file(capsys, tmp_path):
     assert text.startswith('goalmodel "Device API Ecosystem" draft {')
 
 
+def test_transform_refusing_a_dependency_id_clash_exits_two(capsys, tmp_path):
+    model = tmp_path / "m.vm"
+    model.write_text("valuemodel M { actor A { api activity d1 } actor B "
+                     "flow X from B to A.d1 flow Y from A to B stimulus S in B }\n",
+                     encoding="utf-8")
+    code, out, err = run(capsys, "transform", str(model))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'d1'" in err
+
+
 def test_transform_to_stdout_keeps_model_clean(capsys):
     code, out, err = run(capsys, "transform", str(CORPUS / "device_api.vm"))
     assert code == 0
@@ -341,6 +352,18 @@ def test_export_layered_to_stdout(capsys):
     assert code == 0
     info = parse_dot(out)
     assert '"band_asset"' in info.subgraphs
+
+
+def test_export_of_a_dependency_on_a_closed_actor_element_exits_two(capsys, tmp_path):
+    # the parser accepts the end; exporting it would make DOT invent node X
+    model = tmp_path / "m.gm"
+    model.write_text("goalmodel M { actor A { goal G } actor B "
+                     "depend A.G -> B.X : resource R }\n", encoding="utf-8")
+    code, out, err = run(capsys, "export", str(model))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: cannot export 'M': dependency 'd1' references element "
+                   "'X' of closed actor 'B'\n")
 
 
 def test_outputs_are_byte_identical_across_runs(capsys):

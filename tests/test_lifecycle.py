@@ -1,5 +1,6 @@
 """Stage characteristics, value-curve mismatches, transition checklists."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from apimod.core import ApimodError, Severity
 from apimod.lifecycle import (
-    ApiDescriptor, Change, Characteristics, Compatibility, Governance,
+    CHARACTERISTICS, ApiDescriptor, Change, Characteristics, Compatibility, Governance,
     LifecycleStage, MismatchThresholds, Stability, Support,
     ValueCurveSample, characteristics_matrix_text, curve_step_problems,
     detect_value_mismatches, expected_characteristics, lint_characteristics,
@@ -46,6 +47,13 @@ def test_matrix_is_total_and_matches_reviewed_snapshot():
         assert all(value is not None for _, value in row.items())
     snapshot = (DATA / "lifecycle_matrix.txt").read_text(encoding="utf-8")
     assert characteristics_matrix_text() == snapshot
+
+
+def test_characteristics_table_names_every_field_with_its_enum():
+    fields = dataclasses.fields(Characteristics)
+    assert [f.name for f in fields] == list(CHARACTERISTICS)
+    for name, values in CHARACTERISTICS.items():
+        assert isinstance(getattr(expected_characteristics(P), name), values)
 
 
 def test_expected_rows_are_fresh_copies():

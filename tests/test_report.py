@@ -5,7 +5,10 @@ import json
 import jsonschema
 import pytest
 
-from apimod.core import Diagnostic, Severity, SourceSpan
+from apimod.core import (
+    ApimodError, AssociationKind, AssociationLink, Diagnostic, Severity,
+    SourceSpan, Stimulus, ValueFlow,
+)
 from apimod.dsl import parse_goal_model, parse_value_model
 from apimod.report import (
     diagnostics_payload, exit_code_for, export_dot, make_report, report_json,
@@ -114,6 +117,140 @@ def test_dot_quoting_of_hostile_names():
 def test_export_is_deterministic():
     model = gm(TWO_ACTOR)
     assert export_dot(model) == export_dot(model)
+
+
+# P is the API actor, X has no layer for focus F, and the stimuli are
+# declared out of actor order.
+MODES_VM = """
+valuemodel V {
+  actor P { activity p1 api layer(F) = api }
+  actor U { activity u1 activity u2 layer(F) = usage }
+  actor X { activity x1 }
+  flow o1 from u1 to p1 : resource
+  flow o2 from P to X : task status missing
+  stimulus s2 in U
+  stimulus s1 in P
+}
+"""
+
+VM_FLAT_DOT = """\
+digraph "V" {
+  "actor:P" [label="P", shape=doublecircle];
+  "p1" [label="p1", shape=hexagon];
+  "s1" [label="s1", shape=circle, color=red];
+  "actor:U" [label="U", shape=circle];
+  "u1" [label="u1", shape=hexagon];
+  "u2" [label="u2", shape=hexagon];
+  "s2" [label="s2", shape=circle, color=red];
+  "actor:X" [label="X", shape=circle];
+  "x1" [label="x1", shape=hexagon];
+  "u1" -> "p1" [label="o1 : resource", style=solid];
+  "actor:P" -> "actor:X" [label="o2 : task", style=dotted];
+}
+"""
+
+BANDS_HEAD = """\
+  subgraph "band_asset" {
+    rank=same;
+    "band:asset" [shape=plaintext, label="asset"];
+%s  }
+  subgraph "band_api" {
+    rank=same;
+    "band:api" [shape=plaintext, label="api"];
+%s  }
+  subgraph "band_usage" {
+    rank=same;
+    "band:usage" [shape=plaintext, label="usage"];
+%s  }
+  subgraph "band_domain" {
+    rank=same;
+    "band:domain" [shape=plaintext, label="domain"];
+%s  }
+  "band:asset" -> "band:api" -> "band:usage" -> "band:domain" [style=invis];
+"""
+
+VM_BANDS_DOT = 'digraph "V" {\n' + BANDS_HEAD % (
+    "", '    "actor:P" [label="P", shape=circle];\n',
+    '    "actor:U" [label="U", shape=circle];\n', "") + """\
+  "actor:X" [label="X", shape=circle];
+  "p1" [label="p1", shape=hexagon];
+  "u1" [label="u1", shape=hexagon];
+  "u2" [label="u2", shape=hexagon];
+  "x1" [label="x1", shape=hexagon];
+  "s2" [label="s2", shape=circle, color=red];
+  "s1" [label="s1", shape=circle, color=red];
+  "u1" -> "p1" [label="o1 : resource", style=solid];
+  "actor:P" -> "actor:X" [label="o2 : task", style=dotted];
+}
+"""
+
+GM_BANDS_DOT = 'digraph "G" {\n' + BANDS_HEAD % (
+    '    "actor:B" [label="B", shape=circle];\n', "", "",
+    '    "actor:A" [label="A", shape=circle];\n') + """\
+  "actor:C" [label="C", shape=circle];
+  "g" [label="g", shape=ellipse];
+  "t" [label="t", shape=hexagon];
+  "q" [label="q", shape=egg];
+  "r" [label="r", shape=box];
+  "t" -> "g" [label="and"];
+  "t" -> "q" [label="helps", style=dashed];
+  "actor:C" -> "actor:A" [label="part of"];
+  "t" -> "r" [label="resource R [denied]", style=bold];
+}
+"""
+
+
+def test_value_model_flat_export_text():
+    assert export_dot(vm(MODES_VM), cluster_by_actor=False) == VM_FLAT_DOT
+
+
+@pytest.mark.parametrize("cluster", [True, False])
+def test_value_model_band_export_text(cluster):
+    # bands override clusters, and every actor in a band is a plain circle
+    dot = export_dot(vm(MODES_VM), cluster_by_actor=cluster, layer_bands="F")
+    assert dot == VM_BANDS_DOT
+
+
+def test_goal_model_flat_band_export_text():
+    model = gm("""
+        goalmodel G {
+          actor A { goal g task t quality q g and t t helps q layer(F) = domain }
+          actor B { resource r layer(F) = asset }
+          actor C
+          partof C -> A
+          depend A.t -> B.r : resource R = denied
+        }""")
+    assert export_dot(model, cluster_by_actor=False, layer_bands="F") == GM_BANDS_DOT
+
+
+def _ghost_part_of(model):
+    model.associations.append(AssociationLink(AssociationKind.PART_OF, "A", "Ghost"))
+
+
+def _flow_to_nowhere(model):
+    model.flows.append(ValueFlow("f9", "p1", "Nowhere"))
+
+
+def _stimulus_at_ghost(model):
+    model.stimuli.append(Stimulus("s9", "s9", at="Ghost"))
+
+
+@pytest.mark.parametrize("model, spoil, message", [
+    (lambda: gm(TWO_ACTOR), _ghost_part_of,
+     "part-of link 'A' -> 'Ghost' names unknown actor 'Ghost'"),
+    (lambda: vm(MODES_VM), _flow_to_nowhere,
+     "flow 'f9' references unknown endpoint 'Nowhere'"),
+    (lambda: vm(MODES_VM), _stimulus_at_ghost,
+     "stimulus 's9' is placed at unknown actor 'Ghost'"),
+], ids=["part-of", "flow", "stimulus"])
+def test_export_refuses_an_unresolved_reference(model, spoil, message):
+    model = model()
+    spoil(model)
+    for kwargs in ({}, {"cluster_by_actor": False}, {"layer_bands": "F"}):
+        with pytest.raises(ApimodError) as exc:
+            export_dot(model, **kwargs)
+        assert exc.value.code == "E-DANGLE"
+        assert str(exc.value) == f"cannot export {model.name!r}: {message}"
 
 
 def test_corpus_exports_all_parse_under_dot_grammar():

@@ -145,6 +145,27 @@ def test_precondition_rejects_dangling_parent_actor():
         transform_value_to_goal(dataclasses.replace(model, actors=[actor, *model.actors[1:]]))
 
 
+DEPENDENCY_ID_CLASH = """
+valuemodel M {
+  actor A { api activity d1 }
+  actor B
+  flow X from B to A.d1
+  flow Y from A to B
+  stimulus S in B
+}
+"""
+
+
+def test_activity_named_like_a_dependency_id_is_refused():
+    with pytest.raises(ApimodError) as exc:
+        transform_value_to_goal(vm(DEPENDENCY_ID_CLASH))
+    assert exc.value.code == "E-DUP"
+    assert "'d1'" in str(exc.value)
+    # renamed, the same model transforms to a draft that validates
+    goal, _ = transform_value_to_goal(vm(DEPENDENCY_ID_CLASH.replace("d1", "e1")))
+    assert not [d for d in validate_goal_model(goal) if d.severity is Severity.ERROR]
+
+
 def test_annotations_carry_over():
     goal, _ = transform_value_to_goal(
         vm((CORPUS / "device_api.vm").read_text(encoding="utf-8")))
