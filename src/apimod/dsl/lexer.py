@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from ..core import SourceSpan
+from ..core import ApimodError, SourceSpan
 
 
 class TokKind(Enum):
@@ -130,6 +130,9 @@ def is_bare_name(s: str) -> bool:
 
 
 def quote_name(s: str) -> str:
+    """`s` as the text formats write a name; a line break cannot be written."""
     if is_bare_name(s):
         return s
+    if "\n" in s:
+        raise ApimodError(f"name {s!r} contains a line break and cannot be printed")
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'

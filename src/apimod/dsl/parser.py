@@ -34,7 +34,7 @@ from ..lifecycle import (
     CHARACTERISTICS, ApiDescriptor, LifecycleStage, ValueCurveSample,
     curve_step_problems,
 )
-from ..validate import duplicate_ids, reference_problems
+from ..validate import duplicate_ids, link_problems, reference_problems, self_links
 from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
 
 
@@ -382,9 +382,9 @@ class _ValueModelParser(_Parser):
                 else:
                     self.error("E-REF", f"unknown endpoint {getattr(flow, attr)!r}",
                                _ref_span(owner, element))
-            if flow.source == flow.target:
-                self.error("E-SELF", "value flow must connect two distinct endpoints",
-                           _ref_span(*src))
+        for code, message, flow in self_links(model):
+            src = next(ref for raw, ref, _ in self.raw_flows if raw is flow)
+            self.error(code, message, _ref_span(*src))
         for kind, ref, owner in reference_problems(model):
             if kind == "parent":
                 self.error("E-REF", f"unknown parent actor {ref!r}",
@@ -513,48 +513,40 @@ class _GoalModelParser(_Parser):
             elif kind != "closed":
                 unresolved.setdefault(id(owner), []).append(ref)
 
-        # Every id looked up below resolves. A statement is placed on its
-        # source element only if no rule rejects it.
+        # A statement is placed on its source element only if no rule
+        # rejects it. An unknown source hides the rest of the statement, and
+        # a refined quality hides its children.
         for actor, source, link, at in self.pending:
             missing = unresolved.get(id(at), ()) if unresolved else ()
             local = local_maps[id(actor)]
             el = None if source in missing else local[source]
-            if el is None:  # nothing else of the statement was checked
+            if el is None:
                 self.error("E-REF", f"unknown element {source!r} in actor {actor.id!r}",
                            at.span)
-            elif isinstance(link, Contribution):
-                kind = None if missing else elements[link.target].kind
-                if kind is None:
-                    self.error("E-REF", f"unknown contribution target {link.target!r}",
-                               at.span)
-                elif kind is not ElementKind.QUALITY:
-                    self.error("E-CONTRIB", f"contribution target {link.target!r} is a "
-                               f"{kind.value}; contributions target qualities only", at.span)
-                else:
-                    el.contributions.append(link)
-            elif el.kind is ElementKind.QUALITY:
-                self.error("E-REFINE", f"quality {source!r} cannot be refined; use "
-                           "contribution links", at.span)
-            elif el.refinement is not None:
+                continue
+            contribution = type(link) is Contribution
+            if not contribution and el.refinement is not None:  # never on a quality
                 self.error("E-REFINE", f"element {source!r} already has a refinement",
                            at.span)
+                continue
+            problems = link_problems(el, link, local, elements)
+            if missing and contribution:
+                problems += [("E-REF", f"unknown contribution target {ref!r}")
+                             for ref in missing]
+            elif missing and el.kind is not ElementKind.QUALITY:
+                problems += [("E-REF", f"unknown element {ref!r} in actor {actor.id!r}")
+                             for ref in missing]
+            for code, message in problems:
+                self.error(code, message, at.span)
+            if problems:
+                continue
+            if contribution:
+                el.contributions.append(link)
             else:
-                ok = not missing
-                for child in link.children:
-                    if child in missing:
-                        self.error("E-REF", f"unknown element {child!r} in actor "
-                                   f"{actor.id!r}", at.span)
-                    elif local[child].kind is ElementKind.QUALITY:
-                        self.error("E-REFINE", f"quality {child!r} cannot be a refinement "
-                                   "child", at.span)
-                        ok = False
-                if ok:
-                    el.refinement = link
+                el.refinement = link
 
-        for dep in model.dependencies:
-            if dep.depender.actor == dep.dependee.actor \
-                    and dep.depender.element == dep.dependee.element:
-                self.error("E-SELF", "dependency must connect two distinct ends", dep.span)
+        for code, message, dep in self_links(model):
+            self.error(code, message, dep.span)
 
 
 # ---------------------------------------------------------------------------

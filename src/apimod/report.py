@@ -14,7 +14,7 @@ from .core import (
     ApimodError, Diagnostic, ElementKind, GoalModel, Layer, Severity, ValueModel,
     load_package_data,
 )
-from .validate import reference_diagnostic, reference_problems
+from .validate import duplicate_ids, reference_diagnostic, reference_problems
 
 _ELEMENT_SHAPES = {
     ElementKind.GOAL: "ellipse",
@@ -45,11 +45,16 @@ def export_dot(model, cluster_by_actor: bool = True,
     `cluster_by_actor=False` its nodes are listed flat. With `layer_bands`,
     actors are instead grouped into four ranks for the given API of focus,
     each a plain circle, and the other nodes follow them. A model with a
-    reference that does not resolve raises ApimodError naming the first one
-    (E-DANGLE; E-CYCLE for a partnership cycle).
+    repeated id (E-DUP) or a reference that does not resolve raises
+    ApimodError naming the first one (E-DANGLE; E-CYCLE for a partnership
+    cycle).
     """
     if not isinstance(model, (GoalModel, ValueModel)):
         raise TypeError(f"cannot export {type(model).__name__}")
+    repeated = duplicate_ids(model)
+    if repeated:
+        raise ApimodError(f"cannot export {model.name!r}: duplicate identifier "
+                          f"{repeated[0].id!r}", code="E-DUP")
     problems = reference_problems(model)
     if problems:
         d = reference_diagnostic(*problems[0])

@@ -6,18 +6,21 @@ goal models it follows iStar 2.0: refinement children stay inside their
 parent's actor, and dependencies name elements only of open actors. The
 parser reports its problems as E-REF at the tokens, validation as E-DANGLE at
 the model objects (E-CYCLE for a partnership cycle); both report a repeated
-id as E-DUP at the declaration that repeats it. Value models are also
-checked for reciprocity, scoping, a captured API and a stimulus; goal models
-for refinement cycles, floating elements, refined qualities and mistyped
-contributions. Layer and BAPO coverage checks work on both model types.
+id as E-DUP at the declaration that repeats it. `link_problems` (link typing)
+and `self_links` decide E-REFINE, E-CONTRIB and E-SELF for both. Value models
+are also checked for reciprocity, scoping, a captured API and a stimulus;
+goal models for refinement cycles and floating elements. Layer and BAPO
+coverage checks work on both model types.
 """
 
 from __future__ import annotations
 
 from .core import (
-    BAPO_ORDER, Diagnostic, ElementKind, GoalModel, LAYER_ORDER, Refinement,
-    Severity, ValueModel, sort_diagnostics,
+    BAPO_ORDER, Contribution, Diagnostic, ElementKind, GoalModel, LAYER_ORDER,
+    Refinement, Severity, ValueModel, sort_diagnostics,
 )
+
+_QUALITY = ElementKind.QUALITY  # an enum member costs a lookup per access
 
 
 def _repeated(declared, seen: set) -> list:
@@ -145,11 +148,44 @@ def reference_diagnostic(kind: str, ref, owner) -> Diagnostic:
                       _DANGLING[kind].format(o=owner, r=ref), owner.span)
 
 
-def _id_diagnostics(model) -> list[Diagnostic]:
-    """One E-DUP per repeated id, then one diagnostic per reference problem."""
+def link_problems(source, link: Refinement | Contribution, local: dict,
+                  elements: dict) -> list[tuple[str, str]]:
+    """(code, message) for each iStar 2.0 typing rule that `link` on element
+    `source` breaks: E-REFINE for a refined quality (then alone) and for a
+    quality child, E-CONTRIB for a contribution to a non-quality. `local` and
+    `elements` map the ids of the source's actor and of the model to
+    elements; ids that do not resolve are left to `reference_problems`."""
+    if type(link) is not Refinement:
+        target = elements.get(link.target)
+        if target is None or target.kind is _QUALITY:
+            return []
+        return [("E-CONTRIB", f"contribution target {link.target!r} is a "
+                 f"{target.kind.value}; contributions target qualities only")]
+    if source.kind is _QUALITY:
+        return [("E-REFINE", f"quality {source.id!r} cannot be refined; use contribution "
+                 "links")]
+    return [("E-REFINE", f"quality {child!r} cannot be a refinement child")
+            for child in link.children
+            if (el := local.get(child)) is not None and el.kind is _QUALITY]
+
+
+def self_links(model: ValueModel | GoalModel) -> list[tuple[str, str, object]]:
+    """(code, message, link) for each value flow or dependency of `model`
+    whose two ends are equal."""
+    if isinstance(model, ValueModel):
+        return [("E-SELF", "value flow must connect two distinct endpoints", flow)
+                for flow in model.flows if flow.source == flow.target]
+    return [("E-SELF", "dependency must connect two distinct ends", dep)
+            for dep in model.dependencies if dep.depender == dep.dependee]
+
+
+def _shared_diagnostics(model) -> list[Diagnostic]:
+    """Repeated ids, reference problems and self-links, each at its owner."""
     diags = [Diagnostic(Severity.ERROR, "E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
              for obj in duplicate_ids(model)]
-    return diags + [reference_diagnostic(*problem) for problem in reference_problems(model)]
+    diags += [reference_diagnostic(*problem) for problem in reference_problems(model)]
+    return diags + [Diagnostic(Severity.ERROR, code, message, link.span)
+                    for code, message, link in self_links(model)]
 
 
 def validate_value_model(model: ValueModel,
@@ -158,7 +194,7 @@ def validate_value_model(model: ValueModel,
     completeness checks (§-style construction hygiene). With
     `strict_reciprocity`, every actor pair with a flow must also have a
     backflow."""
-    diags = _id_diagnostics(model)
+    diags = _shared_diagnostics(model)
     owner = {a.id: a.id for a in model.actors}
     for actor in model.actors:
         for act in actor.activities:
@@ -269,9 +305,8 @@ def _refinement_cycles(model: GoalModel) -> list[list[str]]:
 
 def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
     """Construction-rule checks: repeated ids, reference problems,
-    refinement cycles, floating elements, refined qualities and contribution
-    typing."""
-    diags = _id_diagnostics(model)
+    self-dependencies, refinement cycles, floating elements and link typing."""
+    diags = _shared_diagnostics(model)
     elements = model.element_map()
 
     for cycle in _refinement_cycles(model):
@@ -282,25 +317,15 @@ def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
     attached = {end.element for dep in model.dependencies
                 for end in (dep.depender, dep.dependee) if end.element is not None}
     for actor in model.actors:
+        local = {el.id: el for el in actor.elements}
         for el in actor.elements:
-            if el.refinement is not None:
+            for link in (el.refinement, *el.contributions):
+                if link is None:
+                    continue
                 attached.add(el.id)
-                attached.update(el.refinement.children)
-            for c in el.contributions:
-                attached.add(el.id)
-                attached.add(c.target)
-                target = elements.get(c.target)  # None: a reference problem
-                if target is not None and target.kind is not ElementKind.QUALITY:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E-CONTRIB",
-                        f"contribution from {el.id!r} targets "
-                        f"{target.kind.value} {c.target!r}; only qualities "
-                        "may be targeted", el.span))
-            if el.kind is ElementKind.QUALITY and el.refinement is not None:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E-REFINE",
-                    f"quality {el.id!r} must not be refined; use contribution "
-                    "links", el.span))
+                attached.update(link.children if type(link) is Refinement else (link.target,))
+                for code, message in link_problems(el, link, local, elements):
+                    diags.append(Diagnostic(Severity.ERROR, code, message, el.span))
 
     for actor in model.actors:
         for el in actor.elements:

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from apimod.core import (
-    Activity, ElementKind, FlowStatus, Label, RefinementKind, Severity, VActor,
+    Activity, ApimodError, ElementKind, FlowStatus, Label, RefinementKind, Severity, VActor,
     ValueFlow, ValueModel, ValueObject,
 )
 from apimod.dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
-    parse_scenario, parse_value_model, print_model,
+    parse_scenario, parse_value_model, print_model, quote_name,
 )
 from apimod.govern import AutomationLevel, Dimension
 from apimod.lifecycle import LifecycleStage, Stability
@@ -508,6 +508,23 @@ def test_printing_is_deterministic():
     rng = random.Random(7)
     model = gen_goal_model(rng)
     assert print_model(model) == print_model(model)
+
+
+def test_quote_name_refuses_a_line_break():
+    assert quote_name("a\tb") == '"a\tb"'
+    with pytest.raises(ApimodError, match="line break"):
+        quote_name("a\nb")
+
+
+@pytest.mark.parametrize("path", [CORPUS / name for name in (
+    "device_api.gm", "device_api.vm", "device_settings.api", "sample_catalog.metrics",
+    "device_ok.scn")], ids=lambda p: p.name)
+def test_every_printer_refuses_a_name_with_a_line_break(path):
+    # Such a name would print as a string the lexer cannot read back.
+    model = PARSERS[path.suffix](path.read_text(encoding="utf-8")).model
+    (model[0] if isinstance(model, list) else model).name = "a\nb"
+    with pytest.raises(ApimodError, match="line break"):
+        print_model(model)
 
 
 # ---------------------------------------------------------------------------

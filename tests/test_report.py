@@ -6,8 +6,8 @@ import jsonschema
 import pytest
 
 from apimod.core import (
-    ApimodError, AssociationKind, AssociationLink, Diagnostic, Severity,
-    SourceSpan, Stimulus, ValueFlow,
+    ApimodError, AssociationKind, AssociationLink, Diagnostic, GActor, Severity,
+    SourceSpan, Stimulus, VActor, ValueFlow,
 )
 from apimod.dsl import parse_goal_model, parse_value_model
 from apimod.report import (
@@ -251,6 +251,22 @@ def test_export_refuses_an_unresolved_reference(model, spoil, message):
             export_dot(model, **kwargs)
         assert exc.value.code == "E-DANGLE"
         assert str(exc.value) == f"cannot export {model.name!r}: {message}"
+
+
+@pytest.mark.parametrize("model, repeat", [
+    (lambda: vm(MODES_VM), lambda model: model.actors.append(VActor("P", "P"))),
+    (lambda: gm(TWO_ACTOR), lambda model: model.actors.append(GActor("G", "G"))),
+], ids=["value", "goal"])
+def test_export_refuses_a_repeated_id(model, repeat):
+    # Drawn, the repeats would merge into one node under two clusters.
+    model = model()
+    repeat(model)
+    for kwargs in ({}, {"cluster_by_actor": False}, {"layer_bands": "F"}):
+        with pytest.raises(ApimodError) as exc:
+            export_dot(model, **kwargs)
+        assert exc.value.code == "E-DUP"
+        assert str(exc.value) == (f"cannot export {model.name!r}: duplicate identifier "
+                                  f"{model.actors[-1].id!r}")
 
 
 def test_corpus_exports_all_parse_under_dot_grammar():

@@ -380,6 +380,64 @@ def test_validation_flags_a_reference_exactly_when_the_printed_model_fails_to_li
     assert flagged == broken
 
 
+def _break_goal_link(model, rng):
+    """Break one link rule of a generated goal model in place; False if it
+    has nothing the chosen break applies to."""
+    elements = [el for a in model.actors for el in a.elements]
+    kind = rng.choice(["contribution", "child", "refined", "dependency"])
+    if kind == "contribution":
+        sources = [el for el in elements if el.contributions]
+        targets = [el.id for el in elements if el.kind is not ElementKind.QUALITY]
+        if not sources or not targets:
+            return False
+        el = rng.choice(sources)
+        i = rng.randrange(len(el.contributions))
+        el.contributions[i] = Contribution(rng.choice(targets), el.contributions[i].strength)
+    elif kind in ("child", "refined"):
+        refined = [el for el in elements if el.refinement is not None]
+        if not refined:
+            return False
+        el = rng.choice(refined)
+        if kind == "child":
+            child = rng.choice(el.refinement.children)
+            el = next(c for c in elements if c.id == child)
+        el.kind = ElementKind.QUALITY
+    else:
+        if not model.dependencies:
+            return False
+        dep = rng.choice(model.dependencies)
+        dep.dependee = dep.depender
+    return True
+
+
+def _break_value_link(model, rng):
+    """Point a flow of a generated value model back at its source; False if
+    it has no flow."""
+    if not model.flows:
+        return False
+    flow = rng.choice(model.flows)
+    flow.target = flow.source
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), goal=st.booleans(), broken=st.booleans())
+def test_validation_flags_a_link_rule_exactly_when_the_printed_model_fails_to_parse(
+        seed, goal, broken):
+    rng = random.Random(seed)
+    if goal:
+        model, validate = gen_goal_model(rng, max_elements=10), validate_goal_model
+    else:
+        model, validate = gen_value_model(rng, max_elements=12), validate_value_model
+    if broken:
+        broken = (_break_goal_link if goal else _break_value_link)(model, rng)
+    link_codes = {"E-CONTRIB", "E-REFINE", "E-SELF"}
+    flagged = any(d.code in link_codes for d in validate(model))
+    reparsed = parse_model(print_model(model))
+    assert flagged == any(d.code in link_codes for d in reparsed.diagnostics)
+    assert flagged == broken
+
+
 def test_cycle_detection_matches_dfs_oracle_on_random_graphs():
     def has_cycle_dfs(n, edges):
         adjacency = {i: [] for i in range(n)}
