@@ -1,8 +1,10 @@
 """Shared domain types: the qualitative label lattice, evidence pairs,
 diagnostics, and the value-model / goal-model object structures.
 
-Everything here is a plain value object. Instances are treated as immutable
-after construction, so models can be shared freely between analyses.
+One rule holds for records across the package: a record is a `NamedTuple`
+unless code or tests change it (assign to it, fill its lists, `replace` it or
+read its `fields`), it keeps a field out of equality (`span`), or it validates
+in `__post_init__`; then it is a dataclass, as every model object is.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ class Evidence(IntEnum):
     FULL = 2
 
 
-@dataclass(frozen=True)
-class EvidencePair:
+class EvidencePair(NamedTuple):
     """Accumulated positive and negative satisfaction evidence.
 
     Pairs only ever gain evidence (`merge` takes the per-side maximum), which
@@ -154,8 +155,7 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Severity
     code: str
     message: str
@@ -244,14 +244,12 @@ class ContributionStrength(Enum):
     BREAKS = "breaks"
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     target: str  # quality element id
     strength: ContributionStrength
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(NamedTuple):
     kind: RefinementKind
     children: tuple[str, ...]  # element ids, same actor
 
@@ -281,14 +279,12 @@ class GActor:
         return bool(self.elements)
 
 
-@dataclass(frozen=True)
-class DependencyEnd:
+class DependencyEnd(NamedTuple):
     actor: str
     element: Optional[str] = None
 
 
-@dataclass
-class Dependum:
+class Dependum(NamedTuple):
     kind: ElementKind
     name: str
     initial_label: Optional[Label] = None
@@ -367,8 +363,7 @@ class FlowStatus(Enum):
     MISSING = "missing"
 
 
-@dataclass(frozen=True)
-class ValueObject:
+class ValueObject(NamedTuple):
     name: str
     kind: ElementKind = ElementKind.RESOURCE
 
@@ -378,7 +373,7 @@ class ValueFlow:
     id: str
     source: str  # actor or activity id
     target: str  # actor or activity id
-    obj: ValueObject = field(default_factory=lambda: ValueObject(""))
+    obj: ValueObject = ValueObject("")
     status: FlowStatus = FlowStatus.NORMAL
     group: Optional[str] = None
     span: Optional[SourceSpan] = field(default=None, compare=False)

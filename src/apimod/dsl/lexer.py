@@ -136,3 +136,13 @@ def quote_name(s: str) -> str:
     if "\n" in s:
         raise ApimodError(f"name {s!r} contains a line break and cannot be printed")
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def format_number(x: float) -> str:
+    """`x` as the text formats write a number: `:g` if that reads back exactly,
+    else `repr`; a sign, an exponent, nan and inf cannot be written."""
+    text = f"{x:g}" if float(f"{x:g}") == x else repr(x)
+    m = _MASTER.fullmatch(text)
+    if m is None or m.lastgroup != "NUMBER":
+        raise ApimodError(f"number {text} cannot be printed as a NUMBER token")
+    return text

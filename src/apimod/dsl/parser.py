@@ -18,8 +18,7 @@ the offending token range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from ..core import (
     Activity, AssociationKind, AssociationLink, BapoTag, ContributionStrength,
@@ -38,12 +37,11 @@ from ..validate import duplicate_ids, link_problems, reference_problems, self_li
 from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     """Outcome of a parse: `model` is None iff an Error was reported."""
 
     model: Optional[object]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
 
     @property
     def ok(self) -> bool:

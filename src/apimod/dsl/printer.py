@@ -7,11 +7,11 @@ required.
 
 from __future__ import annotations
 
-from ..core import BAPO_ORDER, GActor, GoalModel, VActor, ValueModel
+from ..core import BAPO_ORDER, ApimodError, GActor, GoalModel, Label, VActor, ValueModel
 from ..evaluate import Scenario
 from ..govern import MetricDef
 from ..lifecycle import ApiDescriptor
-from .lexer import quote_name as q
+from .lexer import format_number as num, quote_name as q
 
 
 def _actor_block(out: list[str], head: str, body: list[str],
@@ -88,7 +88,7 @@ def print_api_descriptor(d: ApiDescriptor) -> str:
         if value is not None:
             out.append(f"  observed {name} {value.value}")
     for sample in d.curve:
-        out.append(f"  curve {sample.t:g} {sample.stage.value} {sample.value:g}")
+        out.append(f"  curve {num(sample.t)} {sample.stage.value} {num(sample.value)}")
     for rationale in d.transition_rationales:
         out.append(f"  rationale {q(rationale)}")
     out.append("}")
@@ -123,6 +123,8 @@ def print_metric_catalog(metrics: list[MetricDef]) -> str:
 def print_scenario(s: Scenario) -> str:
     out = [f"scenario {q(s.name)} {{"]
     for target, label in s.assignments.items():
+        if label is Label.CONFLICT:
+            raise ApimodError(f"{s.name}: conflict label of {target!r} cannot be printed")
         out.append(f"  label {q(target)} = {label.value}")
     out.append("}")
     return "\n".join(out) + "\n"

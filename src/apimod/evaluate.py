@@ -34,6 +34,7 @@ is checked at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     ApimodError, ContributionStrength, Diagnostic, ElementKind, Evidence,
@@ -53,8 +54,7 @@ class Scenario:
     assignments: dict[str, Label] = field(default_factory=dict)
 
 
-@dataclass
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     labels: dict[str, Label]
     overridden: set[str]
     iterations: int
@@ -144,8 +144,7 @@ _CONTRIBUTED = {
 MAX_ROUNDS_PER_NODE = 4
 
 
-@dataclass
-class Rules:
+class Rules(NamedTuple):
     """A validated goal model compiled for evaluation, indexed like `nodes`."""
 
     model: GoalModel
@@ -268,14 +267,12 @@ def propagate(model: GoalModel, scenario: Scenario,
 # Scenario comparison
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     node: str
     labels: list[Label]  # one per scenario, in scenario order
 
 
-@dataclass
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     scenarios: list[str]
     rows: list[ComparisonRow]
     scores: dict[str, float]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Diagnostic, Severity, SourceSpan, load_package_data, sort_diagnostics,
@@ -196,8 +196,7 @@ DIMENSION_QUESTIONS = {
 }
 
 
-@dataclass
-class DimensionCoverage:
+class DimensionCoverage(NamedTuple):
     counts: dict[Dimension, int]
     metrics: dict[Dimension, list[str]]
     gaps: list[tuple[Dimension, str]]
@@ -216,8 +215,7 @@ def dimension_coverage_report(metrics: list[MetricDef]) -> DimensionCoverage:
     return DimensionCoverage(counts, names, gaps)
 
 
-@dataclass
-class AutomationReport:
+class AutomationReport(NamedTuple):
     groups: dict[AutomationLevel, list[str]]
     unclassified: list[str]
     note: Optional[str] = None

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     ApimodError, Diagnostic, Severity, load_package_data, sort_diagnostics,
@@ -86,8 +86,7 @@ class Characteristics:
         return [(name, getattr(self, name)) for name in CHARACTERISTICS]
 
 
-@dataclass(frozen=True)
-class ValueCurveSample:
+class ValueCurveSample(NamedTuple):
     t: float
     stage: LifecycleStage
     value: float
@@ -198,15 +197,16 @@ def lint_characteristics(d: ApiDescriptor) -> list[Diagnostic]:
 # Value-curve mismatches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MismatchThresholds:
+#: How many final planning samples must show a rise before operation (M2).
+PLAN_WINDOW = 2
+
+
+class MismatchThresholds(NamedTuple):
     """`high` marks "very high" value; `drop_fraction` the in-operation decline
-    considered excessive; `plan_window` how many final planning samples must
-    show a rise."""
+    considered excessive."""
 
     high: float = 0.7
     drop_fraction: float = 0.5
-    plan_window: int = 2
 
 
 def detect_value_mismatches(d: ApiDescriptor,
@@ -236,7 +236,7 @@ def detect_value_mismatches(d: ApiDescriptor,
             add("M1", f"value {s.value:g} at t={s.t:g} is already high (>= {cfg.high:g}) "
                       "during planning")
     if first_op is not None and len(plan) >= 2:
-        window = plan[-min(cfg.plan_window, len(plan)):]
+        window = plan[-min(PLAN_WINDOW, len(plan)):]
         if window[-1].value <= window[0].value:
             add("M2", f"value is not rising across the last {len(window)} planning "
                       f"samples ({window[0].value:g} -> {window[-1].value:g}) "
@@ -275,15 +275,13 @@ _OUTGOING = {
 }
 
 
-@dataclass(frozen=True)
-class TriggerEntry:
+class TriggerEntry(NamedTuple):
     tag: str
     description: str
     matched: bool
 
 
-@dataclass
-class TransitionReport:
+class TransitionReport(NamedTuple):
     api: str
     stage: LifecycleStage
     transition: Optional[str]

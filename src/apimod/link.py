@@ -9,7 +9,7 @@ the evaluation of the rest of the ecosystem.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Contribution, ContributionStrength, Diagnostic, ElementKind, GElement,
@@ -63,8 +63,7 @@ def link_metrics(model: GoalModel,
     return out, sort_diagnostics(diagnostics)
 
 
-@dataclass
-class WhoRow:
+class WhoRow(NamedTuple):
     metric: str
     why: str | None
     who: list[str]

@@ -5,9 +5,17 @@ import itertools
 import pytest
 
 from apimod.core import (
-    Evidence, EvidencePair, Label, evidence_to_label, label_max, label_min,
-    label_to_evidence,
+    Contribution, ContributionStrength, DependencyEnd, Dependum, Diagnostic, ElementKind,
+    Evidence, EvidencePair, Label, Refinement, RefinementKind, Severity,
+    SourceSpan, ValueObject, evidence_to_label, label_max, label_min, label_to_evidence,
 )
+from apimod.dsl.parser import ParseResult
+from apimod.evaluate import ComparisonRow, ComparisonTable, EvaluationResult, Rules
+from apimod.govern import AutomationReport, DimensionCoverage
+from apimod.lifecycle import (
+    LifecycleStage, MismatchThresholds, TransitionReport, TriggerEntry, ValueCurveSample,
+)
+from apimod.link import WhoRow
 
 ORDERED = [Label.DENIED, Label.PARTIALLY_DENIED, Label.UNKNOWN,
            Label.PARTIALLY_SATISFIED, Label.SATISFIED]
@@ -83,3 +91,43 @@ def test_merge_is_monotone_and_commutative():
         assert merged == y.merge(x)
         assert merged.positive >= x.positive and merged.negative >= x.negative
         assert merged.merge(y) == merged
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+#: Each record nothing changes, with field values for one instance. Container
+#: fields hold tuples so that the instance is hashable; a list field would
+#: make hash() fail on the list, not on the record.
+RECORDS = [
+    (EvidencePair, (Evidence.FULL, Evidence.NONE)),
+    (Diagnostic, (Severity.ERROR, "E-X", "m", SourceSpan("f", 1, 1, 1, 2))),
+    (Contribution, ("q", ContributionStrength.HELPS)),
+    (Refinement, (RefinementKind.AND, ("a", "b"))),
+    (DependencyEnd, ("A", "g")),
+    (Dependum, (ElementKind.GOAL, "d", Label.SATISFIED)),
+    (ValueObject, ("money", ElementKind.RESOURCE)),
+    (ValueCurveSample, (0.0, LifecycleStage.PLAN, 0.5)),
+    (MismatchThresholds, (0.7, 0.5)),
+    (TriggerEntry, ("tag", "description", True)),
+    (TransitionReport, ("X", LifecycleStage.PLAN, "planning_to_operation", (), ("t",))),
+    (EvaluationResult, ((), frozenset({"a"}), 1, (), "s")),
+    (Rules, ("model", ("a",), (), (), (), (0,))),
+    (ComparisonRow, ("a", (Label.SATISFIED,))),
+    (ComparisonTable, (("s",), (), (), (("s", 1),), "A")),
+    (DimensionCoverage, ((), (), ())),
+    (AutomationReport, ((), ("m",), "note")),
+    (WhoRow, ("m", "why", ("who",), ("where",), ("A",))),
+    (ParseResult, (None, ())),
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_and_hash_by_value(cls, values):
+    record = cls(*values)
+    for name in cls.__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    twin = cls(*values)
+    assert twin == record and hash(twin) == hash(record)

@@ -12,8 +12,9 @@ from apimod.dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
     parse_scenario, parse_value_model, print_model, quote_name,
 )
+from apimod.evaluate import Scenario
 from apimod.govern import AutomationLevel, Dimension
-from apimod.lifecycle import LifecycleStage, Stability
+from apimod.lifecycle import ApiDescriptor, LifecycleStage, Stability, ValueCurveSample
 
 from helpers import CORPUS, gen_goal_model, gen_value_model
 
@@ -525,6 +526,31 @@ def test_every_printer_refuses_a_name_with_a_line_break(path):
     (model[0] if isinstance(model, list) else model).name = "a\nb"
     with pytest.raises(ApimodError, match="line break"):
         print_model(model)
+
+
+def test_print_scenario_refuses_a_conflict_label():
+    # `label a = conflict` would not parse: conflict is not a label word.
+    with pytest.raises(ApimodError, match="conflict label of 'a'"):
+        print_model(Scenario("s", {"b": Label.SATISFIED, "a": Label.CONFLICT}))
+
+
+@pytest.mark.parametrize("x", [1e-05, -1.0, 1e16, float("nan"), float("inf")], ids=repr)
+def test_print_api_descriptor_refuses_a_curve_number_the_lexer_cannot_read(x):
+    plan = LifecycleStage.PLAN
+    for sample in (ValueCurveSample(x, plan, 0.5), ValueCurveSample(0.0, plan, x)):
+        with pytest.raises(ApimodError, match="cannot be printed"):
+            print_model(ApiDescriptor("X", plan, curve=[sample]))
+
+
+def test_curve_numbers_print_exactly_and_round_trip():
+    plan = LifecycleStage.PLAN
+    d = ApiDescriptor("X", plan, curve=[ValueCurveSample(0.1234567891, plan, 0.25),
+                                        ValueCurveSample(123456789.0, plan, 1.0)])
+    text = print_model(d)
+    assert "curve 0.1234567891 plan 0.25\n" in text
+    assert "curve 123456789.0 plan 1\n" in text
+    back = parse_api_descriptor(text)
+    assert back.ok and back.model == d
 
 
 # ---------------------------------------------------------------------------
