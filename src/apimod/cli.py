@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes follow linter practice: 0 clean, 1 warnings only (2 with
---strict), 2 errors, 64 for usage mistakes.
+--strict), 2 errors, 64 for usage mistakes, 141 when stdout's reader closes early.
 """
 
 from __future__ import annotations
@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
-from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -31,8 +31,8 @@ from .govern import (
 )
 from .lifecycle import (
     ApiDescriptor, LifecycleStage, MismatchThresholds, ValueCurveSample,
-    curve_step_problems, detect_value_mismatches, lint_characteristics,
-    transition_checklist,
+    curve_number_problems, curve_step_problems, detect_value_mismatches,
+    lint_characteristics, transition_checklist,
 )
 from .link import link_metrics, who_report
 from .report import exit_code_for, export_dot, make_report, report_json
@@ -197,18 +197,21 @@ def _render(args, command: str, outcome: _Outcome) -> int:
                 stream = sys.stderr
             else:
                 try:
-                    Path(args.output).write_text(outcome.artifact, encoding="utf-8")
+                    with open(args.output, "w", encoding="utf-8") as out:
+                        out.write(outcome.artifact)
                 except OSError as exc:
                     raise _Failure(f"cannot write {args.output}: "
                                    f"{exc.strerror or exc}") from exc
         for line in [d.render() for d in diagnostics] + list(outcome.lines):
             print(line, file=stream)
+    sys.stdout.flush()  # a reader that closed early fails in `main`, not at exit
     return exit_code_for(diagnostics, args.strict)
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise _Failure(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -354,7 +357,8 @@ def _load_curve_csv(path: str) -> list[ValueCurveSample]:
         if stage is None:
             raise _Failure(f"{path}: row {n}: unknown stage {row[1]!r}")
         sample = ValueCurveSample(t, stage, value)
-        problems = curve_step_problems(samples[-1] if samples else None, sample)
+        problems = (curve_step_problems(samples[-1] if samples else None, sample)
+                    + [p[1:] for p in curve_number_problems(sample)])
         if problems:
             raise _Failure(f"{path}: row {n}: {problems[0][1]}")
         samples.append(sample)
@@ -432,13 +436,14 @@ def _cmd_govern(args) -> _Outcome:
 
 
 def _cmd_metrics(args) -> _Outcome:
+    if args.metrics_command in ("who", "link"):
+        model = _parse_file(parse_goal_model, args.model).model
+    catalog = _parse_file(parse_metric_catalog, args.catalog).model
     if args.metrics_command == "check":
-        catalog = _parse_file(parse_metric_catalog, args.catalog).model
         diagnostics = check_metric_catalog(catalog)
         return _Outcome([args.catalog], diagnostics,
                         {"metrics": [m.name for m in catalog]})
     if args.metrics_command == "dimensions":
-        catalog = _parse_file(parse_metric_catalog, args.catalog).model
         coverage = dimension_coverage_report(catalog)
         lines = []
         for dim, count in coverage.counts.items():
@@ -454,7 +459,6 @@ def _cmd_metrics(args) -> _Outcome:
         }
         return _Outcome([args.catalog], [], analysis, lines)
     if args.metrics_command == "automation":
-        catalog = _parse_file(parse_metric_catalog, args.catalog).model
         rep = automation_report(catalog)
         lines = []
         if rep.note:
@@ -471,8 +475,6 @@ def _cmd_metrics(args) -> _Outcome:
         }
         return _Outcome([args.catalog], [], analysis, lines)
     if args.metrics_command == "who":
-        model = _parse_file(parse_goal_model, args.model).model
-        catalog = _parse_file(parse_metric_catalog, args.catalog).model
         rows = who_report(model, catalog)
         lines = [
             f"{r.metric}: why={r.why or '?'} who={', '.join(r.who) or '?'} "
@@ -484,8 +486,6 @@ def _cmd_metrics(args) -> _Outcome:
                              for r in rows]}
         return _Outcome([args.model, args.catalog], [], analysis, lines)
     # link
-    model = _parse_file(parse_goal_model, args.model).model
-    catalog = _parse_file(parse_metric_catalog, args.catalog).model
     linked, diagnostics = link_metrics(model, catalog)
     text = print_goal_model(linked)
     return _Outcome([args.model, args.catalog], diagnostics, {"goalModel": text},
@@ -527,6 +527,9 @@ def main(argv: list[str] | None = None) -> int:
         except _ParseFailure as exc:
             outcome = _Outcome([exc.path], exc.diagnostics, {})
         return _render(args, command, outcome)
+    except BrokenPipeError:  # the `signal` docs' "Note on SIGPIPE"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _Failure as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -139,9 +139,11 @@ def quote_name(s: str) -> str:
 
 
 def format_number(x: float) -> str:
-    """`x` as the text formats write a number: `:g` if that reads back exactly,
-    else `repr`; a sign, an exponent, nan and inf cannot be written."""
-    text = f"{x:g}" if float(f"{x:g}") == x else repr(x)
+    """`x` as the text formats write a number: `:g` if that reads back exactly
+    with no exponent, else `repr`; a sign, an exponent, nan or inf cannot be written."""
+    text = f"{x:g}"
+    if "e" in text or float(text) != x:  # 1000000.0 is `:g` 1e+06
+        text = repr(x)
     m = _MASTER.fullmatch(text)
     if m is None or m.lastgroup != "NUMBER":
         raise ApimodError(f"number {text} cannot be printed as a NUMBER token")

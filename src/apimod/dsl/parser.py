@@ -31,7 +31,7 @@ from ..evaluate import Scenario
 from ..govern import AutomationLevel, Dimension, MetricDef
 from ..lifecycle import (
     CHARACTERISTICS, ApiDescriptor, LifecycleStage, ValueCurveSample,
-    curve_step_problems,
+    curve_number_problems, curve_step_problems,
 )
 from ..validate import duplicate_ids, link_problems, reference_problems, self_links
 from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
@@ -602,6 +602,8 @@ class _ApiDescriptorParser(_Parser):
         curve = self.api.curve
         for code, message in curve_step_problems(curve[-1] if curve else None, sample):
             self.error(code, message, vspan if code == "E-RANGE" else tspan)
+        for field, code, message in curve_number_problems(sample):
+            self.error(code, message, tspan if field == "time" else vspan)
         curve.append(sample)
 
     def parse_rationale(self, kw: Token) -> None:

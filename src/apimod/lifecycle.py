@@ -109,6 +109,21 @@ def curve_step_problems(before: Optional[ValueCurveSample],
     return problems
 
 
+def curve_number_problems(sample: ValueCurveSample) -> list[tuple[str, str, str]]:
+    """(field, code, message), `field` "time" or "value": E-RANGE for a time,
+    or a value in [0, 1], that the `.api` NUMBER token cannot write. Apart from
+    `curve_step_problems`, which judges the curve: one built in Python may start before 0."""
+    from .dsl.lexer import format_number  # the dsl parser imports this module
+    problems = []
+    for field, x in (("time", sample.t), ("value", sample.value)):
+        try:
+            if field == "time" or 0.0 <= x <= 1.0:  # else `curve_step_problems` refuses it
+                format_number(x)
+        except ApimodError:
+            problems.append((field, "E-RANGE", f"curve {field} {x} cannot be written as a number"))
+    return problems
+
+
 @dataclass
 class ApiDescriptor:
     name: str

@@ -7,10 +7,11 @@ parent's actor, and dependencies name elements only of open actors. The
 parser reports its problems as E-REF at the tokens, validation as E-DANGLE at
 the model objects (E-CYCLE for a partnership cycle); both report a repeated
 id as E-DUP at the declaration that repeats it. `link_problems` (link typing)
-and `self_links` decide E-REFINE, E-CONTRIB and E-SELF for both. Value models
-are also checked for reciprocity, scoping, a captured API and a stimulus;
-goal models for refinement cycles and floating elements. Layer and BAPO
-coverage checks work on both model types.
+and `self_links` decide E-REFINE, E-CONTRIB and E-SELF for both, and one
+search, `_cycles`, finds partnership and refinement cycles alike, over the
+edges of each id's last declaration. Value models are also checked for
+reciprocity, scoping, a captured API and a stimulus; goal models for floating
+elements. Layer and BAPO coverage checks work on both model types.
 """
 
 from __future__ import annotations
@@ -48,11 +49,52 @@ def duplicate_ids(model: ValueModel | GoalModel) -> list:
             + _repeated(model.dependencies, {el.id for el in elements}))
 
 
+def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:
+    """Each strongly connected component of `graph` (id to successor ids)
+    that holds a cycle, as a sorted id list, in sorted order. A successor
+    that is no node, or has no successors, lies on no cycle. Tarjan (1972),
+    iterative, since parser output can nest deep."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}  # above every index once the node's component is found
+    stack: list[str] = []
+    cycles: list[list[str]] = []
+    for root, successors in graph.items():
+        if not successors or root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(successors))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not graph.get(w):
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(graph[w])))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:  # every successor of `v` is done
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    scc = []
+                    while not scc or scc[-1] != v:
+                        scc.append(stack.pop())
+                        low[scc[-1]] = len(graph)
+                    if len(scc) > 1 or v in graph[v]:
+                        cycles.append(sorted(scc))
+    return sorted(cycles)
+
+
 def reference_problems(model: ValueModel | GoalModel,
                        pending=()) -> list[tuple[str, object, object]]:
     """`(kind, ref, owner)` for each reference of `model` that does not
     resolve: `ref` as written, `owner` the object holding it. Value models:
-    `parent`, `cycle` (a partnership chain back to the actor), `source` and
+    `parent`, `cycle` (the actor's id is on a partnership cycle), `source` and
     `target` (flow endpoints) and `stimulus`. Goal models: for each link
     placed on an element and each `pending` statement not yet placed, both
     as `(actor, source id, Refinement or Contribution, owner)`, `element`
@@ -65,17 +107,13 @@ def reference_problems(model: ValueModel | GoalModel,
         actors = model.actor_map()
         endpoints = set(actors)
         endpoints.update([act.id for a in model.actors for act in a.activities])
+        cyclic = {i for scc in _cycles({a.id: () if a.parent is None else (a.parent,)
+                                        for a in model.actors}) for i in scc}
         for actor in model.actors:
-            if actor.parent is None:
-                continue
-            if actor.parent not in actors:
+            if actor.parent is not None and actor.parent not in actors:
                 problems.append(("parent", actor.parent, actor))
-            hops, cur = 0, actor.parent
-            while cur in actors and hops <= len(model.actors):
-                if cur == actor.id:
-                    problems.append(("cycle", cur, actor))
-                    break
-                hops, cur = hops + 1, actors[cur].parent
+            if actor.id in cyclic:
+                problems.append(("cycle", actor.id, actor))
         for flow in model.flows:
             if flow.source not in endpoints:
                 problems.append(("source", flow.source, flow))
@@ -242,77 +280,16 @@ def validate_value_model(model: ValueModel,
     return sort_diagnostics(diags)
 
 
-def _refinement_cycles(model: GoalModel) -> list[list[str]]:
-    """Strongly connected components of the refinement digraph that contain
-    a cycle, as sorted id lists."""
-    graph: dict[str, tuple[str, ...]] = {}
-    for actor in model.actors:
-        for el in actor.elements:
-            graph[el.id] = el.refinement.children if el.refinement else ()
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    cycles: list[list[str]] = []
-
-    def strongconnect(node: str) -> None:
-        # Iterative Tarjan; parser output can nest deep.
-        work = [(node, iter(graph.get(node, ())))]
-        index[node] = low[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not graph.get(w):  # a leaf or unknown id: on no cycle
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                if len(scc) > 1 or v in graph.get(v, ()):
-                    cycles.append(sorted(scc))
-
-    for node, children in graph.items():
-        if children and node not in index:
-            strongconnect(node)
-    return sorted(cycles)
-
-
 def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
     """Construction-rule checks: repeated ids, reference problems,
     self-dependencies, refinement cycles, floating elements and link typing."""
     diags = _shared_diagnostics(model)
     elements = model.element_map()
 
-    for cycle in _refinement_cycles(model):
-        diags.append(Diagnostic(
-            Severity.ERROR, "E-CYCLE",
-            "refinement cycle through " + ", ".join(repr(c) for c in cycle)))
+    graph = {el.id: el.refinement.children if el.refinement else ()
+             for actor in model.actors for el in actor.elements}
+    diags += [Diagnostic(Severity.ERROR, "E-CYCLE", "refinement cycle through "
+                         + ", ".join(repr(c) for c in cycle)) for cycle in _cycles(graph)]
 
     attached = {end.element for dep in model.dependencies
                 for end in (dep.depender, dep.dependee) if end.element is not None}

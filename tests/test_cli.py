@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: output, files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -234,6 +238,28 @@ def test_lifecycle_curve_csv_breaking_a_curve_rule_exits_two(capsys, tmp_path,
     assert err == f"{curve}: row {row}: {message}\n"
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("-1,plan,1e-05\n0,plan,0.2\n", "curve time -1.0 cannot be written as a number"),
+    ("0,plan,0.00001\n", "curve value 1e-05 cannot be written as a number"),
+    ("100000000000000000000,plan,0.5\n", "curve time 1e+20 cannot be written as a number"),
+], ids=["sign", "small-value", "large-time"])
+def test_lifecycle_curve_csv_refuses_a_number_the_api_format_cannot_write(
+        capsys, tmp_path, rows, message):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(rows, encoding="utf-8")
+    code, out, err = run(capsys, "lifecycle", str(CORPUS / "device_settings.api"),
+                         "--curve", str(curve))
+    assert (code, out, err) == (2, "", f"{curve}: row 1: {message}\n")
+
+
+def test_lifecycle_curve_csv_accepts_a_round_time_of_a_million(capsys, tmp_path):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("0,plan,0.1\n1000000,plan,0.5\n", encoding="utf-8")
+    code, _, err = run(capsys, "lifecycle", str(CORPUS / "device_settings.api"),
+                       "--curve", str(curve))
+    assert (code, err) == (1, "")  # the known compatibility deviation only
+
+
 @pytest.mark.parametrize("argv, csv_name", [
     (["lifecycle", str(CORPUS / "device_settings.api"), "--curve"], "curve.csv"),
     (["govern", "classify", "--mode", "impl"], "items.csv"),
@@ -426,3 +452,34 @@ def test_unit_interval_bounds_are_accepted(capsys):
         code, _, _ = run(capsys, "govern", "classify", "--mode", "change",
                          "--threshold", value, str(CORPUS / "items.csv"))
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# The CLI as a process
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_a_reader_that_closes_early_gives_exit_141_and_no_error():
+    # As `apimod ... | head -1` does once head has what it wants.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from apimod.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "metrics", "check",
+             str(CORPUS / "sample_catalog.metrics")],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_the_cli_imports_without_pathlib():
+    code = "import sys; import apimod.cli; print('pathlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c",
+                           f"import sys; sys.path.insert(0, {SRC!r}); {code}"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -553,6 +553,29 @@ def test_curve_numbers_print_exactly_and_round_trip():
     assert back.ok and back.model == d
 
 
+@pytest.mark.parametrize("sample, message, column", [
+    ("curve 0 plan 0.00001", "curve value 1e-05 cannot be written as a number", 16),
+    ("curve 100000000000000000000 plan 0.5", "curve time 1e+20 cannot be written as a number",
+     9),
+], ids=["value", "time"])
+def test_parser_refuses_a_curve_number_the_printer_cannot_write(sample, message, column):
+    # Each number lexes, but prints with an exponent, which no NUMBER token has.
+    r = parse_api_descriptor(f"api X {{\n  stage plan\n  {sample}\n}}")
+    assert [(d.code, d.message, d.span.start_line, d.span.start_col)
+            for d in r.diagnostics] == [("E-RANGE", message, 3, column)]
+
+
+@pytest.mark.parametrize("t", ["1000000", "2000000", "1700000000"])
+def test_a_round_curve_time_of_a_million_or_more_parses_prints_and_round_trips(t):
+    # `:g` writes these with an exponent; `repr` writes them as NUMBER tokens.
+    r = parse_api_descriptor(f"api X {{\n  stage plan\n  curve {t} plan 0.5\n}}")
+    assert r.ok and r.diagnostics == []
+    text = print_model(r.model)
+    assert f"curve {t}.0 plan 0.5\n" in text
+    back = parse_api_descriptor(text)
+    assert back.ok and back.model == r.model
+
+
 # ---------------------------------------------------------------------------
 # Unexpected statement heads, block by block
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from apimod.core import ApimodError, Severity
 from apimod.lifecycle import (
     CHARACTERISTICS, ApiDescriptor, Change, Characteristics, Compatibility, Governance,
     LifecycleStage, MismatchThresholds, Stability, Support,
-    ValueCurveSample, characteristics_matrix_text, curve_step_problems,
+    ValueCurveSample, characteristics_matrix_text, curve_number_problems, curve_step_problems,
     detect_value_mismatches, expected_characteristics, lint_characteristics,
     load_trigger_catalog, transition_checklist,
 )
@@ -136,6 +136,19 @@ def test_curve_step_problems_first_sample_checks_only_range():
     assert curve_step_problems(None, ValueCurveSample(-5.0, R, 0.0)) == []
     assert [code for code, _ in curve_step_problems(
         None, ValueCurveSample(0.0, P, -0.1))] == ["E-RANGE"]
+
+
+def test_curve_number_problems_refuse_what_the_api_format_cannot_write():
+    assert curve_number_problems(ValueCurveSample(-1.0, P, 1e-05)) == [
+        ("time", "E-RANGE", "curve time -1.0 cannot be written as a number"),
+        ("value", "E-RANGE", "curve value 1e-05 cannot be written as a number"),
+    ]
+    assert curve_number_problems(ValueCurveSample(1e20, P, 0.1234567891)) == [
+        ("time", "E-RANGE", "curve time 1e+20 cannot be written as a number")]
+    # A round time of 1e6 or more is written without an exponent.
+    assert curve_number_problems(ValueCurveSample(1e6, P, 0.5)) == []
+    # A value outside [0, 1] is left to the range rule of `curve_step_problems`.
+    assert curve_number_problems(ValueCurveSample(0.0, P, -1.0)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
     Activity, AssociationKind, AssociationLink, Contribution, DependencyEnd, ElementKind,
-    GActor, GElement, GoalModel, Refinement, RefinementKind, Severity,
+    GActor, GElement, GoalModel, Refinement, RefinementKind, Severity, VActor, ValueModel,
 )
 from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_model
 from apimod.validate import (
-    check_bapo_coverage, check_layer_coverage, validate_goal_model,
+    check_bapo_coverage, check_layer_coverage, reference_problems, validate_goal_model,
     validate_value_model,
 )
 
@@ -476,6 +477,91 @@ def test_cycle_detection_matches_dfs_oracle_on_random_graphs():
                 GElement(f"e{i}", ElementKind.TASK, f"e{i}", refinement=refinement))
         engine = any(d.code == "E-CYCLE" for d in validate_goal_model(model))
         assert engine == has_cycle_dfs(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Cycles: one search for partnerships and refinements
+# ---------------------------------------------------------------------------
+
+def _closure(graph):
+    """Brute force: for each node, every node reachable from it by one or
+    more edges."""
+    reach = {}
+    for start in graph:
+        seen, todo = set(), list(graph[start])
+        while todo:
+            node = todo.pop()
+            if node not in seen:
+                seen.add(node)
+                todo.extend(graph.get(node, ()))
+        reach[start] = seen
+    return reach
+
+
+def _oracle_cycles(graph):
+    """The groups of mutually reachable nodes that reach themselves, as
+    sorted id lists in sorted order."""
+    reach = _closure(graph)
+    groups = {frozenset(w for w in reach[v] if v in reach.get(w, ()))
+              for v in graph if v in reach[v]}
+    return sorted(sorted(group) for group in groups)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cycles_match_a_transitive_closure_of_the_last_declarations(seed):
+    rng = random.Random(seed)
+    ids = [f"n{i}" for i in range(rng.randint(1, 6))]
+    targets = ids + ["ghost"]  # an unknown successor lies on no cycle
+
+    # Refinements: repeated ids, self-loops and unknown children; each id's
+    # last declaration gives its edges.
+    goal = GoalModel("m", actors=[GActor(a, a) for a in ("A", "B")])
+    for _ in range(rng.randint(1, 9)):
+        children = tuple(rng.choices(targets, k=rng.randint(0, 3)))
+        refinement = Refinement(RefinementKind.AND, children) if children else None
+        rng.choice(goal.actors).elements.append(GElement(
+            rng.choice(ids), ElementKind.TASK, "x", refinement=refinement))
+    graph = {el.id: el.refinement.children if el.refinement else ()
+             for actor in goal.actors for el in actor.elements}
+    assert [d.message for d in validate_goal_model(goal) if d.code == "E-CYCLE"] == [
+        "refinement cycle through " + ", ".join(map(repr, group))
+        for group in _oracle_cycles(graph)]
+
+    # Partnerships: the same, with at most one parent per declaration.
+    value = ValueModel("m", actors=[
+        VActor(rng.choice(ids), "x", parent=rng.choice(targets + [None]))
+        for _ in range(rng.randint(1, 9))])
+    reach = _closure({a.id: () if a.parent is None else (a.parent,) for a in value.actors})
+    expected = [a for a in value.actors if a.id in reach[a.id]]
+    assert [owner for kind, _, owner in reference_problems(value)
+            if kind == "cycle"] == expected
+    assert sorted(d.message for d in validate_value_model(value) if d.code == "E-CYCLE") == \
+        sorted(f"partnership cycle through {a.id!r}" for a in expected)
+
+
+def test_a_repeated_actor_takes_its_partnership_from_the_last_declaration():
+    text = "valuemodel M { actor A in B  actor B in A  actor A }"
+    assert codes(parse_value_model(text).diagnostics) == ["E-DUP"]
+    model = ValueModel("M", actors=[VActor("A", "A", parent="B"), VActor("B", "B", parent="A"),
+                                    VActor("A", "A", api_role=True)])
+    errors = [d for d in validate_value_model(model) if d.severity is Severity.ERROR]
+    assert codes(errors) == ["E-DUP"]
+
+
+def test_cycle_search_is_linear_on_a_16000_long_chain():
+    n = 16_000
+    value = ValueModel("M", actors=[VActor(f"a{i}", f"a{i}", parent=f"a{i + 1}")
+                                    for i in range(n - 1)] + [VActor(f"a{n - 1}", "last")])
+    goal = GoalModel("G", actors=[GActor("A", "A", elements=[
+        GElement(f"e{i}", ElementKind.GOAL, f"e{i}",
+                 refinement=Refinement(RefinementKind.AND, (f"e{i + 1}",)))
+        for i in range(n - 1)] + [GElement(f"e{n - 1}", ElementKind.TASK, "last")])])
+    for validate, model in ((validate_value_model, value), (validate_goal_model, goal)):
+        start = time.perf_counter()
+        diags = validate(model)
+        assert time.perf_counter() - start < 2.0, validate.__name__
+        assert "E-CYCLE" not in codes(diags)
 
 
 # ---------------------------------------------------------------------------
