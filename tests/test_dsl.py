@@ -654,3 +654,26 @@ def test_unexpected_statement_head_is_reported_and_parsing_resumes(block, head):
     r = parse_model(text.replace("HEAD", head))
     assert r.model is None
     assert diagnostics_at(r) == [("E-SYNTAX", *d) for d in [heads[head], *later]]
+
+
+# ---------------------------------------------------------------------------
+# One diagnostic per rule that no other test reaches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, expected", [
+    ("valuemodel V { actor A { layer(F) = api layer(F) = usage } }",
+     "1:41: error E-DUP duplicate layer assignment for focus 'F'"),
+    ("api X { stage plan stage operation }", "1:20: error E-DUP stage declared twice"),
+    ("api X { stage plan observed stability stable observed stability unstable }",
+     "1:55: error E-DUP characteristic stability observed twice"),
+    ('metric M { why "w" } metric M { why "v" }', "1:29: error E-DUP duplicate metric 'M'"),
+    ("scenario s { label T = satisfied label T = denied }",
+     "1:40: error E-DUP label assigned twice for 'T'"),
+    ("goalmodel M { actor A { goal G task T task U G and T G or U } }",
+     "1:54: error E-REFINE element 'G' already has a refinement"),
+    ("api X { stage plan } x", "1:22: error E-SYNTAX unexpected trailing input 'x'"),
+], ids=["layer", "stage", "observed", "metric", "label", "refinement", "trailing"])
+def test_rule_reports_its_one_diagnostic(text, expected):
+    r = parse_model(text, "m")
+    assert r.model is None
+    assert [d.render() for d in r.diagnostics] == [f"m:{expected}"]
