@@ -8,12 +8,13 @@ Five dialects share one lexer:
 * ``metric <name> { ... }``*      metric catalog (one block per metric)
 * ``scenario <name> { ... }``     initial labels for evaluation
 
-Each braced block has one table from its statement keywords to their
-handlers, and `_Parser.block` is the one loop that reads a block's
-statements through it. A malformed statement produces one Error diagnostic
-and parsing resumes at the next keyword of the block's statement table, so
-several problems are reported in one run. Every reported span points inside
-the offending token range.
+`_Parser.parse` reads the ``keyword name {`` frame of the single-block
+dialects. Each braced block has one table from its statement keywords to
+their handlers, and `_Parser.block` is the one loop that reads a block's
+statements through it; a block owns its closing brace. A malformed
+statement produces one Error diagnostic and parsing resumes at the next
+keyword of the block's statement table, so several problems are reported
+in one run. Every reported span points inside the offending token range.
 """
 
 from __future__ import annotations
@@ -97,16 +98,32 @@ def _ref_span(actor: Token, element: Optional[Token]) -> SourceSpan:
 
 
 class _Parser:
-    """Token cursor, statement loop and recovery shared by the dialect
-    parsers. `pos` never moves past the end-of-input token, so the current
-    token is always `tokens[pos]`. Statement handlers keep what they build
-    on the parser: the model, the actor whose body is being read, and the
-    dialect's pending links."""
+    """Token cursor, dialect frame, statement loop and recovery shared by
+    the dialect parsers. `pos` never moves past the end-of-input token, so
+    the current token is always `tokens[pos]`. A dialect states its
+    `KEYWORD`, what its name is read as (`NAME`) and its `UNEXPECTED`
+    statement wording (see `block`). Its `start(name)` builds `model`, which
+    handlers extend, keeping the actor being read and pending links too."""
 
     def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
         self.tokens = tokens
         self.diagnostics = diagnostics
         self.pos = 0
+
+    def parse(self) -> ParseResult:
+        """`KEYWORD name { statements }`, then the dialect's `finish`."""
+        try:
+            self.expect(self.KEYWORD)
+            self.start(self.name(self.NAME).value)
+            self.expect("{")
+        except _ParseAbort:
+            return self.result(None)
+        self.block(self.STATEMENTS, self.UNEXPECTED)
+        self.finish()
+        return self.result(self.model)
+
+    def finish(self) -> None:
+        """Checks that need the whole block, once it is read."""
 
     # -- token helpers ------------------------------------------------------
 
@@ -165,18 +182,24 @@ class _Parser:
         raise _ParseAbort()
 
     def block(self, statements: dict, unexpected: str, other=None) -> None:
-        """Read a block's statements up to its closing brace or the end of
-        input. `statements` maps each statement keyword to its handler,
-        called as `handler(parser, head)` once the head is consumed. Any
-        other head is passed to `other(head)` if it is a name, and is
-        otherwise reported as E-SYNTAX `unexpected`, formatted with the
-        head's `value` and with `shown`, the text `fail` shows for it. After
-        an error, parsing resumes at the next keyword of `statements`."""
+        """Read a block's statements and its closing brace. `statements`
+        maps each statement keyword to its handler, called as
+        `handler(parser, head)` once the head is consumed. Any other head is
+        passed to `other(head)` if it is a name, and is otherwise reported
+        as E-SYNTAX `unexpected`, formatted with the head's `value` and with
+        `shown`, the text `fail` shows for it. After an error, parsing
+        resumes at the next keyword of `statements`. At the end of input the
+        missing brace is reported as `fail` words it, without unwinding,
+        since no enclosing block could resume there."""
         tokens = self.tokens
         while True:
             tok = tokens[self.pos]
             kind = tok.kind
-            if kind is _EOF or (kind is _PUNCT and tok.value == "}"):
+            if kind is _EOF:
+                self.error("E-SYNTAX", "expected '}', found 'end of input'", tok.span)
+                return
+            if kind is _PUNCT and tok.value == "}":
+                self.pos += 1
                 return
             try:
                 handler = statements.get(tok.value) if kind is _IDENT else None
@@ -212,15 +235,6 @@ class _Parser:
             elif depth == 0 and kind is _IDENT and tok.value in keywords:
                 return
             self.pos += 1
-
-    def close(self) -> bool:
-        """Consume the `}` of a top-level block. A missing one is reported
-        without unwinding, since no enclosing block could recover."""
-        try:
-            self.expect("}")
-            return True
-        except _ParseAbort:
-            return False
 
     def report_duplicates(self, model) -> None:
         """E-DUP at each declaration whose id is taken (see `duplicate_ids`)."""
@@ -280,20 +294,13 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 class _ValueModelParser(_Parser):
-    def parse(self) -> ParseResult:
-        try:
-            self.expect("valuemodel")
-            name = self.name("model name").value
-            self.expect("{")
-        except _ParseAbort:
-            return self.result(None)
+    KEYWORD, NAME = "valuemodel", "model name"
+    UNEXPECTED = "expected actor, flow, or stimulus, found {value!r}"
+
+    def start(self, name: str) -> None:
         self.model = ValueModel(name)
         self.parents: dict[int, Token] = {}  # actor identity -> its parent's name
         self.raw_flows: list[tuple[ValueFlow, _Ref, _Ref]] = []
-        self.block(self.STATEMENTS, "expected actor, flow, or stimulus, found {value!r}")
-        self.close()
-        self.link_and_check()
-        return self.result(self.model)
 
     def parse_actor(self, kw: Token) -> None:
         name = self.name("actor name")
@@ -304,7 +311,6 @@ class _ValueModelParser(_Parser):
         self.model.actors.append(actor)
         if self.eat("{"):
             self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}")
-            self.expect("}")
 
     def parse_activity(self, kw: Token) -> None:
         name = self.name("activity name")
@@ -362,7 +368,7 @@ class _ValueModelParser(_Parser):
     ACTOR_STATEMENTS = {"activity": parse_activity, "api": parse_api, "market": parse_market,
                         "layer": _Parser.parse_layer, "bapo": _Parser.parse_bapo}
 
-    def link_and_check(self) -> None:
+    def finish(self) -> None:
         model = self.model
         self.report_duplicates(model)
 
@@ -406,20 +412,12 @@ _Pending = tuple[GActor, str, Refinement | Contribution, Token]
 
 
 class _GoalModelParser(_Parser):
-    def parse(self) -> ParseResult:
-        try:
-            self.expect("goalmodel")
-            name = self.name("model name").value
-            draft = self.eat("draft")
-            self.expect("{")
-        except _ParseAbort:
-            return self.result(None)
-        self.model = GoalModel(name, draft=draft)
+    KEYWORD, NAME = "goalmodel", "model name"
+    UNEXPECTED = "expected actor, depend, or partof, found {value!r}"
+
+    def start(self, name: str) -> None:
+        self.model = GoalModel(name, draft=self.eat("draft"))
         self.pending: list[_Pending] = []
-        self.block(self.STATEMENTS, "expected actor, depend, or partof, found {value!r}")
-        self.close()
-        self.link_and_check()
-        return self.result(self.model)
 
     def parse_actor(self, kw: Token) -> None:
         name = self.name("actor name")
@@ -434,7 +432,6 @@ class _GoalModelParser(_Parser):
         if self.eat("{"):
             self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}",
                        self.parse_link_stmt)
-            self.expect("}")
 
     def parse_element(self, kw: Token) -> None:
         element = self.name("element name")
@@ -493,7 +490,7 @@ class _GoalModelParser(_Parser):
     ACTOR_STATEMENTS = {**dict.fromkeys(_ELEMENT_KIND_WORDS, parse_element),
                         "layer": _Parser.parse_layer, "bapo": _Parser.parse_bapo}
 
-    def link_and_check(self) -> None:
+    def finish(self) -> None:
         model = self.model
         self.report_duplicates(model)
         # Each actor's own elements by id, keyed by actor identity; as in the
@@ -552,29 +549,24 @@ class _GoalModelParser(_Parser):
 # ---------------------------------------------------------------------------
 
 class _ApiDescriptorParser(_Parser):
-    def parse(self) -> ParseResult:
-        try:
-            self.expect("api")
-            name = self.name("api name").value
-            self.expect("{")
-        except _ParseAbort:
-            return self.result(None)
-        self.api = ApiDescriptor(name, LifecycleStage.PLAN)
+    KEYWORD, NAME = "api", "api name"
+    UNEXPECTED = "expected stage, observed, curve, or rationale, found {value!r}"
+
+    def start(self, name: str) -> None:
+        self.model = ApiDescriptor(name, LifecycleStage.PLAN)
         self.staged = False  # a stage statement was read
-        self.block(self.STATEMENTS,
-                   "expected stage, observed, curve, or rationale, found {value!r}")
-        if self.close() and (eof := self.peek()).kind is not _EOF:
-            self.error("E-SYNTAX", f"unexpected trailing input {eof.value!r}", eof.span)
+
+    def finish(self) -> None:
+        if (tok := self.peek()).kind is not _EOF:
+            self.error("E-SYNTAX", f"unexpected trailing input {tok.value!r}", tok.span)
         if not self.staged and not self.has_errors():
-            self.error("E-SYNTAX", "api descriptor is missing a stage declaration",
-                       self.peek().span)
-        return self.result(self.api)
+            self.error("E-SYNTAX", "api descriptor is missing a stage declaration", tok.span)
 
     def parse_stage(self, kw: Token) -> None:
         stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
         if self.staged:
             self.error("E-DUP", "stage declared twice", kw.span)
-        self.api.declared_stage, self.staged = stage, True
+        self.model.declared_stage, self.staged = stage, True
 
     def parse_observed(self, kw: Token) -> None:
         tok = self.peek()
@@ -589,7 +581,7 @@ class _ApiDescriptorParser(_Parser):
             self.error("E-SYNTAX", f"unknown {attr} value {vtok.value!r}", vtok.span)
             raise _ParseAbort()
         self.pos += 1
-        observed = self.api.observed
+        observed = self.model.observed
         if getattr(observed, attr) is not None:
             self.error("E-DUP", f"characteristic {attr} observed twice", tok.span)
         setattr(observed, attr, values[vtok.value])
@@ -599,7 +591,7 @@ class _ApiDescriptorParser(_Parser):
         stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
         value, vspan = self.number("sample value")
         sample = ValueCurveSample(t, stage, value)
-        curve = self.api.curve
+        curve = self.model.curve
         for code, message in curve_step_problems(curve[-1] if curve else None, sample):
             self.error(code, message, vspan if code == "E-RANGE" else tspan)
         for field, code, message in curve_number_problems(sample):
@@ -607,7 +599,7 @@ class _ApiDescriptorParser(_Parser):
         curve.append(sample)
 
     def parse_rationale(self, kw: Token) -> None:
-        self.api.transition_rationales.append(self.name("rationale tag").value)
+        self.model.transition_rationales.append(self.name("rationale tag").value)
 
     STATEMENTS = {"stage": parse_stage, "observed": parse_observed,
                   "curve": parse_curve_sample, "rationale": parse_rationale}
@@ -629,6 +621,8 @@ def _metric_field(read):
 
 
 class _MetricCatalogParser(_Parser):
+    KEYWORD = "metric"
+
     def parse(self) -> ParseResult:
         metrics: list[MetricDef] = []
         names: dict[str, SourceSpan] = {}
@@ -656,7 +650,6 @@ class _MetricCatalogParser(_Parser):
         self.expect("{")
         self.seen: set[str] = set()  # the fields given so far
         self.block(self.STATEMENTS, "unknown metric field {value!r}")
-        self.close()
         metrics.append(self.metric)
 
     def read_text(self) -> str:
@@ -688,23 +681,17 @@ class _MetricCatalogParser(_Parser):
 # ---------------------------------------------------------------------------
 
 class _ScenarioParser(_Parser):
-    def parse(self) -> ParseResult:
-        try:
-            self.expect("scenario")
-            name = self.name("scenario name").value
-            self.expect("{")
-        except _ParseAbort:
-            return self.result(None)
-        self.scenario = Scenario(name)
-        self.block(self.STATEMENTS, "expected 'label', found {shown!r}")
-        self.close()
-        return self.result(self.scenario)
+    KEYWORD, NAME = "scenario", "scenario name"
+    UNEXPECTED = "expected 'label', found {shown!r}"
+
+    def start(self, name: str) -> None:
+        self.model = Scenario(name)
 
     def parse_label(self, kw: Token) -> None:
         target = self.name("element or dependum id")
         self.expect("=")
         label = self.keyword_choice(LABEL_WORDS, "label")
-        assignments = self.scenario.assignments
+        assignments = self.model.assignments
         if target.value in assignments:
             self.error("E-DUP", f"label assigned twice for {target.value!r}", target.span)
         assignments[target.value] = label
@@ -737,13 +724,9 @@ def parse_scenario(text: str, filename: str = "<input>") -> ParseResult:
 
 
 #: Leading keyword -> parser class, for `parse_model`.
-_DISPATCH = {
-    "valuemodel": _ValueModelParser,
-    "goalmodel": _GoalModelParser,
-    "api": _ApiDescriptorParser,
-    "metric": _MetricCatalogParser,
-    "scenario": _ScenarioParser,
-}
+_DISPATCH = {cls.KEYWORD: cls for cls in (_ValueModelParser, _GoalModelParser,
+                                          _ApiDescriptorParser, _MetricCatalogParser,
+                                          _ScenarioParser)}
 
 
 def parse_model(text: str, filename: str = "<input>") -> ParseResult:
