@@ -15,6 +15,12 @@ Regenerate the file only for an intended change of parse behaviour or of
 the texts:
 
     PYTHONPATH=src python tests/test_parse_golden.py
+
+To see what a regeneration changed, decode both sides and diff them. The
+`--decode` mode prints one JSON line per text and entry point: the label,
+the entry point, the rendered diagnostics and whether a model came back.
+
+    PYTHONPATH=src python tests/test_parse_golden.py --decode > decoded.jsonl
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import zlib
 from pathlib import Path
 
@@ -123,6 +130,16 @@ def record(label_texts) -> dict[str, list[str]]:
             for label, text in label_texts}
 
 
+def decode(label_texts):
+    """One JSON line per text and entry point, in the golden file's order."""
+    for label, text in label_texts:
+        for parse in PARSERS:
+            result = parse(text, "m")
+            yield json.dumps({"label": label, "parser": parse.__name__,
+                              "diagnostics": [d.render() for d in result.diagnostics],
+                              "model": result.model is not None})
+
+
 def dump(golden: dict[str, list[str]]) -> str:
     rows = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in golden.items()]
     return "{\n" + ",\n".join(rows) + "\n}\n"
@@ -143,4 +160,8 @@ def test_parse_behaviour_matches_golden_file():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(dump(record(golden_texts())), encoding="utf-8")
+    if sys.argv[1:] == ["--decode"]:
+        for line in decode(golden_texts()):
+            print(line)
+    else:
+        GOLDEN.write_text(dump(record(golden_texts())), encoding="utf-8")
