@@ -11,7 +11,8 @@ Five dialects share one lexer:
 `_Parser.parse` reads the ``keyword name {`` frame of the single-block
 dialects. Each braced block has one table from its statement keywords to
 their handlers, and `_Parser.block` is the one loop that reads a block's
-statements through it; a block owns its closing brace. A malformed
+statements through it; a block owns its closing brace, and a dialect ends
+at its brace. A malformed
 statement produces one Error diagnostic and parsing resumes at the next
 keyword of the block's statement table, so several problems are reported
 in one run. Every reported span points inside the offending token range.
@@ -111,7 +112,8 @@ class _Parser:
         self.pos = 0
 
     def parse(self) -> ParseResult:
-        """`KEYWORD name { statements }`, then the dialect's `finish`."""
+        """`KEYWORD name { statements }` and nothing after it, then the
+        dialect's `finish`."""
         try:
             self.expect(self.KEYWORD)
             self.start(self.name(self.NAME).value)
@@ -119,6 +121,8 @@ class _Parser:
         except _ParseAbort:
             return self.result(None)
         self.block(self.STATEMENTS, self.UNEXPECTED)
+        if (tok := self.peek()).kind is not _EOF:
+            self.error("E-SYNTAX", f"unexpected trailing input {tok.value!r}", tok.span)
         self.finish()
         return self.result(self.model)
 
@@ -245,7 +249,10 @@ class _Parser:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
 
     def result(self, model) -> ParseResult:
-        diags = sort_diagnostics(self.diagnostics)
+        """The model unless an Error was reported, and each diagnostic once:
+        a nested block and its parent both report a missing brace, and a
+        statement may name one unknown actor twice."""
+        diags = sort_diagnostics(list(dict.fromkeys(self.diagnostics)))
         return ParseResult(None if self.has_errors() else model, diags)
 
     # -- shared small rules ---------------------------------------------------
@@ -557,10 +564,9 @@ class _ApiDescriptorParser(_Parser):
         self.staged = False  # a stage statement was read
 
     def finish(self) -> None:
-        if (tok := self.peek()).kind is not _EOF:
-            self.error("E-SYNTAX", f"unexpected trailing input {tok.value!r}", tok.span)
         if not self.staged and not self.has_errors():
-            self.error("E-SYNTAX", "api descriptor is missing a stage declaration", tok.span)
+            self.error("E-SYNTAX", "api descriptor is missing a stage declaration",
+                       self.peek().span)
 
     def parse_stage(self, kw: Token) -> None:
         stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")

@@ -189,11 +189,14 @@ def reference_diagnostic(kind: str, ref, owner) -> Diagnostic:
 def link_problems(source, link: Refinement | Contribution, local: dict,
                   elements: dict) -> list[tuple[str, str]]:
     """(code, message) for each iStar 2.0 typing rule that `link` on element
-    `source` breaks: E-REFINE for a refined quality (then alone) and for a
-    quality child, E-CONTRIB for a contribution to a non-quality. `local` and
+    `source` breaks: E-SELF for a contribution to `source` itself (then
+    alone), E-REFINE for a refined quality (then alone) and for a quality
+    child, E-CONTRIB for a contribution to a non-quality. `local` and
     `elements` map the ids of the source's actor and of the model to
     elements; ids that do not resolve are left to `reference_problems`."""
     if type(link) is not Refinement:
+        if link.target == source.id:
+            return [("E-SELF", "contribution must connect two distinct elements")]
         target = elements.get(link.target)
         if target is None or target.kind is _QUALITY:
             return []

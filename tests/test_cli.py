@@ -68,6 +68,14 @@ def test_check_parse_errors_are_reported_with_spans(capsys, tmp_path):
     assert "E-REF" in out and f"{path}:3:" in out
 
 
+def test_check_refuses_input_after_the_closing_brace(capsys, tmp_path):
+    path = tmp_path / "tail.gm"
+    path.write_text("goalmodel M { actor A { goal G } } actor B { goal H }", encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2
+    assert f"{path}:1:36: error E-SYNTAX unexpected trailing input 'actor'" in out
+
+
 def test_parse_failure_respects_json_mode(capsys, tmp_path):
     path = tmp_path / "broken.gm"
     path.write_text("goalmodel M { actor", encoding="utf-8")

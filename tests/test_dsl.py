@@ -677,3 +677,38 @@ def test_rule_reports_its_one_diagnostic(text, expected):
     r = parse_model(text, "m")
     assert r.model is None
     assert [d.render() for d in r.diagnostics] == [f"m:{expected}"]
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_value_model, "valuemodel M { actor A } actor B",
+     "1:26: error E-SYNTAX unexpected trailing input 'actor'"),
+    (parse_goal_model, "goalmodel M { actor A { goal G } } actor B { goal H }",
+     "1:36: error E-SYNTAX unexpected trailing input 'actor'"),
+    (parse_goal_model, "goalmodel M { actor A { goal G } } }",
+     "1:36: error E-SYNTAX unexpected trailing input '}'"),
+    (parse_scenario, "scenario s { label T = satisfied } label U = denied",
+     "1:36: error E-SYNTAX unexpected trailing input 'label'"),
+], ids=["value", "goal", "goal-brace", "scenario"])
+def test_nothing_may_follow_the_closing_brace(parse, text, expected):
+    for r in (parse(text, "m"), parse_model(text, "m")):
+        assert r.model is None
+        assert [d.render() for d in r.diagnostics] == [f"m:{expected}"]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("valuemodel M { actor A { api", "1:29: error E-SYNTAX expected '}', found 'end of input'"),
+    ("goalmodel M { actor A { goal G", "1:31: error E-SYNTAX expected '}', found 'end of input'"),
+    ("goalmodel M { actor A depend X.a -> X.b : resource R }",
+     "1:23: error E-REF unknown actor 'X'"),
+], ids=["value-actor-body", "goal-actor-body", "depend-both-ends"])
+def test_each_parser_diagnostic_is_reported_once(text, expected):
+    r = parse_model(text, "m")
+    assert r.model is None
+    assert [d.render() for d in r.diagnostics] == [f"m:{expected}"]
+
+
+def test_contribution_from_an_element_to_itself_is_e_self_at_the_statement():
+    r = parse_goal_model("goalmodel M { actor A { quality Q  task T  T helps Q  Q hurts Q } }")
+    assert r.model is None
+    assert diagnostics_at(r) == [
+        ("E-SELF", "contribution must connect two distinct elements", 1, 63)]

@@ -198,6 +198,16 @@ def test_conflict_assignment_raises():
         propagate(model, Scenario("s", {"G": Label.CONFLICT}))
 
 
+def test_self_contribution_raises_precondition():
+    q = GElement("Q", ElementKind.QUALITY, "Q")
+    t = GElement("T", ElementKind.TASK, "T",
+                 contributions=[Contribution("Q", ContributionStrength.HELPS)])
+    q.contributions.append(Contribution("Q", ContributionStrength.HURTS))
+    model = GoalModel("m", actors=[GActor("A", "A", elements=[q, t])])
+    with pytest.raises(ApimodError, match="contribution must connect two distinct"):
+        propagate(model, Scenario("s", {"T": S}))
+
+
 def test_invalid_model_raises_precondition():
     model = gm("""
         goalmodel M {

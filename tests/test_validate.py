@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
-    Activity, AssociationKind, AssociationLink, Contribution, DependencyEnd, ElementKind,
-    GActor, GElement, GoalModel, Refinement, RefinementKind, Severity, VActor, ValueModel,
+    Activity, AssociationKind, AssociationLink, Contribution, ContributionStrength,
+    DependencyEnd, ElementKind, GActor, GElement, GoalModel, Refinement, RefinementKind,
+    Severity, VActor, ValueModel,
 )
 from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_model
 from apimod.validate import (
@@ -199,6 +200,16 @@ def test_contribution_onto_task_is_error():
     assert "E-CONTRIB" in codes(validate_goal_model(model))
 
 
+def test_contribution_from_an_element_to_itself_is_e_self_at_the_element():
+    q = GElement("Q", ElementKind.QUALITY, "Q")
+    t = GElement("T", ElementKind.TASK, "T",
+                 contributions=[Contribution("Q", ContributionStrength.HELPS)])
+    q.contributions.append(Contribution("Q", ContributionStrength.HURTS))
+    diags = validate_goal_model(GoalModel("m", actors=[GActor("A", "A", elements=[q, t])]))
+    assert [(d.code, d.message) for d in diags] == [
+        ("E-SELF", "contribution must connect two distinct elements")]
+
+
 def test_dependency_into_closed_actor_element_dangles():
     model = gm("""
         goalmodel M {
@@ -385,7 +396,7 @@ def _break_goal_link(model, rng):
     """Break one link rule of a generated goal model in place; False if it
     has nothing the chosen break applies to."""
     elements = [el for a in model.actors for el in a.elements]
-    kind = rng.choice(["contribution", "child", "refined", "dependency"])
+    kind = rng.choice(["contribution", "self", "child", "refined", "dependency"])
     if kind == "contribution":
         sources = [el for el in elements if el.contributions]
         targets = [el.id for el in elements if el.kind is not ElementKind.QUALITY]
@@ -394,6 +405,12 @@ def _break_goal_link(model, rng):
         el = rng.choice(sources)
         i = rng.randrange(len(el.contributions))
         el.contributions[i] = Contribution(rng.choice(targets), el.contributions[i].strength)
+    elif kind == "self":  # on a quality, which no typing rule refuses
+        qualities = [el for el in elements if el.kind is ElementKind.QUALITY]
+        if not qualities:
+            return False
+        el = rng.choice(qualities)
+        el.contributions.append(Contribution(el.id, rng.choice(list(ContributionStrength))))
     elif kind in ("child", "refined"):
         refined = [el for el in elements if el.refinement is not None]
         if not refined:
