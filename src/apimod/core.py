@@ -37,22 +37,11 @@ class Label(Enum):
     CONFLICT = "conflict"
 
 
-_LABEL_RANK = {
-    Label.DENIED: 0,
-    Label.PARTIALLY_DENIED: 1,
-    Label.UNKNOWN: 2,
-    Label.PARTIALLY_SATISFIED: 3,
-    Label.SATISFIED: 4,
-}
+#: Each regular label's place in the order, which `Label` lists its members in.
+_LABEL_RANK = {label: i for i, label in enumerate(Label) if label is not Label.CONFLICT}
 
 #: Words accepted in model files; CONFLICT is deliberately not writable.
-LABEL_WORDS = {
-    "satisfied": Label.SATISFIED,
-    "partsat": Label.PARTIALLY_SATISFIED,
-    "unknown": Label.UNKNOWN,
-    "partden": Label.PARTIALLY_DENIED,
-    "denied": Label.DENIED,
-}
+LABEL_WORDS = {label.value: label for label in _LABEL_RANK}
 
 
 def label_min(a: Label, b: Label) -> Label:
@@ -202,6 +191,7 @@ def load_package_data(name: str):
 # Cross-cutting annotations
 # ---------------------------------------------------------------------------
 
+# Both enums list their members in report order.
 class Layer(Enum):
     DOMAIN = "domain"
     USAGE = "usage"
@@ -214,11 +204,6 @@ class BapoTag(Enum):
     ARCHITECTURE = "A"
     PROCESS = "P"
     ORGANIZATION = "O"
-
-
-BAPO_ORDER = [BapoTag.BUSINESS, BapoTag.ARCHITECTURE, BapoTag.PROCESS,
-              BapoTag.ORGANIZATION]
-LAYER_ORDER = [Layer.DOMAIN, Layer.USAGE, Layer.API, Layer.ASSET]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ required.
 
 from __future__ import annotations
 
-from ..core import BAPO_ORDER, ApimodError, GActor, GoalModel, Label, VActor, ValueModel
+from ..core import ApimodError, BapoTag, GActor, GoalModel, Label, VActor, ValueModel
 from ..evaluate import Scenario
 from ..govern import MetricDef
 from ..lifecycle import ApiDescriptor
@@ -20,7 +20,7 @@ def _actor_block(out: list[str], head: str, body: list[str],
     the actor's BAPO tags and layer assignments, or `head` alone if all
     three are empty."""
     if actor.bapo_tags:
-        tags = ", ".join(t.value for t in BAPO_ORDER if t in actor.bapo_tags)
+        tags = ", ".join(t.value for t in BapoTag if t in actor.bapo_tags)
         body.append(f"    bapo = {tags}")
     for focus in sorted(actor.layer_assignments):
         body.append(f"    layer({q(focus)}) = {actor.layer_assignments[focus].value}")

@@ -106,8 +106,7 @@ def resolve_scenario(model: GoalModel, scenario: Scenario) -> dict[str, Label]:
 # so max() absorbs it. An evidence pair keeps each side in thermometer code
 # (none 0, partial 1, full 3), the negative side two bits up, so merging two
 # pairs is a bitwise or.
-_LABELS = (Label.DENIED, Label.PARTIALLY_DENIED, Label.UNKNOWN,
-           Label.PARTIALLY_SATISFIED, Label.SATISFIED, Label.CONFLICT)
+_LABELS = tuple(Label)
 _CONFLICT = len(_LABELS) - 1
 _CODE = {label: i for i, label in enumerate(_LABELS)}
 

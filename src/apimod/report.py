@@ -24,7 +24,7 @@ _ELEMENT_SHAPES = {
 }
 
 #: Band order for layered exports, top band first.
-_BAND_ORDER = [Layer.ASSET, Layer.API, Layer.USAGE, Layer.DOMAIN]
+_BAND_ORDER = tuple(reversed(Layer))
 
 
 def _q(s: str) -> str:

@@ -17,8 +17,8 @@ elements. Layer and BAPO coverage checks work on both model types.
 from __future__ import annotations
 
 from .core import (
-    BAPO_ORDER, Contribution, Diagnostic, ElementKind, GoalModel, LAYER_ORDER,
-    Refinement, Severity, ValueModel, sort_diagnostics,
+    BapoTag, Contribution, Diagnostic, ElementKind, GoalModel, Layer, Refinement, Severity,
+    ValueModel, sort_diagnostics,
 )
 
 _QUALITY = ElementKind.QUALITY  # an enum member costs a lookup per access
@@ -331,7 +331,7 @@ def check_layer_coverage(model, api_focus: str) -> list[Diagnostic]:
                 actor.span))
         else:
             assigned_layers.add(layer)
-    for layer in LAYER_ORDER:
+    for layer in Layer:
         if layer not in assigned_layers:
             diags.append(Diagnostic(
                 Severity.WARNING, "W-LAYER-MISSING",
@@ -350,5 +350,5 @@ def check_bapo_coverage(model) -> list[Diagnostic]:
         Diagnostic(Severity.INFO, "I-BAPO",
                    f"no actor is tagged with the {tag.name.lower()} concern "
                    f"({tag.value})")
-        for tag in BAPO_ORDER if tag not in present
+        for tag in BapoTag if tag not in present
     ]
