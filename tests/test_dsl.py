@@ -657,7 +657,7 @@ def test_unexpected_statement_head_is_reported_and_parsing_resumes(block, head):
 
 
 # ---------------------------------------------------------------------------
-# One diagnostic per rule that no other test reaches
+# One diagnostic per rule, each reported once
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("text, expected", [
@@ -672,7 +672,16 @@ def test_unexpected_statement_head_is_reported_and_parsing_resumes(block, head):
     ("goalmodel M { actor A { goal G task T task U G and T G or U } }",
      "1:54: error E-REFINE element 'G' already has a refinement"),
     ("api X { stage plan } x", "1:22: error E-SYNTAX unexpected trailing input 'x'"),
-], ids=["layer", "stage", "observed", "metric", "label", "refinement", "trailing"])
+    ("goalmodel M { actor A { quality Q  task T  T helps Q  Q hurts Q } }",
+     "1:63: error E-SELF contribution must connect two distinct elements"),
+    # An actor body open at the end of input, and an unknown actor at both
+    # ends of a dependency, were each reported twice.
+    ("valuemodel M { actor A { api", "1:29: error E-SYNTAX expected '}', found 'end of input'"),
+    ("goalmodel M { actor A { goal G", "1:31: error E-SYNTAX expected '}', found 'end of input'"),
+    ("goalmodel M { actor A depend X.a -> X.b : resource R }",
+     "1:23: error E-REF unknown actor 'X'"),
+], ids=["layer", "stage", "observed", "metric", "label", "refinement", "trailing",
+        "self-contribution", "value-actor-body", "goal-actor-body", "depend-both-ends"])
 def test_rule_reports_its_one_diagnostic(text, expected):
     r = parse_model(text, "m")
     assert r.model is None
@@ -694,21 +703,3 @@ def test_nothing_may_follow_the_closing_brace(parse, text, expected):
         assert r.model is None
         assert [d.render() for d in r.diagnostics] == [f"m:{expected}"]
 
-
-@pytest.mark.parametrize("text, expected", [
-    ("valuemodel M { actor A { api", "1:29: error E-SYNTAX expected '}', found 'end of input'"),
-    ("goalmodel M { actor A { goal G", "1:31: error E-SYNTAX expected '}', found 'end of input'"),
-    ("goalmodel M { actor A depend X.a -> X.b : resource R }",
-     "1:23: error E-REF unknown actor 'X'"),
-], ids=["value-actor-body", "goal-actor-body", "depend-both-ends"])
-def test_each_parser_diagnostic_is_reported_once(text, expected):
-    r = parse_model(text, "m")
-    assert r.model is None
-    assert [d.render() for d in r.diagnostics] == [f"m:{expected}"]
-
-
-def test_contribution_from_an_element_to_itself_is_e_self_at_the_statement():
-    r = parse_goal_model("goalmodel M { actor A { quality Q  task T  T helps Q  Q hurts Q } }")
-    assert r.model is None
-    assert diagnostics_at(r) == [
-        ("E-SELF", "contribution must connect two distinct elements", 1, 63)]
