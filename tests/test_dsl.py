@@ -5,8 +5,8 @@ import random
 import pytest
 
 from apimod.core import (
-    Activity, ApimodError, ElementKind, FlowStatus, Label, RefinementKind, Severity, VActor,
-    ValueFlow, ValueModel, ValueObject,
+    Activity, ApimodError, ElementKind, FlowStatus, Label, RefinementKind, Severity,
+    SourceSpan, VActor, ValueFlow, ValueModel, ValueObject,
 )
 from apimod.dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
@@ -367,6 +367,18 @@ def test_diagnostics_carry_spans_inside_offending_tokens():
     lines = text.split("\n")
     token = lines[err.span.start_line - 1][err.span.start_col - 1:err.span.end_col]
     assert token == "Ghost"
+
+
+@pytest.mark.parametrize("text, span", [
+    ('valuemodel M {\n  actor A { activity a }\n  actor B\n  flow X from A\n    .\n'
+     '    b to B\n}\n', SourceSpan("m", 4, 15, 6, 5)),
+    ('valuemodel M {\r\n\tactor A { activity a }\r\n\tactor B\r\n\tflow X from A.\r\n'
+     '"b" to B\r\n}', SourceSpan("m", 4, 14, 5, 3)),
+])
+def test_endpoint_split_over_lines_spans_from_actor_to_element(text, span):
+    r = parse_value_model(text, "m")
+    assert [(d.code, d.message, d.span) for d in r.diagnostics] == [
+        ("E-REF", "unknown endpoint 'A.b'", span)]
 
 
 def test_model_absent_iff_errors():
