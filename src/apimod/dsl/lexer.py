@@ -1,13 +1,16 @@
 """Shared lexer for all textual model formats.
 
-Produces a flat token stream with 1-based spans. `//` comments run to end of
-line. Names containing spaces (or clashing with a keyword) are double-quoted.
+Produces a token stream as parallel lists, with 1-based spans on demand.
+`//` comments run to end of line. Names containing spaces (or clashing with
+a keyword) are double-quoted.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
+from typing import NamedTuple
 
 from ..core import ApimodError, SourceSpan
 
@@ -20,33 +23,59 @@ class TokKind(Enum):
     EOF = "end of input"
 
 
-class Token:
-    """One lexeme. Its span is built on first use and kept: most tokens are
-    never stored in a model or reported, and a span costs more to build
-    than the token itself."""
+class Token(NamedTuple):
+    """One token of a `Tokens` stream, as indexing or iterating it gives."""
 
-    __slots__ = ("kind", "value", "file", "line", "col", "end_col", "_span")
+    kind: TokKind
+    value: str  # decoded text for STRING, lexeme otherwise
+    span: SourceSpan
 
-    def __init__(self, kind: TokKind, value: str, file: str, line: int,
-                 col: int, end_col: int):
-        self.kind = kind
-        self.value = value  # decoded text for STRING, lexeme otherwise
-        self.file = file
-        self.line = line
-        self.col = col
-        self.end_col = end_col
-        self._span = None
 
-    @property
-    def span(self) -> SourceSpan:
-        span = self._span
-        if span is None:
-            span = self._span = SourceSpan(self.file, self.line, self.col,
-                                           self.line, self.end_col)
-        return span
+#: `SourceSpan(*fields)` without the Python-level `__new__` frame.
+_span = partial(tuple.__new__, SourceSpan)
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.value!r}, {self.span})"
+
+class Tokens:
+    """The tokens of one text as parallel lists, read by position: each
+    token's kind, value and start and end offsets in the text. The stream
+    ends with one EOF token at offset `len(text)`. A span is built only when
+    asked for. Its line is found by counting line breaks from the offset
+    located before it, so a parser that asks in text order reads the text
+    once."""
+
+    __slots__ = ("text", "file", "kinds", "values", "starts", "ends", "_mark", "_line")
+
+    def __init__(self, text: str, file: str, kinds: list[TokKind], values: list[str],
+                 starts: list[int], ends: list[int]):
+        self.text, self.file = text, file
+        self.kinds, self.values, self.starts, self.ends = kinds, values, starts, ends
+        self._mark, self._line = 0, 1  # an offset and its line
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, pos: int) -> Token:
+        return Token(self.kinds[pos], self.values[pos], self.span(pos))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.kinds)))
+
+    def span(self, first: int, last: int | None = None) -> SourceSpan:
+        """From the start of token `first` to the end of token `last`
+        (default `first`), 1-based and inclusive."""
+        start = self.starts[first]
+        end = self.ends[first if last is None else last] - 1
+        text, mark, line = self.text, self._mark, self._line
+        if start >= mark:
+            line += text.count("\n", mark, start)
+        else:
+            line -= text.count("\n", start, mark)
+        self._mark, self._line = start, line
+        col = start - text.rfind("\n", 0, start)
+        if last is None:  # a token lies on one line
+            return _span((self.file, line, col, line, col + end - start))
+        return _span((self.file, line, col, line + text.count("\n", start, end),
+                      end - text.rfind("\n", 0, end)))
 
 
 #: Reserved words across all dialects; a model name equal to one of these
@@ -64,22 +93,22 @@ KEYWORDS = frozenset({
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-#: One alternation for the whole lexer, matched row by row. Each match
-#: absorbs the blanks before it; blanks at the end of a row match nothing,
-#: and `finditer` passes over them. The string rule is an unrolled loop: a
-#: backslash escapes a following quote or backslash and is kept literally
-#: otherwise, and every position has one way to match, so a string with
-#: no closing quote fails without backtracking into its escapes. A quote
-#: that does not start a whole string is an unterminated string, and BAD is
-#: any other character that is not a blank.
-_MASTER = re.compile(r"""[ \t\r]*(?:
+#: One alternation for the whole lexer, matched once over the whole text.
+#: Each match absorbs the blanks and line breaks before it; blanks at the
+#: end of the text match nothing, and `finditer` passes over them. The
+#: string rule is an unrolled loop: a backslash escapes a following quote or
+#: backslash and is kept literally otherwise, and every position has one way
+#: to match, so a string with no closing quote fails without backtracking
+#: into its escapes. A quote that does not start a whole string is an
+#: unterminated string, and BAD is any other character that is not a blank.
+_MASTER = re.compile(r"""[ \t\r\n]*(?:
      (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<PUNCT>->|[{}()=:,.])
     |(?P<STRING>"[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*")
     |(?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
     |(?P<SKIP>//.*)
     |(?P<OPEN>")
-    |(?P<BAD>[^ \t\r])
+    |(?P<BAD>[^ \t\r\n])
 )""", re.VERBOSE)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _KINDS = {"IDENT": TokKind.IDENT, "PUNCT": TokKind.PUNCT,
@@ -87,41 +116,56 @@ _KINDS = {"IDENT": TokKind.IDENT, "PUNCT": TokKind.PUNCT,
 
 
 class LexError(Exception):
-    def __init__(self, message: str, span: SourceSpan):
+    """A text the lexer cannot read. `tokens`, when set, is a lone EOF token
+    at `span`."""
+
+    def __init__(self, message: str, span: SourceSpan, tokens: Tokens | None = None):
         super().__init__(message)
         self.message = message
         self.span = span
+        self.tokens = tokens
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    kinds = _KINDS
+def tokenize(text: str, filename: str = "<input>") -> Tokens:
+    """`text` as a `Tokens` stream, in one pass of the master regex. Raises
+    `LexError` at the first bad character or unterminated string; the error
+    keeps an end-of-input stream at its span for the parser to read."""
+    kinds: list[TokKind] = []
+    values: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    add_kind, add_value, add_start, add_end = (
+        kinds.append, values.append, starts.append, ends.append)
+    kind_of = _KINDS.get
     string = TokKind.STRING
-    for line, row in enumerate(text.split("\n"), 1):
-        for m in _MASTER.finditer(row):
-            group = m.lastgroup
-            kind = kinds.get(group)
-            if kind is None:
-                if group == "SKIP":
-                    continue
-                col = m.start(group) + 1
-                if group == "OPEN":
-                    raise LexError("unterminated string",
-                                   SourceSpan(filename, line, col, line, len(row) + 1))
-                raise LexError(f"unexpected character {m[group]!r}",
-                               SourceSpan(filename, line, col, line, col))
-            lexeme = m[group]
-            end = m.end()
-            value = lexeme
-            if kind is string:
-                value = lexeme[1:-1]
-                if "\\" in value:
-                    value = _ESCAPE_RE.sub(lambda m: m[1], value)
-            append(Token(kind, value, filename, line, end - len(lexeme) + 1, end))
-    col = len(row) + 1
-    append(Token(TokKind.EOF, "", filename, line, col, col))
-    return tokens
+    for m in _MASTER.finditer(text):
+        group = m.lastgroup
+        kind = kind_of(group)
+        if kind is None:
+            if group == "SKIP":
+                continue
+            start = end = m.start(group)
+            message = f"unexpected character {m[group]!r}"
+            if group == "OPEN":  # the span runs to the end of the line
+                message, end = "unterminated string", text.find("\n", start)
+                if end < 0:
+                    end = len(text)
+            error = Tokens(text, filename, [TokKind.EOF], [""], [start], [end + 1])
+            raise LexError(message, error.span(0), error)
+        value = m[group]
+        if kind is string:
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(lambda m: m[1], value)
+        add_kind(kind)
+        add_value(value)
+        add_start(m.start(group))
+        add_end(m.end())
+    kinds.append(TokKind.EOF)
+    values.append("")
+    starts.append(len(text))
+    ends.append(len(text) + 1)
+    return Tokens(text, filename, kinds, values, starts, ends)
 
 
 def is_bare_name(s: str) -> bool:

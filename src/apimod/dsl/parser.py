@@ -36,7 +36,7 @@ from ..lifecycle import (
     curve_number_problems, curve_step_problems,
 )
 from ..validate import duplicate_ids, link_problems, reference_problems, self_links
-from .lexer import KEYWORDS, LexError, TokKind, Token, tokenize
+from .lexer import KEYWORDS, LexError, TokKind, Tokens, tokenize
 
 
 class ParseResult(NamedTuple):
@@ -71,43 +71,33 @@ _OBSERVED_WORDS = {name: {v.value: v for v in values}
                    for name, values in CHARACTERISTICS.items()}
 
 
-def _lex(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
+def _lex(text: str, filename: str) -> tuple[Tokens, list[Diagnostic]]:
     """Tokens and lexer diagnostics. A lex error becomes one E-SYNTAX
     diagnostic and a lone end-of-input token at the error's span, so the
     parser still runs and reports what it expected there."""
     try:
         return tokenize(text, filename), []
     except LexError as exc:
-        s = exc.span
-        eof = Token(TokKind.EOF, "", s.file, s.start_line, s.start_col, s.end_col)
-        return [eof], [Diagnostic(Severity.ERROR, "E-SYNTAX", exc.message, s)]
+        return exc.tokens, [Diagnostic(Severity.ERROR, "E-SYNTAX", exc.message, exc.span)]
 
 
-#: `Actor` or `Actor.element` as its actor and element name tokens.
-_Ref = tuple[Token, Optional[Token]]
-
-
-def _ref_text(actor: Token, element: Optional[Token]) -> str:
-    """`Actor.element`, or `Actor` alone when the element name is empty."""
-    return f"{actor.value}.{element.value}" if element and element.value else actor.value
-
-
-def _ref_span(actor: Token, element: Optional[Token]) -> SourceSpan:
-    if element is None:
-        return actor.span
-    return SourceSpan(actor.file, actor.line, actor.col, element.line, element.end_col)
+#: `Actor` or `Actor.element` as the positions of its actor and element
+#: name tokens; `span(*ref)` covers both.
+_Ref = tuple[int, Optional[int]]
 
 
 class _Parser:
     """Token cursor, dialect frame, statement loop and recovery shared by
-    the dialect parsers. `pos` never moves past the end-of-input token, so
-    the current token is always `tokens[pos]`. A dialect states its
+    the dialect parsers. Tokens are read by position: `pos` never moves past
+    the end-of-input token, so the current token is always `kinds[pos]` and
+    `values[pos]`, and `span(first, last)` is built only for a token that is
+    kept or reported. Handlers and helpers pass positions. A dialect states its
     `KEYWORD`, what its name is read as (`NAME`) and its `UNEXPECTED`
     statement wording (see `block`). Its `start(name)` builds `model`, which
     handlers extend, keeping the actor being read and pending links too."""
 
-    def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens, diagnostics: list[Diagnostic]):
+        self.kinds, self.values, self.span = tokens.kinds, tokens.values, tokens.span
         self.diagnostics = diagnostics
         self.pos = 0
 
@@ -116,13 +106,14 @@ class _Parser:
         dialect's `finish`."""
         try:
             self.expect(self.KEYWORD)
-            self.start(self.name(self.NAME).value)
+            self.start(self.text(self.NAME))
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
         self.block(self.STATEMENTS, self.UNEXPECTED)
-        if (tok := self.peek()).kind is not _EOF:
-            self.error("E-SYNTAX", f"unexpected trailing input {tok.value!r}", tok.span)
+        if self.kinds[pos := self.pos] is not _EOF:
+            self.error("E-SYNTAX", f"unexpected trailing input {self.values[pos]!r}",
+                       self.span(pos))
         self.finish()
         return self.result(self.model)
 
@@ -131,58 +122,56 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def eat(self, value: str) -> bool:
-        tok = self.tokens[self.pos]
-        if tok.value == value and (tok.kind is _IDENT or tok.kind is _PUNCT):
-            self.pos += 1
+        pos = self.pos
+        if self.values[pos] == value and ((kind := self.kinds[pos]) is _IDENT
+                                          or kind is _PUNCT):
+            self.pos = pos + 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.value == value and (tok.kind is _IDENT or tok.kind is _PUNCT):
-            self.pos += 1
-            return tok
-        self.fail(repr(value), tok)
+    def expect(self, value: str) -> None:
+        pos = self.pos
+        if self.values[pos] == value and ((kind := self.kinds[pos]) is _IDENT
+                                          or kind is _PUNCT):
+            self.pos = pos + 1
+        else:
+            self.fail(repr(value), pos)
 
-    def name(self, what: str = "name") -> Token:
-        """The next token as a name. Callers take its span only where they
-        keep or report it, so most names never build one."""
-        tok = self.tokens[self.pos]
-        kind = tok.kind
-        if kind is _STRING or (kind is _IDENT and tok.value not in KEYWORDS):
-            self.pos += 1
-            return tok
-        self.fail(what, tok)
+    def name(self, what: str = "name") -> int:
+        """The position of the next token, read as a name."""
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind is _STRING or (kind is _IDENT and self.values[pos] not in KEYWORDS):
+            self.pos = pos + 1
+            return pos
+        self.fail(what, pos)
 
     def number(self, what: str = "number") -> tuple[float, SourceSpan]:
-        tok = self.tokens[self.pos]
-        if tok.kind is TokKind.NUMBER:
-            self.pos += 1
-            return float(tok.value), tok.span
-        self.error("E-SYNTAX", f"expected {what}, found {tok.value!r}", tok.span)
+        pos = self.pos
+        if self.kinds[pos] is TokKind.NUMBER:
+            self.pos = pos + 1
+            return float(self.values[pos]), self.span(pos)
+        self.error("E-SYNTAX", f"expected {what}, found {self.values[pos]!r}", self.span(pos))
         raise _ParseAbort()
 
     def keyword_choice(self, words: dict, what: str):
         """The value `words` maps the next identifier to."""
-        tok = self.tokens[self.pos]
-        if tok.kind is _IDENT and tok.value in words:
-            self.pos += 1
-            return words[tok.value]
-        self.fail(what, tok)
+        pos = self.pos
+        if self.kinds[pos] is _IDENT and (word := self.values[pos]) in words:
+            self.pos = pos + 1
+            return words[word]
+        self.fail(what, pos)
 
     # -- diagnostics and recovery -------------------------------------------
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
-    def fail(self, what: str, tok: Token) -> NoReturn:
-        """Report that `what` was expected at `tok` and unwind."""
-        shown = tok.value if tok.value else str(tok.kind.value)
-        self.error("E-SYNTAX", f"expected {what}, found {shown!r}", tok.span)
+    def fail(self, what: str, pos: int) -> NoReturn:
+        """Report that `what` was expected at token `pos` and unwind."""
+        shown = self.values[pos] or str(self.kinds[pos].value)
+        self.error("E-SYNTAX", f"expected {what}, found {shown!r}", self.span(pos))
         raise _ParseAbort()
 
     def block(self, statements: dict, unexpected: str, other=None) -> None:
@@ -195,27 +184,28 @@ class _Parser:
         resumes at the next keyword of `statements`. At the end of input the
         missing brace is reported as `fail` words it, without unwinding,
         since no enclosing block could resume there."""
-        tokens = self.tokens
+        kinds, values = self.kinds, self.values
         while True:
-            tok = tokens[self.pos]
-            kind = tok.kind
+            pos = self.pos
+            kind = kinds[pos]
             if kind is _EOF:
-                self.error("E-SYNTAX", "expected '}', found 'end of input'", tok.span)
+                self.error("E-SYNTAX", "expected '}', found 'end of input'", self.span(pos))
                 return
-            if kind is _PUNCT and tok.value == "}":
-                self.pos += 1
+            value = values[pos]
+            if kind is _PUNCT and value == "}":
+                self.pos = pos + 1
                 return
             try:
-                handler = statements.get(tok.value) if kind is _IDENT else None
+                handler = statements.get(value) if kind is _IDENT else None
                 if handler is not None:
-                    self.pos += 1
-                    handler(self, tok)
+                    self.pos = pos + 1
+                    handler(self, pos)
                 elif other is not None and (kind is _IDENT or kind is _STRING):
-                    other(tok)
+                    other(pos)
                 else:
-                    shown = tok.value or str(kind.value)
-                    self.error("E-SYNTAX", unexpected.format(value=tok.value, shown=shown),
-                               tok.span)
+                    shown = value or str(kind.value)
+                    self.error("E-SYNTAX", unexpected.format(value=value, shown=shown),
+                               self.span(pos))
                     raise _ParseAbort()
             except _ParseAbort:
                 self.sync(statements)
@@ -223,20 +213,19 @@ class _Parser:
     def sync(self, keywords) -> None:
         """Skip tokens until a statement keyword or block boundary."""
         depth = 0
-        tokens = self.tokens
+        kinds, values = self.kinds, self.values
         while True:
-            tok = tokens[self.pos]
-            kind = tok.kind
+            kind = kinds[self.pos]
             if kind is _EOF:
                 return
             if kind is _PUNCT:
-                if tok.value == "{":
+                if values[self.pos] == "{":
                     depth += 1
-                elif tok.value == "}":
+                elif values[self.pos] == "}":
                     if depth == 0:
                         return
                     depth -= 1
-            elif depth == 0 and kind is _IDENT and tok.value in keywords:
+            elif depth == 0 and kind is _IDENT and values[self.pos] in keywords:
                 return
             self.pos += 1
 
@@ -257,40 +246,56 @@ class _Parser:
 
     # -- shared small rules ---------------------------------------------------
 
+    def text(self, what: str = "name") -> str:
+        """The next token's value, read as a name."""
+        return self.values[self.name(what)]
+
+    def ref_text(self, ref: _Ref) -> str:
+        """`Actor.element`, or `Actor` alone when the element name is empty."""
+        actor, element = ref
+        values = self.values
+        if element is None or not values[element]:
+            return values[actor]
+        return f"{values[actor]}.{values[element]}"
+
     def name_list(self) -> list[str]:
-        names = [self.name().value]
-        while self.eat(","):
-            names.append(self.name().value)
+        """`name, name, ...`; refinements list up to hundreds of children."""
+        kinds, values = self.kinds, self.values
+        names = [values[self.name()]]
+        while values[pos := self.pos] == "," and kinds[pos] is _PUNCT:
+            self.pos = pos + 1
+            names.append(values[self.name()])
         return names
 
-    def parse_layer(self, kw: Token) -> None:
+    def parse_layer(self, kw: int) -> None:
         """`layer(focus) = layer` in an actor body."""
         self.expect("(")
-        focus = self.name("api focus").value
+        focus = self.text("api focus")
         self.expect(")")
         self.expect("=")
         layer = self.keyword_choice(_LAYER_WORDS, "layer (domain|usage|api|asset)")
         assignments = self.actor.layer_assignments
         if focus in assignments:
-            self.error("E-DUP", f"duplicate layer assignment for focus {focus!r}", kw.span)
+            self.error("E-DUP", f"duplicate layer assignment for focus {focus!r}",
+                       self.span(kw))
         assignments[focus] = layer
 
-    def parse_bapo(self, kw: Token) -> None:
+    def parse_bapo(self, kw: int) -> None:
         """`bapo = tag, ...` in an actor body."""
         self.expect("=")
         while True:
-            tok = self.tokens[self.pos]
-            if tok.kind is not _IDENT or tok.value not in _BAPO_WORDS:
-                self.error("E-SYNTAX", f"expected BAPO tag (B|A|P|O), found {tok.value!r}",
-                           tok.span)
+            pos = self.pos
+            if self.kinds[pos] is not _IDENT or self.values[pos] not in _BAPO_WORDS:
+                self.error("E-SYNTAX", "expected BAPO tag (B|A|P|O), found "
+                           f"{self.values[pos]!r}", self.span(pos))
                 raise _ParseAbort()
-            self.pos += 1
-            self.actor.bapo_tags.add(_BAPO_WORDS[tok.value])
+            self.pos = pos + 1
+            self.actor.bapo_tags.add(_BAPO_WORDS[self.values[pos]])
             if not self.eat(","):
                 return
 
     def qualified_ref(self) -> _Ref:
-        """`Actor` or `Actor.element`: the actor and element name tokens."""
+        """`Actor` or `Actor.element`: the positions of its name tokens."""
         actor = self.name("actor reference")
         element = self.name("element reference") if self.eat(".") else None
         return actor, element
@@ -306,31 +311,33 @@ class _ValueModelParser(_Parser):
 
     def start(self, name: str) -> None:
         self.model = ValueModel(name)
-        self.parents: dict[int, Token] = {}  # actor identity -> its parent's name
+        self.parents: dict[int, int] = {}  # actor identity -> its parent's name token
         self.raw_flows: list[tuple[ValueFlow, _Ref, _Ref]] = []
 
-    def parse_actor(self, kw: Token) -> None:
+    def parse_actor(self, kw: int) -> None:
         name = self.name("actor name")
-        actor = self.actor = VActor(id=name.value, name=name.value, span=name.span)
+        value = self.values[name]
+        actor = self.actor = VActor(id=value, name=value, span=self.span(name))
         if self.eat("in"):
             parent = self.parents[id(actor)] = self.name("parent actor")
-            actor.parent = parent.value
+            actor.parent = self.values[parent]
         self.model.actors.append(actor)
         if self.eat("{"):
             self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}")
 
-    def parse_activity(self, kw: Token) -> None:
+    def parse_activity(self, kw: int) -> None:
         name = self.name("activity name")
-        self.actor.activities.append(Activity(id=name.value, name=name.value, span=name.span))
+        value = self.values[name]
+        self.actor.activities.append(Activity(id=value, name=value, span=self.span(name)))
 
-    def parse_api(self, kw: Token) -> None:
+    def parse_api(self, kw: int) -> None:
         self.actor.api_role = True
 
-    def parse_market(self, kw: Token) -> None:
+    def parse_market(self, kw: int) -> None:
         self.actor.market_segment = True
 
-    def parse_flow(self, kw: Token) -> None:
-        obj_name = self.name("value object name").value
+    def parse_flow(self, kw: int) -> None:
+        obj_name = self.text("value object name")
         self.expect("from")
         src = self.qualified_ref()
         self.expect("to")
@@ -341,35 +348,36 @@ class _ValueModelParser(_Parser):
                                        "object kind (resource|task|goal|quality)")
         status = FlowStatus.NORMAL
         if self.eat("status"):
-            tok = self.tokens[self.pos]
-            if tok.kind is _IDENT and tok.value in _FLOW_STATUS_WORDS:
-                self.pos += 1
-                status = _FLOW_STATUS_WORDS[tok.value]
+            pos = self.pos
+            if self.kinds[pos] is _IDENT and self.values[pos] in _FLOW_STATUS_WORDS:
+                self.pos = pos + 1
+                status = _FLOW_STATUS_WORDS[self.values[pos]]
             else:
-                self.error("E-SYNTAX",
-                           f"expected problematic or missing, found {tok.value!r}", tok.span)
+                self.error("E-SYNTAX", "expected problematic or missing, found "
+                           f"{self.values[pos]!r}", self.span(pos))
                 raise _ParseAbort()
         group = None
         if self.eat("group"):
-            group = self.name("group id").value
+            group = self.text("group id")
         flow = ValueFlow(
             id=f"f{len(self.raw_flows) + 1}",
-            source=_ref_text(*src),
-            target=_ref_text(*dst),
+            source=self.ref_text(src),
+            target=self.ref_text(dst),
             obj=ValueObject(obj_name, kind),
             status=status,
             group=group,
-            span=kw.span,
+            span=self.span(kw),
         )
         self.model.flows.append(flow)
         self.raw_flows.append((flow, src, dst))
 
-    def parse_stimulus(self, kw: Token) -> None:
+    def parse_stimulus(self, kw: int) -> None:
         name = self.name("stimulus name")
         self.expect("in")
-        owner = self.name("owning actor").value
-        self.model.stimuli.append(Stimulus(id=name.value, name=name.value, at=owner,
-                                           span=name.span))
+        owner = self.text("owning actor")
+        value = self.values[name]
+        self.model.stimuli.append(Stimulus(id=value, name=value, at=owner,
+                                           span=self.span(name)))
 
     STATEMENTS = {"actor": parse_actor, "flow": parse_flow, "stimulus": parse_stimulus}
     ACTOR_STATEMENTS = {"activity": parse_activity, "api": parse_api, "market": parse_market,
@@ -383,30 +391,32 @@ class _ValueModelParser(_Parser):
         # joined text (names may contain dots); any other endpoint is left to
         # `reference_problems`.
         activity_owner = {act.id: a.id for a in model.actors for act in a.activities}
+        values = self.values
         ends: dict[tuple[int, str], _Ref] = {}
         for flow, src, dst in self.raw_flows:
-            for attr, (owner, element) in (("source", src), ("target", dst)):
-                if element is None or not element.value:
-                    ends[id(flow), attr] = owner, element
-                elif activity_owner.get(element.value) == owner.value:
-                    setattr(flow, attr, element.value)
+            for attr, ref in (("source", src), ("target", dst)):
+                owner, element = ref
+                if element is None or not values[element]:
+                    ends[id(flow), attr] = ref
+                elif activity_owner.get(values[element]) == values[owner]:
+                    setattr(flow, attr, values[element])
                 else:
                     self.error("E-REF", f"unknown endpoint {getattr(flow, attr)!r}",
-                               _ref_span(owner, element))
+                               self.span(*ref))
         for code, message, flow in self_links(model):
             src = next(ref for raw, ref, _ in self.raw_flows if raw is flow)
-            self.error(code, message, _ref_span(*src))
+            self.error(code, message, self.span(*src))
         for kind, ref, owner in reference_problems(model):
             if kind == "parent":
                 self.error("E-REF", f"unknown parent actor {ref!r}",
-                           self.parents[id(owner)].span)
+                           self.span(self.parents[id(owner)]))
             elif kind == "cycle":
                 self.error("E-CYCLE", f"partnership cycle through {ref!r}", owner.span)
             elif kind == "stimulus":
                 self.error("E-REF", f"unknown actor {ref!r}", owner.span)
             elif (id(owner), kind) in ends:
                 self.error("E-REF", f"unknown endpoint {ref!r}",
-                           _ref_span(*ends[id(owner), kind]))
+                           self.span(*ends[id(owner), kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +424,8 @@ class _ValueModelParser(_Parser):
 # ---------------------------------------------------------------------------
 
 #: A link statement before it is placed on its source element: its actor,
-#: source id, link, and the token it is reported at.
-_Pending = tuple[GActor, str, Refinement | Contribution, Token]
+#: source id, link, and the position of the token it is reported at.
+_Pending = tuple[GActor, str, Refinement | Contribution, int]
 
 
 class _GoalModelParser(_Parser):
@@ -426,72 +436,74 @@ class _GoalModelParser(_Parser):
         self.model = GoalModel(name, draft=self.eat("draft"))
         self.pending: list[_Pending] = []
 
-    def parse_actor(self, kw: Token) -> None:
-        name = self.name("actor name")
-        self.actor = GActor(id=name.value, name=name.value, span=name.span)
+    def parse_actor(self, kw: int) -> None:
+        pos = self.name("actor name")
+        name = self.values[pos]
+        self.actor = GActor(id=name, name=name, span=self.span(pos))
         self.model.actors.append(self.actor)
         if self.eat("in"):
             # Goal models keep actors side by side; nesting syntax is
             # accepted and recorded as a part-of association.
             parent = self.name("parent actor")
             self.model.associations.append(AssociationLink(
-                AssociationKind.PART_OF, name.value, parent.value, span=parent.span))
+                AssociationKind.PART_OF, name, self.values[parent], span=self.span(parent)))
         if self.eat("{"):
             self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}",
                        self.parse_link_stmt)
 
-    def parse_element(self, kw: Token) -> None:
+    def parse_element(self, kw: int) -> None:
         element = self.name("element name")
+        value = self.values[element]
         self.actor.elements.append(GElement(
-            id=element.value, kind=_ELEMENT_KIND_WORDS[kw.value],
-            name=element.value, span=element.span))
+            id=value, kind=_ELEMENT_KIND_WORDS[self.values[kw]],
+            name=value, span=self.span(element)))
 
-    def parse_link_stmt(self, head: Token) -> None:
+    def parse_link_stmt(self, head: int) -> None:
         source = self.name("element reference")
-        tok = self.tokens[self.pos]
-        word = tok.value if tok.kind is _IDENT else ""
+        values, pos = self.values, self.pos
+        word = values[pos] if self.kinds[pos] is _IDENT else ""
         if word in _REFINEMENT_WORDS:
-            self.pos += 1
+            self.pos = pos + 1
             children = tuple(self.name_list())
-            self.pending.append((self.actor, source.value,
+            self.pending.append((self.actor, values[source],
                                  Refinement(_REFINEMENT_WORDS[word], children), source))
         elif word in _STRENGTH_WORDS:
-            self.pos += 1
+            self.pos = pos + 1
             target = self.name("contribution target")
-            self.pending.append((self.actor, source.value,
-                                 Contribution(target.value, _STRENGTH_WORDS[word]), target))
+            self.pending.append((self.actor, values[source],
+                                 Contribution(values[target], _STRENGTH_WORDS[word]), target))
         else:
-            self.error("E-SYNTAX",
-                       f"expected and/or/makes/helps/hurts/breaks after {source.value!r}",
-                       tok.span)
+            self.error("E-SYNTAX", "expected and/or/makes/helps/hurts/breaks after "
+                       f"{values[source]!r}", self.span(pos))
             raise _ParseAbort()
 
-    def parse_depend(self, kw: Token) -> None:
+    def parse_depend(self, kw: int) -> None:
         dr_actor, dr_el = self.qualified_ref()
         self.expect("->")
         de_actor, de_el = self.qualified_ref()
         self.expect(":")
         kind = self.keyword_choice(_ELEMENT_KIND_WORDS,
                                    "dependum kind (goal|quality|task|resource)")
-        dname = self.name("dependum name").value
+        dname = self.text("dependum name")
         initial = None
         if self.eat("="):
             initial = self.keyword_choice(LABEL_WORDS, "label")
+        values = self.values
         dependencies = self.model.dependencies
         dependencies.append(Dependency(
             id=f"d{len(dependencies) + 1}",
-            depender=DependencyEnd(dr_actor.value, dr_el.value if dr_el else None),
+            depender=DependencyEnd(values[dr_actor], None if dr_el is None else values[dr_el]),
             dependum=Dependum(kind, dname, initial),
-            dependee=DependencyEnd(de_actor.value, de_el.value if de_el else None),
-            span=kw.span,
+            dependee=DependencyEnd(values[de_actor], None if de_el is None else values[de_el]),
+            span=self.span(kw),
         ))
 
-    def parse_partof(self, kw: Token) -> None:
-        part = self.name("actor").value
+    def parse_partof(self, kw: int) -> None:
+        part = self.text("actor")
         self.expect("->")
-        whole = self.name("actor").value
+        whole = self.text("actor")
         self.model.associations.append(AssociationLink(
-            AssociationKind.PART_OF, part, whole, span=kw.span))
+            AssociationKind.PART_OF, part, whole, span=self.span(kw)))
 
     STATEMENTS = {"actor": parse_actor, "depend": parse_depend, "partof": parse_partof}
     ACTOR_STATEMENTS = {**dict.fromkeys(_ELEMENT_KIND_WORDS, parse_element),
@@ -505,7 +517,7 @@ class _GoalModelParser(_Parser):
         local_maps = {id(a): {el.id: el for el in a.elements} for a in model.actors}
         elements = {k: el for local in local_maps.values() for k, el in local.items()}
 
-        unresolved: dict[int, list[str]] = {}  # statement token -> its unknown ids
+        unresolved: dict[int, list[str]] = {}  # statement position -> its unknown ids
         for kind, ref, owner in reference_problems(model, self.pending):
             if kind == "end":
                 self.error("E-REF", f"unknown element {ref.element!r} in actor "
@@ -513,23 +525,23 @@ class _GoalModelParser(_Parser):
             elif kind in ("actor", "partof"):
                 self.error("E-REF", f"unknown actor {ref!r}", owner.span)
             elif kind != "closed":
-                unresolved.setdefault(id(owner), []).append(ref)
+                unresolved.setdefault(owner, []).append(ref)
 
         # A statement is placed on its source element only if no rule
         # rejects it. An unknown source hides the rest of the statement, and
         # a refined quality hides its children.
         for actor, source, link, at in self.pending:
-            missing = unresolved.get(id(at), ()) if unresolved else ()
+            missing = unresolved.get(at, ()) if unresolved else ()
             local = local_maps[id(actor)]
             el = None if source in missing else local[source]
             if el is None:
                 self.error("E-REF", f"unknown element {source!r} in actor {actor.id!r}",
-                           at.span)
+                           self.span(at))
                 continue
             contribution = type(link) is Contribution
             if not contribution and el.refinement is not None:  # never on a quality
                 self.error("E-REFINE", f"element {source!r} already has a refinement",
-                           at.span)
+                           self.span(at))
                 continue
             problems = link_problems(el, link, local, elements)
             if missing and contribution:
@@ -539,7 +551,7 @@ class _GoalModelParser(_Parser):
                 problems += [("E-REF", f"unknown element {ref!r} in actor {actor.id!r}")
                              for ref in missing]
             for code, message in problems:
-                self.error(code, message, at.span)
+                self.error(code, message, self.span(at))
             if problems:
                 continue
             if contribution:
@@ -566,33 +578,32 @@ class _ApiDescriptorParser(_Parser):
     def finish(self) -> None:
         if not self.staged and not self.has_errors():
             self.error("E-SYNTAX", "api descriptor is missing a stage declaration",
-                       self.peek().span)
+                       self.span(self.pos))
 
-    def parse_stage(self, kw: Token) -> None:
+    def parse_stage(self, kw: int) -> None:
         stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
         if self.staged:
-            self.error("E-DUP", "stage declared twice", kw.span)
+            self.error("E-DUP", "stage declared twice", self.span(kw))
         self.model.declared_stage, self.staged = stage, True
 
-    def parse_observed(self, kw: Token) -> None:
-        tok = self.peek()
-        if tok.kind is not _IDENT or tok.value not in _OBSERVED_WORDS:
-            self.error("E-SYNTAX", f"unknown characteristic {tok.value!r}", tok.span)
+    def parse_observed(self, kw: int) -> None:
+        pos = self.pos
+        attr = self.values[pos]
+        if self.kinds[pos] is not _IDENT or attr not in _OBSERVED_WORDS:
+            self.error("E-SYNTAX", f"unknown characteristic {attr!r}", self.span(pos))
             raise _ParseAbort()
-        self.pos += 1
-        attr = tok.value
-        values = _OBSERVED_WORDS[attr]
-        vtok = self.peek()
-        if vtok.kind is not _IDENT or vtok.value not in values:
-            self.error("E-SYNTAX", f"unknown {attr} value {vtok.value!r}", vtok.span)
+        words = _OBSERVED_WORDS[attr]
+        word = self.values[pos + 1]
+        if self.kinds[pos + 1] is not _IDENT or word not in words:
+            self.error("E-SYNTAX", f"unknown {attr} value {word!r}", self.span(pos + 1))
             raise _ParseAbort()
-        self.pos += 1
+        self.pos = pos + 2
         observed = self.model.observed
         if getattr(observed, attr) is not None:
-            self.error("E-DUP", f"characteristic {attr} observed twice", tok.span)
-        setattr(observed, attr, values[vtok.value])
+            self.error("E-DUP", f"characteristic {attr} observed twice", self.span(pos))
+        setattr(observed, attr, words[word])
 
-    def parse_curve_sample(self, kw: Token) -> None:
+    def parse_curve_sample(self, kw: int) -> None:
         t, tspan = self.number("sample time")
         stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
         value, vspan = self.number("sample value")
@@ -604,8 +615,8 @@ class _ApiDescriptorParser(_Parser):
             self.error(code, message, tspan if field == "time" else vspan)
         curve.append(sample)
 
-    def parse_rationale(self, kw: Token) -> None:
-        self.model.transition_rationales.append(self.name("rationale tag").value)
+    def parse_rationale(self, kw: int) -> None:
+        self.model.transition_rationales.append(self.text("rationale tag"))
 
     STATEMENTS = {"stage": parse_stage, "observed": parse_observed,
                   "curve": parse_curve_sample, "rationale": parse_rationale}
@@ -618,11 +629,12 @@ class _ApiDescriptorParser(_Parser):
 def _metric_field(read):
     """The handler of a metric field whose value `read(parser)` parses. A
     field may be given once per metric."""
-    def handler(self, kw: Token) -> None:
-        if kw.value in self.seen:
-            self.error("E-DUP", f"metric field {kw.value} given twice", kw.span)
-        self.seen.add(kw.value)
-        setattr(self.metric, kw.value, read(self))
+    def handler(self, kw: int) -> None:
+        field = self.values[kw]
+        if field in self.seen:
+            self.error("E-DUP", f"metric field {field} given twice", self.span(kw))
+        self.seen.add(field)
+        setattr(self.metric, field, read(self))
     return handler
 
 
@@ -632,13 +644,13 @@ class _MetricCatalogParser(_Parser):
     def parse(self) -> ParseResult:
         metrics: list[MetricDef] = []
         names: dict[str, SourceSpan] = {}
-        while (tok := self.peek()).kind is not _EOF:
+        while (kind := self.kinds[pos := self.pos]) is not _EOF:
             try:
-                if tok.value != "metric" or tok.kind is not _IDENT:
-                    self.error("E-SYNTAX", f"expected metric block, found {tok.value!r}",
-                               tok.span)
+                if (value := self.values[pos]) != "metric" or kind is not _IDENT:
+                    self.error("E-SYNTAX", f"expected metric block, found {value!r}",
+                               self.span(pos))
                     raise _ParseAbort()
-                self.pos += 1
+                self.pos = pos + 1
                 self.parse_metric(metrics, names)
             except _ParseAbort:
                 self.sync({"metric"})
@@ -647,8 +659,8 @@ class _MetricCatalogParser(_Parser):
 
     def parse_metric(self, metrics: list[MetricDef],
                      names: dict[str, SourceSpan]) -> None:
-        tok = self.name("metric name")
-        name, span = tok.value, tok.span
+        pos = self.name("metric name")
+        name, span = self.values[pos], self.span(pos)
         if name in names:
             self.error("E-DUP", f"duplicate metric {name!r}", span)
         names[name] = span
@@ -659,7 +671,7 @@ class _MetricCatalogParser(_Parser):
         metrics.append(self.metric)
 
     def read_text(self) -> str:
-        return self.name("text").value
+        return self.text("text")
 
     def read_dimensions(self) -> set[Dimension]:
         dims = set()
@@ -693,14 +705,14 @@ class _ScenarioParser(_Parser):
     def start(self, name: str) -> None:
         self.model = Scenario(name)
 
-    def parse_label(self, kw: Token) -> None:
-        target = self.name("element or dependum id")
+    def parse_label(self, kw: int) -> None:
+        pos = self.name("element or dependum id")
         self.expect("=")
         label = self.keyword_choice(LABEL_WORDS, "label")
-        assignments = self.model.assignments
-        if target.value in assignments:
-            self.error("E-DUP", f"label assigned twice for {target.value!r}", target.span)
-        assignments[target.value] = label
+        target, assignments = self.values[pos], self.model.assignments
+        if target in assignments:
+            self.error("E-DUP", f"label assigned twice for {target!r}", self.span(pos))
+        assignments[target] = label
 
     STATEMENTS = {"label": parse_label}
 
@@ -741,10 +753,10 @@ def parse_model(text: str, filename: str = "<input>") -> ParseResult:
     tokens, diagnostics = _lex(text, filename)
     if diagnostics:
         return ParseResult(None, diagnostics)
-    head = tokens[0]
-    parser = _DISPATCH.get(head.value) if head.kind is _IDENT else None
+    head = tokens.values[0]
+    parser = _DISPATCH.get(head) if tokens.kinds[0] is _IDENT else None
     if parser is None:
         return ParseResult(None, [Diagnostic(
             Severity.ERROR, "E-SYNTAX",
-            f"unrecognized model format (found {head.value!r})", head.span)])
+            f"unrecognized model format (found {head!r})", tokens.span(0))])
     return parser(tokens, diagnostics).parse()
