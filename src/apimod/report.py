@@ -7,7 +7,8 @@ envelope across commands and are byte-stable for identical inputs.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _json_string
+from math import isfinite
 
 from . import __version__
 from .core import (
@@ -172,7 +173,67 @@ def make_report(command: str, input_files: list[str],
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """`report` as `json.dumps(report, indent=2, allow_nan=False)` writes it,
+    and a newline. With an indent, `json` runs its pure-Python encoder, so the
+    same text is written here directly: strings by the C string encoder,
+    numbers by `int.__repr__` and `float.__repr__`. As in `json.dumps`, nan
+    and infinity raise ValueError, and a value with no JSON form TypeError.
+    Reports are trees, so unlike `json.dumps` this does not look for
+    circular references."""
+    out: list[str] = []
+    _write_json(report, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, write) -> None:
+    """`value` through `write`, each nested line starting with `newline`
+    and two more spaces."""
+    if isinstance(value, str):
+        write(_json_string(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            write(separator)
+            write(_json_string(key if isinstance(key, str) else _json_scalar(key)))
+            write(": ")
+            _write_json(item, inner, write)
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            write(separator)
+            _write_json(item, inner, write)
+            separator = "," + inner
+        write(newline + "]")
+    else:
+        write(_json_scalar(value))
+
+
+def _json_scalar(value) -> str:
+    """A JSON literal or number, or a dict key coerced as `json` does."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_schema() -> dict:

@@ -4,6 +4,7 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
     ApimodError, AssociationKind, AssociationLink, Diagnostic, GActor, Severity,
@@ -315,6 +316,68 @@ def test_report_json_refuses_non_finite_numbers():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             report_json(make_report("lifecycle", [], [], {"high": value}))
+
+
+# Leaves and keys of the JSON-like values `report_json` is checked on:
+# strings with non-ASCII and control characters and lone surrogates, ints
+# past 64 bits, floats at their edges, and every key type `json` coerces.
+_STRINGS = st.text(st.one_of(st.characters(exclude_categories=()),
+                             st.sampled_from("\x00\x1f\x7f\"\\/\u2028\ud800\udfffé\U0001f600")))
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
+_INTS = st.one_of(st.integers(), st.integers(-2 ** 80, 2 ** 80))
+_SCALARS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none())
+_KEYS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none())
+_BAD = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _json_like(leaves, keys):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4)), max_leaves=12)
+
+
+def _dumped(value):
+    """`report_json`'s reference, or the type of the error it raises."""
+    try:
+        return json.dumps(value, indent=2, allow_nan=False) + "\n"
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+def _written(value):
+    try:
+        return report_json(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=_json_like(_SCALARS, _KEYS))
+def test_report_json_writes_what_json_dumps_writes(value):
+    """Byte for byte, on tree-shaped values: circular values are out of
+    scope, since apimod builds its reports as trees."""
+    assert report_json(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=_json_like(st.one_of(_SCALARS, _BAD, st.just(set()), st.builds(object)),
+                        st.one_of(_KEYS, _BAD, st.builds(object))))
+def test_report_json_refuses_what_json_dumps_refuses(value):
+    """nan and infinity, as values or keys, raise ValueError from both, and
+    a set or an `object()` TypeError; the first one met decides."""
+    assert _written(value) == _dumped(value)
+
+
+@pytest.mark.parametrize("value, error", [
+    ({float("nan"): 1}, ValueError), ({"a": [1, {"b": float("-inf")}]}, ValueError),
+    ([{1.5: 2}, (float("inf"),)], ValueError), ({"a": {1, 2}}, TypeError),
+    ([1, object()], TypeError), ({object(): 1}, TypeError),
+])
+def test_report_json_raises_as_json_dumps_does(value, error):
+    assert _dumped(value) is error
+    with pytest.raises(error):
+        report_json(value)
 
 
 def test_schema_rejects_malformed_reports():
