@@ -99,9 +99,10 @@ def reference_problems(model: ValueModel | GoalModel,
     placed on an element and each `pending` statement not yet placed, both
     as `(actor, source id, Refinement or Contribution, owner)`, `element`
     (its source; then nothing else of it is checked), `child` or
-    `contribution` (its target); then `actor`, `end` and `closed` for
-    dependency ends (`ref` is the `DependencyEnd`) and `partof`. Where ids
-    repeat, the last declaration resolves."""
+    `contribution` (its target); then `actor` (once per unknown actor of a
+    dependency), `end` and `closed` for dependency ends (`ref` is the
+    `DependencyEnd`) and `partof` (once per unknown actor of a link). Where
+    ids repeat, the last declaration resolves."""
     problems: list[tuple[str, object, object]] = []
     if isinstance(model, ValueModel):
         actors = model.actor_map()
@@ -148,7 +149,8 @@ def reference_problems(model: ValueModel | GoalModel,
         for end in (dep.depender, dep.dependee):
             actor = actors.get(end.actor)
             if actor is None:
-                problems.append(("actor", end.actor, dep))
+                if end is dep.depender or end.actor != dep.depender.actor:  # once per actor
+                    problems.append(("actor", end.actor, dep))
             elif end.element is None:
                 continue
             elif not actor.open:  # iStar 2.0: a closed actor shows no elements
@@ -156,7 +158,7 @@ def reference_problems(model: ValueModel | GoalModel,
             elif end.element not in scopes[id(actor)]:
                 problems.append(("end", end, dep))
     for link in model.associations:
-        for end in (link.source, link.target):
+        for end in dict.fromkeys((link.source, link.target)):
             if end not in actors:
                 problems.append(("partof", end, link))
     return problems

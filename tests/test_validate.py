@@ -276,6 +276,18 @@ def test_part_of_link_to_unknown_actor_dangles():
     assert "'Ghost'" in diags[0].message
 
 
+def test_unknown_actor_named_at_both_ends_dangles_once():
+    model = gm("goalmodel M { actor A { task a }  actor B { task b }  "
+               "depend A.a -> B.b : resource R  partof A -> B }")
+    dep = model.dependencies[0]
+    dep.depender, dep.dependee = DependencyEnd("X", "a"), DependencyEnd("X", "b")
+    model.associations[0] = dataclasses.replace(model.associations[0], source="Y", target="Y")
+    diags = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
+    assert [d.render() for d in diags] == [
+        "<input>:1:55: error E-DANGLE dependency 'd1' references unknown actor 'X'",
+        "<input>:1:87: error E-DANGLE part-of link 'Y' -> 'Y' names unknown actor 'Y'"]
+
+
 def test_refinement_child_of_another_actor_dangles():
     model = GoalModel("m", actors=[
         GActor("A", "A", elements=[GElement(
