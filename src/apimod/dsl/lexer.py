@@ -55,10 +55,8 @@ class Tokens:
         return len(self.kinds)
 
     def __getitem__(self, pos: int) -> Token:
+        """Token `pos`; `for token in stream` indexes up to the IndexError."""
         return Token(self.kinds[pos], self.values[pos], self.span(pos))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.kinds)))
 
     def span(self, first: int, last: int | None = None) -> SourceSpan:
         """From the start of token `first` to the end of token `last`
@@ -130,10 +128,7 @@ def tokenize(text: str, filename: str = "<input>") -> Tokens:
     """`text` as a `Tokens` stream, in one pass of the master regex. Raises
     `LexError` at the first bad character or unterminated string; the error
     keeps an end-of-input stream at its span for the parser to read."""
-    kinds: list[TokKind] = []
-    values: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
+    kinds, values, starts, ends = [], [], [], []
     add_kind, add_value, add_start, add_end = (
         kinds.append, values.append, starts.append, ends.append)
     kind_of = _KINDS.get

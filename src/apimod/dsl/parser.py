@@ -131,12 +131,8 @@ class _Parser:
         return False
 
     def expect(self, value: str) -> None:
-        pos = self.pos
-        if self.values[pos] == value and ((kind := self.kinds[pos]) is _IDENT
-                                          or kind is _PUNCT):
-            self.pos = pos + 1
-        else:
-            self.fail(repr(value), pos)
+        if not self.eat(value):
+            self.fail(repr(value), self.pos)
 
     def name(self, what: str = "name") -> int:
         """The position of the next token, read as a name."""
@@ -252,11 +248,8 @@ class _Parser:
 
     def ref_text(self, ref: _Ref) -> str:
         """`Actor.element`, or `Actor` alone when the element name is empty."""
-        actor, element = ref
-        values = self.values
-        if element is None or not values[element]:
-            return values[actor]
-        return f"{values[actor]}.{values[element]}"
+        actor, element = (None if pos is None else self.values[pos] for pos in ref)
+        return f"{actor}.{element}" if element else actor
 
     def name_list(self) -> list[str]:
         """`name, name, ...`; refinements list up to hundreds of children."""

@@ -174,12 +174,9 @@ def make_report(command: str, input_files: list[str],
 
 def report_json(report: dict) -> str:
     """`report` as `json.dumps(report, indent=2, allow_nan=False)` writes it,
-    and a newline. With an indent, `json` runs its pure-Python encoder, so the
-    same text is written here directly: strings by the C string encoder,
-    numbers by `int.__repr__` and `float.__repr__`. As in `json.dumps`, nan
-    and infinity raise ValueError, and a value with no JSON form TypeError.
-    Reports are trees, so unlike `json.dumps` this does not look for
-    circular references."""
+    and a newline, without the pure-Python encoder that `indent` selects.
+    Like `json.dumps`, nan and infinity raise ValueError and a value with no
+    JSON form TypeError; reports are trees, so cycles are not looked for."""
     out: list[str] = []
     _write_json(report, "\n", out.append)
     out.append("\n")
@@ -187,40 +184,32 @@ def report_json(report: dict) -> str:
 
 
 def _write_json(value, newline: str, write) -> None:
-    """`value` through `write`, each nested line starting with `newline`
-    and two more spaces."""
+    """`value` through `write`, its nested lines starting with `newline` and
+    two more spaces. Strings go through the C string encoder."""
     if isinstance(value, str):
         write(_json_string(value))
-    elif isinstance(value, dict):
+    elif isinstance(value, (list, tuple, dict)):
+        is_dict = isinstance(value, dict)
         if not value:
-            write("{}")
+            write("{}" if is_dict else "[]")
             return
         inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
+        separator = ("{" if is_dict else "[") + inner
+        for item in value.items() if is_dict else value:
             write(separator)
-            write(_json_string(key if isinstance(key, str) else _json_scalar(key)))
-            write(": ")
+            if is_dict:
+                key, item = item
+                write(_json_string(key if isinstance(key, str) else _json_scalar(key)))
+                write(": ")
             _write_json(item, inner, write)
             separator = "," + inner
-        write(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            write(separator)
-            _write_json(item, inner, write)
-            separator = "," + inner
-        write(newline + "]")
+        write(newline + ("}" if is_dict else "]"))
     else:
         write(_json_scalar(value))
 
 
 def _json_scalar(value) -> str:
-    """A JSON literal or number, or a dict key coerced as `json` does."""
+    """A JSON literal or number; also a dict key, coerced as `json` does."""
     if value is None:
         return "null"
     if value is True:
