@@ -320,14 +320,13 @@ def test_report_json_refuses_non_finite_numbers():
 
 # Leaves and keys of the JSON-like values `report_json` is checked on:
 # strings with non-ASCII and control characters and lone surrogates, ints
-# past 64 bits, floats at their edges, and every key type `json` coerces.
+# past 64 bits and floats at their edges; `json` coerces each to a key.
 _STRINGS = st.text(st.one_of(st.characters(exclude_categories=()),
                              st.sampled_from("\x00\x1f\x7f\"\\/\u2028\ud800\udfffé\U0001f600")))
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
 _INTS = st.one_of(st.integers(), st.integers(-2 ** 80, 2 ** 80))
 _SCALARS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none())
-_KEYS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none())
 _BAD = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
@@ -353,7 +352,7 @@ def _written(value):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(value=_json_like(_SCALARS, _KEYS))
+@given(value=_json_like(_SCALARS, _SCALARS))
 def test_report_json_writes_what_json_dumps_writes(value):
     """Byte for byte, on tree-shaped values: circular values are out of
     scope, since apimod builds its reports as trees."""
@@ -362,7 +361,7 @@ def test_report_json_writes_what_json_dumps_writes(value):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(value=_json_like(st.one_of(_SCALARS, _BAD, st.just(set()), st.builds(object)),
-                        st.one_of(_KEYS, _BAD, st.builds(object))))
+                        st.one_of(_SCALARS, _BAD, st.builds(object))))
 def test_report_json_refuses_what_json_dumps_refuses(value):
     """nan and infinity, as values or keys, raise ValueError from both, and
     a set or an `object()` TypeError; the first one met decides."""
