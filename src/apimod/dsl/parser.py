@@ -35,7 +35,10 @@ from ..lifecycle import (
     CHARACTERISTICS, ApiDescriptor, LifecycleStage, ValueCurveSample,
     curve_number_problems, curve_step_problems,
 )
-from ..validate import duplicate_ids, link_problems, reference_problems, self_links
+from ..validate import (
+    duplicate_ids, element_maps, goal_reference_problems, link_problems, reference_problems,
+    self_links,
+)
 from .lexer import KEYWORDS, LexError, TokKind, Tokens, tokenize
 
 
@@ -505,13 +508,11 @@ class _GoalModelParser(_Parser):
     def finish(self) -> None:
         model = self.model
         self.report_duplicates(model)
-        # Each actor's own elements by id, keyed by actor identity; as in the
-        # model-wide map, the last declaration of a duplicate id wins.
-        local_maps = {id(a): {el.id: el for el in a.elements} for a in model.actors}
-        elements = {k: el for local in local_maps.values() for k, el in local.items()}
+        local_maps, elements = element_maps(model)
 
         unresolved: dict[int, list[str]] = {}  # statement position -> its unknown ids
-        for kind, ref, owner in reference_problems(model, self.pending):
+        for kind, ref, owner in goal_reference_problems(model, self.pending,
+                                                        local_maps, elements):
             if kind == "end":
                 self.error("E-REF", f"unknown element {ref.element!r} in actor "
                            f"{ref.actor!r}", owner.span)

@@ -23,9 +23,10 @@ rules would have produced something else the node is listed as overridden.
 
 Evaluation runs in Jacobi rounds: each round applies the rules to the labels
 left by the round before and merges the delivered evidence into the pairs.
-Round 0 evaluates every node. A delivery depends only on its sources' labels,
-so each later round evaluates only the readers of nodes whose label changed
-in the round before; any other delivery would repeat evidence already merged.
+Round 0 evaluates every node that has an input. A delivery depends only on
+its sources' labels, so each later round evaluates only the readers of nodes
+whose label changed in the round before; any other delivery would repeat
+evidence already merged.
 `iterations` counts the rounds in which at least one pair changed. A pair can
 gain evidence at most four times, so that count stays within 4 x nodes, which
 is checked at run time.
@@ -34,6 +35,7 @@ is checked at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 from .core import (
@@ -44,6 +46,12 @@ from .core import (
 from .validate import validate_goal_model
 
 RULE_SET = "symmetric-closure"
+
+# Enum members read once: each class attribute access costs a lookup.
+_AND = RefinementKind.AND
+_GOAL, _QUALITY = ElementKind.GOAL, ElementKind.QUALITY
+_SATISFIED, _PARTIALLY_SATISFIED = Label.SATISFIED, Label.PARTIALLY_SATISFIED
+_CONFLICT_LABEL = Label.CONFLICT
 
 
 @dataclass
@@ -70,36 +78,51 @@ def evaluation_nodes(model: GoalModel) -> list[str]:
     return ids
 
 
+def _targets(model: GoalModel, index: dict) -> dict:
+    """Scenario target -> node key, `index` mapping node ids to keys. A
+    dependum name counts where no node id takes it; a name that several
+    dependums share maps to the list of their ids."""
+    named: dict[str, list[str]] = {}
+    for d in model.dependencies:
+        named.setdefault(d.dependum.name, []).append(d.id)
+    targets = {name: ids if len(ids) > 1 else index[ids[0]]
+               for name, ids in named.items()}
+    targets.update(index)
+    return targets
+
+
+def _resolve(scenario: Scenario, targets: dict) -> dict:
+    """Scenario assignments keyed by node key, through a `_targets` map."""
+    resolved = {}
+    for target, label in scenario.assignments.items():
+        if label is _CONFLICT_LABEL:
+            raise ApimodError(
+                f"scenario {scenario.name!r} assigns conflict to {target!r}; "
+                "conflict cannot be an initial label")
+        node = targets.get(target)
+        if node is None:
+            raise ApimodError(
+                f"scenario {scenario.name!r} labels unknown node {target!r}")
+        if type(node) is list:
+            raise ApimodError(
+                f"scenario {scenario.name!r}: dependum name {target!r} is "
+                f"ambiguous ({', '.join(node)})")
+        if node in resolved:
+            first = next(t for t in scenario.assignments if targets[t] == node)
+            raise ApimodError(
+                f"scenario {scenario.name!r} labels one node twice, as "
+                f"{first!r} and as {target!r}")
+        resolved[node] = label
+    return resolved
+
+
 def resolve_scenario(model: GoalModel, scenario: Scenario) -> dict[str, Label]:
     """Map scenario assignments onto node ids.
 
     Targets may be element ids, dependency ids, or a dependum name when that
-    name is unique among the model's dependums.
+    name is unique among the model's dependums. A node may be labelled once.
     """
-    elements = {e.id for a in model.actors for e in a.elements}
-    dep_ids = {d.id for d in model.dependencies}
-    by_dependum_name: dict[str, list[str]] = {}
-    for d in model.dependencies:
-        by_dependum_name.setdefault(d.dependum.name, []).append(d.id)
-    resolved: dict[str, Label] = {}
-    for target, label in scenario.assignments.items():
-        if label is Label.CONFLICT:
-            raise ApimodError(
-                f"scenario {scenario.name!r} assigns conflict to {target!r}; "
-                "conflict cannot be an initial label")
-        if target in elements or target in dep_ids:
-            resolved[target] = label
-        elif target in by_dependum_name:
-            candidates = by_dependum_name[target]
-            if len(candidates) > 1:
-                raise ApimodError(
-                    f"scenario {scenario.name!r}: dependum name {target!r} is "
-                    f"ambiguous ({', '.join(candidates)})")
-            resolved[candidates[0]] = label
-        else:
-            raise ApimodError(
-                f"scenario {scenario.name!r} labels unknown node {target!r}")
-    return resolved
+    return _resolve(scenario, _targets(model, {n: n for n in evaluation_nodes(model)}))
 
 
 # Compiled form. A label is a small int in label order with CONFLICT on top,
@@ -108,7 +131,8 @@ def resolve_scenario(model: GoalModel, scenario: Scenario) -> dict[str, Label]:
 # pairs is a bitwise or.
 _LABELS = tuple(Label)
 _CONFLICT = len(_LABELS) - 1
-_CODE = {label: i for i, label in enumerate(_LABELS)}
+_TOP = _CONFLICT - 1  # SATISFIED, the top of the order
+_CODE = _LABELS.index  # a label's code, found without hashing the enum
 
 
 def _pair_code(pair: EvidencePair) -> int:
@@ -119,8 +143,11 @@ def _swap_sides(code: int) -> int:
     return (code & 0b11) << 2 | code >> 2
 
 
-_PROJECT = {_pair_code(EvidencePair(p, n)): _CODE[evidence_to_label(EvidencePair(p, n))]
-            for p in Evidence for n in Evidence}
+# The label code of each pair code; a side never holds bits 0b10 alone, so
+# those codes stay None.
+_PROJECT: list = [None] * 16
+for _pair in (EvidencePair(p, n) for p in Evidence for n in Evidence):
+    _PROJECT[_pair_code(_pair)] = _CODE(evidence_to_label(_pair))
 # Evidence a label carries through refinement and dependency links.
 _CARRIED = [_pair_code(label_to_evidence(label)) for label in _LABELS]
 _PARTIAL = 0b0101
@@ -153,8 +180,10 @@ class Rules(NamedTuple):
     # input is the min over the AND inputs (AND children, incoming dependums)
     # and the max of the OR children; a source delivers table[its label].
     inputs: list[tuple[list[int], list[int], list[tuple[int, list[int]]]]]
-    readers: list[set[int]]  # per node: the nodes whose delivery reads it
+    readers: list[list[int]]  # per node: the nodes whose delivery reads it
     initial: list[int]  # per node: evidence before any scenario is applied
+    fed: list[int]  # the nodes that have an input, in node order
+    targets: dict  # scenario target -> node (see `_targets`)
 
 
 def compile_rules(model: GoalModel) -> Rules:
@@ -166,30 +195,36 @@ def compile_rules(model: GoalModel) -> Rules:
             "model does not validate: " + "; ".join(d.message for d in errors))
     nodes = evaluation_nodes(model)  # validation rejects a repeated id
     index = {node: i for i, node in enumerate(nodes)}
-    elements = {e.id for a in model.actors for e in a.elements}
     inputs = [([], [], []) for _ in nodes]
+    readers: list[list[int]] = [[] for _ in nodes]
     for actor in model.actors:
         for el in actor.elements:
+            node = index[el.id]
             if el.refinement is not None:
-                and_inputs, or_children, _ = inputs[index[el.id]]
-                (and_inputs if el.refinement.kind is RefinementKind.AND
-                 else or_children).extend(index[c] for c in el.refinement.children)
+                children = list(map(index.__getitem__, el.refinement.children))
+                inputs[node][el.refinement.kind is not _AND].extend(children)
+                for child in children:
+                    readers[child].append(node)
             for c in el.contributions:
-                inputs[index[c.target]][2].append(
-                    (index[el.id], _CONTRIBUTED[c.strength]))
+                target = index[c.target]
+                inputs[target][2].append((node, _CONTRIBUTED[c.strength]))
+                readers[node].append(target)
     initial = [0] * len(nodes)
     for d in model.dependencies:
-        if d.depender.element in elements:
-            inputs[index[d.depender.element]][0].append(index[d.id])
-        if d.dependee.element in elements:
-            inputs[index[d.id]][2].append((index[d.dependee.element], _CARRIED))
+        node = index[d.id]
+        if d.depender.element is not None:  # validation: an element of its actor
+            depender = index[d.depender.element]
+            inputs[depender][0].append(node)
+            readers[node].append(depender)
+        if d.dependee.element is not None:
+            dependee = index[d.dependee.element]
+            inputs[node][2].append((dependee, _CARRIED))
+            readers[dependee].append(node)
         if d.dependum.initial_label is not None:
-            initial[index[d.id]] |= _CARRIED[_CODE[d.dependum.initial_label]]
-    readers: list[set[int]] = [set() for _ in nodes]
-    for node, (and_inputs, or_children, sources) in enumerate(inputs):
-        for source in and_inputs + or_children + [s for s, _ in sources]:
-            readers[source].add(node)
-    return Rules(model, nodes, index, inputs, readers, initial)
+            initial[node] = _CARRIED[_CODE(d.dependum.initial_label)]
+    fed = list(compress(range(len(nodes)), map(any, inputs)))
+    return Rules(model, nodes, index, inputs, readers, initial, fed,
+                 _targets(model, index))
 
 
 def _delivery(inputs, labels: list[int]) -> int:
@@ -197,10 +232,16 @@ def _delivery(inputs, labels: list[int]) -> int:
     and_inputs, or_children, sources = inputs
     delivered = 0
     if and_inputs or or_children:
-        parts = [labels[i] for i in and_inputs]
-        if or_children:
-            parts.append(max(labels[i] for i in or_children))
-        delivered = _CARRIED[_CONFLICT if _CONFLICT in parts else min(parts)]
+        # The min over the AND inputs and the max of the OR children, with
+        # CONFLICT absorbing both (it is the highest code, so max keeps it).
+        combined = max(map(labels.__getitem__, or_children)) if or_children else _TOP
+        for i in and_inputs:
+            if combined == _CONFLICT:
+                break
+            label = labels[i]
+            if label < combined or label == _CONFLICT:
+                combined = label
+        delivered = _CARRIED[combined]
     for source, table in sources:
         delivered |= table[labels[source]]
     return delivered
@@ -217,47 +258,54 @@ def propagate(model: GoalModel, scenario: Scenario,
         rules = compile_rules(model)
     elif rules.model is not model:
         raise ApimodError("rules were compiled from a different model")
-    assigned = {rules.index[node]: _CODE[label]
-                for node, label in resolve_scenario(model, scenario).items()}
+    assigned = _resolve(scenario, rules.targets)
     pairs = rules.initial[:]
+    pinned = bytearray(len(pairs))
     for node, label in assigned.items():
-        pairs[node] = _CARRIED[label]
+        pairs[node] = _CARRIED[_CODE(label)]
+        pinned[node] = 1
     labels = [_PROJECT[p] for p in pairs]
+    inputs, readers = rules.inputs, rules.readers
 
     bound = MAX_ROUNDS_PER_NODE * max(1, len(pairs))
     iterations = 0
-    frontier = [node for node in range(len(pairs)) if node not in assigned]
+    frontier = rules.fed
     while True:
-        updates = []
+        # A delivery reads labels only, so pairs change in place and the
+        # label changes wait for the end of the round.
+        grew = False
+        relabelled = []
         for node in frontier:
-            merged = pairs[node] | _delivery(rules.inputs[node], labels)
-            if merged != pairs[node]:
-                updates.append((node, merged))
-        if not updates:
+            if pinned[node]:
+                continue
+            pair = pairs[node]
+            merged = pair | _delivery(inputs[node], labels)
+            if merged != pair:
+                pairs[node] = merged
+                grew = True
+                if _PROJECT[merged] != labels[node]:
+                    relabelled.append(node)
+        if not grew:
             break
         iterations += 1
         if iterations > bound:
             raise ApimodError(f"fixpoint took {iterations} rounds (> {bound})")
-        changed: set[int] = set()
-        for node, merged in updates:
-            pairs[node] = merged
-            if _PROJECT[merged] != labels[node]:
-                labels[node] = _PROJECT[merged]
-                changed.update(rules.readers[node])
-        frontier = [node for node in changed if node not in assigned]
+        frontier = set()
+        for node in relabelled:
+            labels[node] = _PROJECT[pairs[node]]
+            frontier.update(readers[node])
 
     overridden = {
         rules.nodes[node] for node, label in assigned.items()
-        if any(rules.inputs[node])
-        and _PROJECT[_delivery(rules.inputs[node], labels)] != label
+        if any(inputs[node])
+        and _PROJECT[_delivery(inputs[node], labels)] != _CODE(label)
     }
     diagnostics = [
         Diagnostic(Severity.WARNING, "W-CONFLICT",
                    f"node {node!r} received both positive and negative evidence")
-        for node in evaluation_nodes(model) if labels[rules.index[node]] == _CONFLICT
-    ]
-    return EvaluationResult({node: _LABELS[label]
-                             for node, label in zip(rules.nodes, labels)},
+        for node, label in zip(rules.nodes, labels) if label == _CONFLICT
+    ] if _CONFLICT in labels else []
+    return EvaluationResult(dict(zip(rules.nodes, map(_LABELS.__getitem__, labels))),
                             overridden, iterations,
                             sort_diagnostics(diagnostics), scenario.name)
 
@@ -283,34 +331,43 @@ def scenario_score(model: GoalModel, result: EvaluationResult,
                    focus_actor: str | None = None) -> float:
     """Satisfied goals/qualities count 1, partially satisfied 0.5."""
     score = 0.0
+    labels = result.labels
     for actor in model.actors:
         if focus_actor is not None and actor.id != focus_actor:
             continue
         for el in actor.elements:
-            if el.kind not in (ElementKind.GOAL, ElementKind.QUALITY):
-                continue
-            label = result.labels[el.id]
-            if label is Label.SATISFIED:
-                score += 1.0
-            elif label is Label.PARTIALLY_SATISFIED:
-                score += 0.5
+            kind = el.kind
+            if kind is _GOAL or kind is _QUALITY:
+                label = labels[el.id]
+                if label is _SATISFIED:
+                    score += 1.0
+                elif label is _PARTIALLY_SATISFIED:
+                    score += 0.5
     return score
 
 
 def compare_scenarios(model: GoalModel, scenarios: list[Scenario],
                       focus_actor: str | None = None) -> ComparisonTable:
-    """Evaluate several scenarios side by side and rank them by score."""
+    """Evaluate several scenarios side by side and rank them by score.
+    Scenario names must differ: they key the scores and the ranking."""
     if len(scenarios) < 2:
         raise ApimodError("comparison needs at least two scenarios")
     if focus_actor is not None and focus_actor not in model.actor_map():
         raise ApimodError(f"unknown focus actor {focus_actor!r}")
     rules = compile_rules(model)
+    names: set[str] = set()
+    for s in scenarios:
+        if s.name in names:
+            raise ApimodError(f"scenario name {s.name!r} is repeated; "
+                              "compared scenarios need distinct names")
+        names.add(s.name)
     results = [propagate(model, s, rules) for s in scenarios]
 
     row_ids = [e.id for a in model.actors
                if focus_actor is None or a.id == focus_actor
                for e in a.elements]
-    rows = [ComparisonRow(node, [r.labels[node] for r in results])
+    label_maps = [r.labels for r in results]
+    rows = [ComparisonRow(node, [labels[node] for labels in label_maps])
             for node in row_ids]
     scores = {s.name: scenario_score(model, r, focus_actor)
               for s, r in zip(scenarios, results)}

@@ -1,7 +1,9 @@
 """Structural and methodological model checks.
 
 `duplicate_ids` alone decides which declarations repeat an id, and
-`reference_problems` alone decides whether a model's references resolve. For
+`reference_problems` alone decides whether a model's references resolve;
+its goal-model half, `goal_reference_problems`, takes the `element_maps`
+that the parser and `validate_goal_model` also use for link typing. For
 goal models it follows iStar 2.0: refinement children stay inside their
 parent's actor, and dependencies name elements only of open actors. The
 parser reports its problems as E-REF at the tokens, validation as E-DANGLE at
@@ -55,7 +57,8 @@ def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:
     that is no node, or has no successors, lies on no cycle. Tarjan (1972),
     iterative, since parser output can nest deep."""
     index: dict[str, int] = {}
-    low: dict[str, int] = {}  # above every index once the node's component is found
+    low: dict[str, int] = {}
+    found = len(graph)  # the low of a node whose component is found: above every index
     stack: list[str] = []
     cycles: list[list[str]] = []
     for root, successors in graph.items():
@@ -63,30 +66,35 @@ def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        work = [(root, iter(successors))]
+        # `filter` passes on only the successors that have successors.
+        work = [(root, filter(graph.get, successors))]
         while work:
             v, it = work[-1]
             for w in it:
-                if not graph.get(w):
-                    continue
                 if w not in index:
                     index[w] = low[w] = len(index)
                     stack.append(w)
-                    work.append((w, iter(graph[w])))
+                    work.append((w, filter(graph.get, graph[w])))
                     break
                 if low[w] < low[v]:
                     low[v] = low[w]
             else:  # every successor of `v` is done
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
+                if low[v] == index[v]:  # `v` is the root of its component
+                    w = stack.pop()
+                    low[w] = found
+                    if w == v:
+                        if v in graph[v]:
+                            cycles.append([v])
+                        continue
+                    scc = [w]
+                    while w != v:
+                        w = stack.pop()
+                        low[w] = found
+                        scc.append(w)
+                    cycles.append(sorted(scc))
+                elif low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    scc = []
-                    while not scc or scc[-1] != v:
-                        scc.append(stack.pop())
-                        low[scc[-1]] = len(graph)
-                    if len(scc) > 1 or v in graph[v]:
-                        cycles.append(sorted(scc))
     return sorted(cycles)
 
 
@@ -125,26 +133,38 @@ def reference_problems(model: ValueModel | GoalModel,
                 problems.append(("stimulus", stim.at, stim))
         return problems
 
-    actors = {}
-    scopes: dict[int, set[str]] = {}  # keyed by actor identity
-    elements: set[str] = set()
+    return goal_reference_problems(model, pending, *element_maps(model))
+
+
+def element_maps(model: GoalModel) -> tuple[dict[int, dict], dict]:
+    """Each actor's elements by id, keyed by actor identity, and the
+    model's elements by id. Where ids repeat, the last declaration wins."""
+    local_maps: dict[int, dict] = {}
+    elements: dict = {}
     for actor in model.actors:
-        actors[actor.id] = actor
-        scopes[id(actor)] = ids = {el.id for el in actor.elements}
-        elements |= ids
-    links = [(actor, el.id, link, el) for actor in model.actors for el in actor.elements
-             for link in (el.refinement, *el.contributions) if link is not None]
-    links += pending
-    for actor, source, link, owner in links:
-        ids = scopes[id(actor)]
+        local_maps[id(actor)] = local = {el.id: el for el in actor.elements}
+        elements.update(local)
+    return local_maps, elements
+
+
+def goal_reference_problems(model: GoalModel, pending, local_maps: dict,
+                            elements: dict) -> list[tuple[str, object, object]]:
+    """`reference_problems` of a goal model, given its `element_maps`."""
+    problems: list[tuple[str, object, object]] = []
+    for actor in model.actors:
+        ids = local_maps[id(actor)]
+        for el in actor.elements:  # its own actor's scope holds its id
+            if el.refinement is not None:
+                _link_references(el.refinement, ids, elements, el, problems)
+            for link in el.contributions:
+                _link_references(link, ids, elements, el, problems)
+    for actor, source, link, owner in pending:
+        ids = local_maps[id(actor)]
         if source not in ids:
             problems.append(("element", source, owner))
-        elif type(link) is Refinement:
-            for child in link.children:
-                if child not in ids:
-                    problems.append(("child", child, owner))
-        elif link.target not in elements:
-            problems.append(("contribution", link.target, owner))
+        else:
+            _link_references(link, ids, elements, owner, problems)
+    actors = {actor.id: actor for actor in model.actors}
     for dep in model.dependencies:
         for end in (dep.depender, dep.dependee):
             actor = actors.get(end.actor)
@@ -155,13 +175,25 @@ def reference_problems(model: ValueModel | GoalModel,
                 continue
             elif not actor.open:  # iStar 2.0: a closed actor shows no elements
                 problems.append(("closed", end, dep))
-            elif end.element not in scopes[id(actor)]:
+            elif end.element not in local_maps[id(actor)]:
                 problems.append(("end", end, dep))
     for link in model.associations:
         for end in dict.fromkeys((link.source, link.target)):
             if end not in actors:
                 problems.append(("partof", end, link))
     return problems
+
+
+def _link_references(link: Refinement | Contribution, ids: dict, elements: dict,
+                     owner, problems: list) -> None:
+    """Append the `child` or `contribution` problems of one link, whose
+    source resolves to an element with the actor scope `ids`."""
+    if type(link) is Refinement:
+        for child in link.children:
+            if child not in ids:
+                problems.append(("child", child, owner))
+    elif link.target not in elements:
+        problems.append(("contribution", link.target, owner))
 
 
 #: How validation words each `reference_problems` kind, for owner `o`, ref `r`.
@@ -207,9 +239,12 @@ def link_problems(source, link: Refinement | Contribution, local: dict,
     if source.kind is _QUALITY:
         return [("E-REFINE", f"quality {source.id!r} cannot be refined; use contribution "
                  "links")]
-    return [("E-REFINE", f"quality {child!r} cannot be a refinement child")
-            for child in link.children
-            if (el := local.get(child)) is not None and el.kind is _QUALITY]
+    problems = []
+    for child in link.children:
+        el = local.get(child)
+        if el is not None and el.kind is _QUALITY:
+            problems.append(("E-REFINE", f"quality {child!r} cannot be a refinement child"))
+    return problems
 
 
 def self_links(model: ValueModel | GoalModel) -> list[tuple[str, str, object]]:
@@ -222,11 +257,12 @@ def self_links(model: ValueModel | GoalModel) -> list[tuple[str, str, object]]:
             for dep in model.dependencies if dep.depender == dep.dependee]
 
 
-def _shared_diagnostics(model) -> list[Diagnostic]:
-    """Repeated ids, reference problems and self-links, each at its owner."""
+def _shared_diagnostics(model, problems) -> list[Diagnostic]:
+    """Repeated ids, the `reference_problems` given and self-links, each at
+    its owner."""
     diags = [Diagnostic(Severity.ERROR, "E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
              for obj in duplicate_ids(model)]
-    diags += [reference_diagnostic(*problem) for problem in reference_problems(model)]
+    diags += [reference_diagnostic(*problem) for problem in problems]
     return diags + [Diagnostic(Severity.ERROR, code, message, link.span)
                     for code, message, link in self_links(model)]
 
@@ -237,7 +273,7 @@ def validate_value_model(model: ValueModel,
     completeness checks (§-style construction hygiene). With
     `strict_reciprocity`, every actor pair with a flow must also have a
     backflow."""
-    diags = _shared_diagnostics(model)
+    diags = _shared_diagnostics(model, reference_problems(model))
     owner = {a.id: a.id for a in model.actors}
     for actor in model.actors:
         for act in actor.activities:
@@ -288,34 +324,40 @@ def validate_value_model(model: ValueModel,
 def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
     """Construction-rule checks: repeated ids, reference problems,
     self-dependencies, refinement cycles, floating elements and link typing."""
-    diags = _shared_diagnostics(model)
-    elements = model.element_map()
+    local_maps, elements = element_maps(model)
+    diags = _shared_diagnostics(
+        model, goal_reference_problems(model, (), local_maps, elements))
 
-    graph = {el.id: el.refinement.children if el.refinement else ()
-             for actor in model.actors for el in actor.elements}
+    graph = {i: el.refinement.children for i, el in elements.items()
+             if el.refinement is not None}
     diags += [Diagnostic(Severity.ERROR, "E-CYCLE", "refinement cycle through "
                          + ", ".join(repr(c) for c in cycle)) for cycle in _cycles(graph)]
 
+    # Link typing, and the elements a link attaches; those without links of
+    # their own float unless a link or a dependency attaches them.
     attached = {end.element for dep in model.dependencies
                 for end in (dep.depender, dep.dependee) if end.element is not None}
+    unlinked = []
     for actor in model.actors:
-        local = {el.id: el for el in actor.elements}
+        local = local_maps[id(actor)]
         for el in actor.elements:
-            for link in (el.refinement, *el.contributions):
-                if link is None:
-                    continue
-                attached.add(el.id)
+            links = (el.contributions if el.refinement is None
+                     else (el.refinement, *el.contributions))
+            if not links:
+                unlinked.append(el)
+                continue
+            attached.add(el.id)
+            for link in links:
                 attached.update(link.children if type(link) is Refinement else (link.target,))
                 for code, message in link_problems(el, link, local, elements):
                     diags.append(Diagnostic(Severity.ERROR, code, message, el.span))
 
-    for actor in model.actors:
-        for el in actor.elements:
-            if el.id not in attached:
-                diags.append(Diagnostic(
-                    Severity.WARNING, "W-FLOAT",
-                    f"element {el.id!r} floats: no refinement, contribution, "
-                    "or dependency attaches it", el.span))
+    for el in unlinked:
+        if el.id not in attached:
+            diags.append(Diagnostic(
+                Severity.WARNING, "W-FLOAT",
+                f"element {el.id!r} floats: no refinement, contribution, "
+                "or dependency attaches it", el.span))
     return sort_diagnostics(diags)
 
 

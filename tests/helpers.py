@@ -1,10 +1,11 @@
 """Shared test machinery: random model generators, an independent
-evidence-closure oracle, the reference lexer, and a DOT-subset grammar
-checker.
+evidence-closure oracle and a plain Jacobi reference, the reference lexer,
+and a DOT-subset grammar checker.
 
-The oracle deliberately re-implements the propagation semantics with its own
-label tables and randomized single-rule application, so it shares no
-combination code with the engine it checks.
+The two engine references deliberately re-implement the propagation
+semantics with their own label tables, one by randomized single-rule
+application and one by whole rounds, so they share no combination code with
+the engine they check.
 """
 
 from __future__ import annotations
@@ -233,13 +234,10 @@ def _omax(a: str, b: str) -> str:
     return a if _RANK[a] >= _RANK[b] else b
 
 
-def oracle_propagate(model: GoalModel, assignments: dict[str, Label],
-                     rng: random.Random) -> dict[str, str]:
-    """Apply single propagation rules in random order until closure.
-
-    `assignments` must already be keyed by node id (element or dependency
-    id). Returns final label words per node.
-    """
+def _closure(model: GoalModel, assignments: dict[str, Label]):
+    """The references' shared start: the nodes, the pinned label words, the
+    initial pairs, the rule instances, and `delivery(rule) -> (target,
+    pair)`, which reads labels from the pairs as they stand."""
     nodes = [el.id for a in model.actors for el in a.elements]
     nodes += [d.id for d in model.dependencies]
     pinned = {node: lab.value for node, lab in assignments.items()}
@@ -297,21 +295,65 @@ def oracle_propagate(model: GoalModel, assignments: dict[str, Label],
         _, dep_id, dependee = rule
         return dep_id, _L2E[label_of(dependee)]
 
+    return nodes, pinned, pairs, rules, delivery, label_of
+
+
+def _merge(pairs: dict, target: str, pair: tuple[int, int]) -> bool:
+    """Merge `pair` into the pair of `target`; whether it grew."""
+    old = pairs[target]
+    new = (max(old[0], pair[0]), max(old[1], pair[1]))
+    pairs[target] = new
+    return new != old
+
+
+def oracle_propagate(model: GoalModel, assignments: dict[str, Label],
+                     rng: random.Random) -> dict[str, str]:
+    """Apply single propagation rules in random order until closure.
+
+    `assignments` must already be keyed by node id (element or dependency
+    id). Returns final label words per node.
+    """
+    nodes, pinned, pairs, rules, delivery, label_of = _closure(model, assignments)
     changed = True
     while changed:
         changed = False
         shuffled = rules[:]
         rng.shuffle(shuffled)
         for rule in shuffled:
-            target, (pos, neg) = delivery(rule)
-            if target in pinned:
-                continue
-            old = pairs[target]
-            new = (max(old[0], pos), max(old[1], neg))
-            if new != old:
-                pairs[target] = new
+            target, pair = delivery(rule)
+            if target not in pinned and _merge(pairs, target, pair):
                 changed = True
     return {node: label_of(node) for node in nodes}
+
+
+def jacobi_propagate(model: GoalModel, assignments: dict[str, Label]
+                     ) -> tuple[dict[str, str], int, set[str]]:
+    """Plain Jacobi rounds over the oracle's rules: each round evaluates
+    every rule from the labels the round before left and then applies all
+    merges at once, until a round changes no pair.
+
+    `assignments` is keyed by node id. Returns the final label words per
+    node, the number of rounds in which a pair changed, and the overridden
+    nodes: the pinned ones that some rule targets and whose delivered
+    evidence, from the final labels, reads as another label."""
+    nodes, pinned, pairs, rules, delivery, label_of = _closure(model, assignments)
+    rounds = 0
+    while True:
+        delivered = [delivery(rule) for rule in rules]
+        changed = False
+        for target, pair in delivered:
+            if target not in pinned and _merge(pairs, target, pair):
+                changed = True
+        if not changed:
+            break
+        rounds += 1
+    received: dict[str, tuple[int, int]] = {}
+    for target, pair in map(delivery, rules):
+        if target in pinned:
+            received.setdefault(target, (0, 0))
+            _merge(received, target, pair)
+    overridden = {node for node, pair in received.items() if _e2l(pair) != pinned[node]}
+    return {node: label_of(node) for node in nodes}, rounds, overridden
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,19 @@ def test_compare_ranks_scenarios(capsys):
     assert "ranking: platform (#1), direct (#2)" in out
 
 
+def test_compare_refuses_a_repeated_scenario_name(capsys, tmp_path):
+    twin = tmp_path / "twin.scn"
+    twin.write_text('scenario direct {\n  label "Use Platform" = denied\n'
+                    '  label "Sell Direct" = denied\n  label "Host Apps" = denied\n}\n',
+                    encoding="utf-8")
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "compare", str(CORPUS / "ecosystem.gm"), "--scenarios",
+                             f"{CORPUS / 'option_direct.scn'},{twin}", *extra)
+        assert (code, out) == (2, "")
+        assert err == ("error: scenario name 'direct' is repeated; "
+                       "compared scenarios need distinct names\n")
+
+
 def test_lifecycle_with_curve_csv(capsys):
     code, out, _ = run(capsys, "lifecycle", str(CORPUS / "device_settings.api"),
                        "--curve", str(CORPUS / "curve.csv"))

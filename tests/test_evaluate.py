@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apimod import evaluate
 from apimod.core import (
@@ -21,7 +21,7 @@ from apimod.evaluate import (
     propagate_metric_hierarchy, resolve_scenario, scenario_score,
 )
 
-from helpers import CORPUS, gen_goal_model, gen_scenario, oracle_propagate
+from helpers import CORPUS, gen_goal_model, gen_scenario, jacobi_propagate, oracle_propagate
 
 S, PS, U, PD, D = (Label.SATISFIED, Label.PARTIALLY_SATISFIED, Label.UNKNOWN,
                    Label.PARTIALLY_DENIED, Label.DENIED)
@@ -186,6 +186,19 @@ def test_scenario_may_label_dependum_by_unique_name():
     assert result.labels["G"] is S
 
 
+def test_one_node_labelled_under_two_names_raises():
+    model = gm("""
+        goalmodel M {
+          actor A { goal G }
+          actor B
+          depend A.G -> B : resource "Data"
+        }""")
+    scenario = Scenario("s", {"Data": S, "d1": D})
+    for resolve in (resolve_scenario, propagate):
+        with pytest.raises(ApimodError, match="labels one node twice, as 'Data' and as 'd1'"):
+            resolve(model, scenario)
+
+
 def test_unknown_scenario_id_raises():
     model = gm("goalmodel M { actor A { goal G } }")
     with pytest.raises(ApimodError):
@@ -300,6 +313,29 @@ def test_engine_matches_oracle_and_ignores_model_order(seed, size, order_seed):
     assert reordered.overridden == result.overridden
     assert reordered.iterations == result.iterations
     assert reordered.diagnostics == result.diagnostics
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 24),
+       count=st.integers(2, 4))
+@example(seed=62, size=12, count=2)  # a round grows a pair but changes no label
+@example(seed=151, size=16, count=2)  # an AND input in conflict before a lower one
+def test_engine_matches_plain_jacobi_rounds_and_comparison_matches_engine(seed, size, count):
+    rng = random.Random(seed)
+    model = gen_goal_model(rng, max_elements=size, max_links=size + 4)
+    scenarios = [Scenario(f"s{i}", gen_scenario(rng, model, max_assignments=6).assignments)
+                 for i in range(count)]
+    results = [propagate(model, s) for s in scenarios]
+    for scenario, result in zip(scenarios, results):
+        labels, rounds, overridden = jacobi_propagate(model, resolve_scenario(model, scenario))
+        assert {node: lab.value for node, lab in result.labels.items()} == labels
+        assert result.iterations == rounds
+        assert result.overridden == overridden
+
+    table = compare_scenarios(model, scenarios)
+    assert table.scenarios == [s.name for s in scenarios]
+    assert table.rows == [(el.id, [r.labels[el.id] for r in results])
+                          for actor in model.actors for el in actor.elements]
 
 
 def and_chain(actors: int, per_actor: int) -> GoalModel:
@@ -447,6 +483,13 @@ def test_comparison_of_invalid_model_raises():
     model = gm(ONE_ACTOR.format(body="goal G task T G and T T and G"))
     with pytest.raises(ApimodError, match="refinement cycle"):
         compare_scenarios(model, [Scenario("x", {}), Scenario("y", {})])
+
+
+def test_comparison_refuses_a_repeated_scenario_name():
+    model = gm(ONE_ACTOR.format(body="goal G task T G and T"))
+    scenarios = [Scenario("x", {"T": S}), Scenario("y", {}), Scenario("x", {"T": D})]
+    with pytest.raises(ApimodError, match="scenario name 'x' is repeated"):
+        compare_scenarios(model, scenarios)
 
 
 def test_comparison_needs_two_scenarios():
