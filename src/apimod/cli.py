@@ -7,40 +7,17 @@ Exit codes follow linter practice: 0 clean, 1 warnings only (2 with
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+# Every command reports through these two; each handler imports the rest of
+# what it calls when it runs, so a call loads only the modules it uses.
 from .core import (
     ApimodError, Diagnostic, GoalModel, ValueModel, sort_diagnostics,
 )
-from .dsl import (
-    parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
-    parse_scenario, parse_value_model, print_goal_model,
-)
-from .evaluate import (
-    RULE_SET, compare_scenarios, evaluation_nodes, propagate,
-)
-from .govern import (
-    AutomationLevel, DecisionItem, Exclusion, Subtractability,
-    automation_report, check_metric_catalog, classify_openness,
-    dimension_coverage_report, load_governance_catalog, parse_score,
-    prioritize_items,
-)
-from .lifecycle import (
-    ApiDescriptor, LifecycleStage, MismatchThresholds, ValueCurveSample,
-    curve_number_problems, curve_step_problems, detect_value_mismatches,
-    lint_characteristics, transition_checklist,
-)
-from .link import link_metrics, who_report
-from .report import exit_code_for, export_dot, make_report, report_json
-from .transform import transform_value_to_goal
-from .validate import (
-    check_bapo_coverage, check_layer_coverage, validate_goal_model,
-    validate_value_model,
-)
+from .report import exit_code_for, make_report, report_json
 
 USAGE_EXIT = 64
 
@@ -62,93 +39,127 @@ class _Cli(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Cli(prog="apimod",
-                  description="Analysis toolkit for strategic API ecosystem models")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Cli)
+def _common(p):
+    p.add_argument("--json", action="store_true",
+                   help="emit a JSON report instead of text")
+    p.add_argument("--strict", action="store_true",
+                   help="treat warnings as errors for the exit code")
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON report instead of text")
-        p.add_argument("--strict", action="store_true",
-                       help="treat warnings as errors for the exit code")
 
-    p = sub.add_parser("check", help="parse and validate a model file")
+def _check_arguments(p):
     p.add_argument("file")
     p.add_argument("--focus", action="append", default=[],
                    help="API of focus for layer-coverage checking (repeatable)")
     p.add_argument("--strict-reciprocity", action="store_true",
                    help="require a backflow for every actor pair")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("transform", help="derive a draft goal model from a value model")
+
+def _transform_arguments(p):
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write the goal model here instead of stdout")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("evaluate", help="propagate scenario labels through a goal model")
+
+def _evaluate_arguments(p):
     p.add_argument("file")
     p.add_argument("--scenario", required=True)
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("compare", help="evaluate scenarios side by side")
+
+def _compare_arguments(p):
     p.add_argument("file")
     p.add_argument("--scenarios", required=True,
                    help="comma-separated scenario files")
     p.add_argument("--actor", help="restrict rows and scoring to this actor")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("lifecycle", help="lint an API descriptor against its stage")
+
+def _lifecycle_arguments(p):
     p.add_argument("file")
     p.add_argument("--curve", help="CSV (t,stage,value) replacing the inline curve")
     p.add_argument("--high", type=_unit_interval, default=0.7,
                    help="value considered 'very high' (default 0.7)")
     p.add_argument("--drop", type=_unit_interval, default=0.5,
                    help="in-operation drop fraction considered excessive (default 0.5)")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("govern", help="governance classifiers and reference catalog")
+
+def _govern_arguments(p):
     gsub = p.add_subparsers(dest="govern_command", required=True, parser_class=_Cli)
     g = gsub.add_parser("classify", help="quadrant-classify decision items from CSV")
     g.add_argument("file", help="CSV with columns name,a,b")
     g.add_argument("--mode", choices=["impl", "change"], required=True)
     g.add_argument("--threshold", type=_unit_interval, default=0.5)
-    common(g)
+    _common(g)
     g = gsub.add_parser("openness", help="classify an API on the openness grid")
     g.add_argument("exclusion", choices=["difficult", "easy"])
     g.add_argument("subtractability", choices=["low", "high"])
-    common(g)
+    _common(g)
     g = gsub.add_parser("catalog", help="print the governance aspect/strategy catalog")
-    common(g)
+    _common(g)
 
-    p = sub.add_parser("metrics", help="metric catalog checks and goal-model linking")
+
+def _metrics_arguments(p):
     msub = p.add_subparsers(dest="metrics_command", required=True, parser_class=_Cli)
     m = msub.add_parser("link", help="attach catalog metrics to a goal model")
     m.add_argument("model")
     m.add_argument("catalog")
     m.add_argument("-o", "--output")
-    common(m)
+    _common(m)
     m = msub.add_parser("check", help="lint a metric catalog")
     m.add_argument("catalog")
-    common(m)
+    _common(m)
     m = msub.add_parser("who", help="why/who/where table for a catalog")
     m.add_argument("model")
     m.add_argument("catalog")
-    common(m)
+    _common(m)
     m = msub.add_parser("dimensions", help="dimension coverage report")
     m.add_argument("catalog")
-    common(m)
+    _common(m)
     m = msub.add_parser("automation", help="automation grouping of design metrics")
     m.add_argument("catalog")
-    common(m)
+    _common(m)
 
-    p = sub.add_parser("export", help="render a model as DOT")
+
+def _export_arguments(p):
     p.add_argument("file")
     p.add_argument("-o", "--output")
     p.add_argument("--focus", help="group actors into layer bands for this focus")
     p.add_argument("--flat", action="store_true", help="do not cluster by actor")
-    common(p)
+    _common(p)
+
+
+#: Each command, in help order: its help line and the function that adds its
+#: arguments to its subparser.
+_SUBPARSERS = {
+    "check": ("parse and validate a model file", _check_arguments),
+    "transform": ("derive a draft goal model from a value model", _transform_arguments),
+    "evaluate": ("propagate scenario labels through a goal model", _evaluate_arguments),
+    "compare": ("evaluate scenarios side by side", _compare_arguments),
+    "lifecycle": ("lint an API descriptor against its stage", _lifecycle_arguments),
+    "govern": ("governance classifiers and reference catalog", _govern_arguments),
+    "metrics": ("metric catalog checks and goal-model linking", _metrics_arguments),
+    "export": ("render a model as DOT", _export_arguments),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser for a call whose first argument is `command`. A command
+    gets only its own subparser: building the others costs about ten times
+    as long, and that call never reads them. Anything else (no argument,
+    `--help`, a mistake) gets every subparser, since the help and the error
+    list them all. A subparser's help and errors do not depend on the
+    others, and the usage line still names every command."""
+    parser = _Cli(prog="apimod",
+                  description="Analysis toolkit for strategic API ecosystem models")
+    every = command not in _SUBPARSERS
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Cli,
+        metavar=None if every else "{" + ",".join(_SUBPARSERS) + "}")
+    for name, (help_text, arguments) in _SUBPARSERS.items():
+        if every or name == command:
+            arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -225,6 +236,7 @@ def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     A leading UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports write
     one), blank rows and a first non-blank row equal to `header` are skipped;
     a row with fewer cells than `header` is an error."""
+    import csv
     try:
         rows = list(csv.reader(_read(path).removeprefix("\ufeff").splitlines()))
     except csv.Error as exc:
@@ -252,6 +264,12 @@ def _parse_file(parse, path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> _Outcome:
+    from .dsl import parse_model
+    from .lifecycle import ApiDescriptor
+    from .validate import (
+        check_bapo_coverage, check_layer_coverage, validate_goal_model,
+        validate_value_model,
+    )
     text = _read(args.file)
     result = parse_model(text, args.file)
     diagnostics = list(result.diagnostics)
@@ -266,9 +284,11 @@ def _cmd_check(args) -> _Outcome:
             analysis["modelKind"] = "goalmodel"
             diagnostics += validate_goal_model(model)
         elif isinstance(model, ApiDescriptor):
+            from .lifecycle import lint_characteristics
             analysis["modelKind"] = "api"
             diagnostics += lint_characteristics(model)
         elif isinstance(model, list):
+            from .govern import check_metric_catalog
             analysis["modelKind"] = "metrics"
             diagnostics += check_metric_catalog(model)
         else:
@@ -284,6 +304,8 @@ def _cmd_check(args) -> _Outcome:
 
 
 def _cmd_transform(args) -> _Outcome:
+    from .dsl import parse_value_model, print_goal_model
+    from .transform import transform_value_to_goal
     result = _parse_file(parse_value_model, args.file)
     goal, diagnostics = transform_value_to_goal(result.model)
     text = print_goal_model(goal)
@@ -291,6 +313,8 @@ def _cmd_transform(args) -> _Outcome:
 
 
 def _cmd_evaluate(args) -> _Outcome:
+    from .dsl import parse_goal_model, parse_scenario
+    from .evaluate import RULE_SET, evaluation_nodes, propagate
     model = _parse_file(parse_goal_model, args.file).model
     scenario = _parse_file(parse_scenario, args.scenario).model
     result = propagate(model, scenario)
@@ -315,6 +339,8 @@ def _cmd_evaluate(args) -> _Outcome:
 
 
 def _cmd_compare(args) -> _Outcome:
+    from .dsl import parse_goal_model, parse_scenario
+    from .evaluate import RULE_SET, compare_scenarios
     model = _parse_file(parse_goal_model, args.file).model
     paths = [p for p in args.scenarios.split(",") if p]
     scenarios = [_parse_file(parse_scenario, p).model for p in paths]
@@ -343,9 +369,12 @@ def _cmd_compare(args) -> _Outcome:
     return _Outcome([args.file] + paths, [], analysis, lines)
 
 
-def _load_curve_csv(path: str) -> list[ValueCurveSample]:
+def _load_curve_csv(path: str) -> list:
+    from .lifecycle import (
+        LifecycleStage, ValueCurveSample, curve_number_problems, curve_step_problems,
+    )
     stages = {s.value: s for s in LifecycleStage}
-    samples: list[ValueCurveSample] = []
+    samples = []
     for n, row in _csv_rows(path, ["t", "stage", "value"]):
         try:
             t, value = float(row[0]), float(row[2])
@@ -366,6 +395,11 @@ def _load_curve_csv(path: str) -> list[ValueCurveSample]:
 
 
 def _cmd_lifecycle(args) -> _Outcome:
+    from .dsl import parse_api_descriptor
+    from .lifecycle import (
+        MismatchThresholds, detect_value_mismatches, lint_characteristics,
+        transition_checklist,
+    )
     descriptor = _parse_file(parse_api_descriptor, args.file).model
     if args.curve:
         descriptor.curve = _load_curve_csv(args.curve)
@@ -397,6 +431,10 @@ def _cmd_lifecycle(args) -> _Outcome:
 
 
 def _cmd_govern(args) -> _Outcome:
+    from .govern import (
+        DecisionItem, Exclusion, Subtractability, classify_openness,
+        load_governance_catalog, parse_score, prioritize_items,
+    )
     if args.govern_command == "openness":
         goods = classify_openness(Exclusion(args.exclusion),
                                   Subtractability(args.subtractability))
@@ -436,14 +474,18 @@ def _cmd_govern(args) -> _Outcome:
 
 
 def _cmd_metrics(args) -> _Outcome:
+    from .core import AutomationLevel
+    from .dsl import parse_goal_model, parse_metric_catalog
     if args.metrics_command in ("who", "link"):
         model = _parse_file(parse_goal_model, args.model).model
     catalog = _parse_file(parse_metric_catalog, args.catalog).model
     if args.metrics_command == "check":
+        from .govern import check_metric_catalog
         diagnostics = check_metric_catalog(catalog)
         return _Outcome([args.catalog], diagnostics,
                         {"metrics": [m.name for m in catalog]})
     if args.metrics_command == "dimensions":
+        from .govern import dimension_coverage_report
         coverage = dimension_coverage_report(catalog)
         lines = []
         for dim, count in coverage.counts.items():
@@ -459,6 +501,7 @@ def _cmd_metrics(args) -> _Outcome:
         }
         return _Outcome([args.catalog], [], analysis, lines)
     if args.metrics_command == "automation":
+        from .govern import automation_report
         rep = automation_report(catalog)
         lines = []
         if rep.note:
@@ -475,6 +518,7 @@ def _cmd_metrics(args) -> _Outcome:
         }
         return _Outcome([args.catalog], [], analysis, lines)
     if args.metrics_command == "who":
+        from .link import who_report
         rows = who_report(model, catalog)
         lines = [
             f"{r.metric}: why={r.why or '?'} who={', '.join(r.who) or '?'} "
@@ -485,7 +529,8 @@ def _cmd_metrics(args) -> _Outcome:
                               "where": r.where, "actors": r.actors}
                              for r in rows]}
         return _Outcome([args.model, args.catalog], [], analysis, lines)
-    # link
+    from .dsl import print_goal_model
+    from .link import link_metrics
     linked, diagnostics = link_metrics(model, catalog)
     text = print_goal_model(linked)
     return _Outcome([args.model, args.catalog], diagnostics, {"goalModel": text},
@@ -493,6 +538,8 @@ def _cmd_metrics(args) -> _Outcome:
 
 
 def _cmd_export(args) -> _Outcome:
+    from .dsl import parse_model
+    from .report import export_dot
     result = _parse_file(parse_model, args.file)
     if not isinstance(result.model, (ValueModel, GoalModel)):
         raise _Failure(f"{args.file}: only value and goal models can be exported")
@@ -514,7 +561,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits for usage errors and --help

@@ -2,15 +2,17 @@
 diagnostics, and the value-model / goal-model object structures.
 
 One rule holds for records across the package: a record is a `NamedTuple`
-unless code or tests change it (assign to it, fill its lists, `replace` it or
-read its `fields`), it keeps a field out of equality (`span`), or it validates
-in `__post_init__`; then it is a dataclass, as every model object is.
+unless code or tests change it (assign to it or fill its lists), it keeps a
+field out of equality (`span`), or it validates its fields when built; then it
+is a :class:`Record`, as every model object is. No module imports
+`dataclasses`: importing it and generating each class's methods cost a CLI
+call more than the call's own work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 
@@ -207,6 +209,38 @@ class BapoTag(Enum):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the records that change in place: a subclass lists its fields,
+    in order, as `__slots__` and sets them in its own `__init__`.
+
+    Two records are equal when they are of one class and agree on every
+    field but `span`, so a model parsed from two layouts of one text compares
+    equal. A record that can change while it compares by value must not be a
+    dict key, so it is unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        #: The compared fields of a record, as one tuple.
+        cls._compare = attrgetter(*[name for name in cls.__slots__ if name != "span"])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compare(self) == self._compare(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Goal models
 # ---------------------------------------------------------------------------
 
@@ -239,24 +273,35 @@ class Refinement(NamedTuple):
     children: tuple[str, ...]  # element ids, same actor
 
 
-@dataclass
-class GElement:
-    id: str
-    kind: ElementKind
-    name: str
-    refinement: Optional[Refinement] = None
-    contributions: list[Contribution] = field(default_factory=list)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class GElement(Record):
+    __slots__ = ("id", "kind", "name", "refinement", "contributions", "span")
+
+    def __init__(self, id: str, kind: ElementKind, name: str,
+                 refinement: Optional[Refinement] = None,
+                 contributions: Optional[list[Contribution]] = None,
+                 span: Optional[SourceSpan] = None):
+        self.id = id
+        self.kind = kind
+        self.name = name
+        self.refinement = refinement
+        self.contributions = [] if contributions is None else contributions
+        self.span = span
 
 
-@dataclass
-class GActor:
-    id: str
-    name: str
-    elements: list[GElement] = field(default_factory=list)
-    layer_assignments: dict[str, Layer] = field(default_factory=dict)
-    bapo_tags: set[BapoTag] = field(default_factory=set)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class GActor(Record):
+    __slots__ = ("id", "name", "elements", "layer_assignments", "bapo_tags", "span")
+
+    def __init__(self, id: str, name: str,
+                 elements: Optional[list[GElement]] = None,
+                 layer_assignments: Optional[dict[str, Layer]] = None,
+                 bapo_tags: Optional[set[BapoTag]] = None,
+                 span: Optional[SourceSpan] = None):
+        self.id = id
+        self.name = name
+        self.elements = [] if elements is None else elements
+        self.layer_assignments = {} if layer_assignments is None else layer_assignments
+        self.bapo_tags = set() if bapo_tags is None else bapo_tags
+        self.span = span
 
     @property
     def open(self) -> bool:
@@ -275,34 +320,45 @@ class Dependum(NamedTuple):
     initial_label: Optional[Label] = None
 
 
-@dataclass
-class Dependency:
-    id: str
-    depender: DependencyEnd
-    dependum: Dependum
-    dependee: DependencyEnd
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class Dependency(Record):
+    __slots__ = ("id", "depender", "dependum", "dependee", "span")
+
+    def __init__(self, id: str, depender: DependencyEnd, dependum: Dependum,
+                 dependee: DependencyEnd, span: Optional[SourceSpan] = None):
+        self.id = id
+        self.depender = depender
+        self.dependum = dependum
+        self.dependee = dependee
+        self.span = span
 
 
 class AssociationKind(Enum):
     PART_OF = "partof"
 
 
-@dataclass
-class AssociationLink:
-    kind: AssociationKind
-    source: str  # actor id (the part)
-    target: str  # actor id (the whole)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class AssociationLink(Record):
+    __slots__ = ("kind", "source", "target", "span")
+
+    def __init__(self, kind: AssociationKind, source: str, target: str,
+                 span: Optional[SourceSpan] = None):
+        self.kind = kind
+        self.source = source  # actor id (the part)
+        self.target = target  # actor id (the whole)
+        self.span = span
 
 
-@dataclass
-class GoalModel:
-    name: str
-    actors: list[GActor] = field(default_factory=list)
-    dependencies: list[Dependency] = field(default_factory=list)
-    associations: list[AssociationLink] = field(default_factory=list)
-    draft: bool = False
+class GoalModel(Record):
+    __slots__ = ("name", "actors", "dependencies", "associations", "draft")
+
+    def __init__(self, name: str, actors: Optional[list[GActor]] = None,
+                 dependencies: Optional[list[Dependency]] = None,
+                 associations: Optional[list[AssociationLink]] = None,
+                 draft: bool = False):
+        self.name = name
+        self.actors = [] if actors is None else actors
+        self.dependencies = [] if dependencies is None else dependencies
+        self.associations = [] if associations is None else associations
+        self.draft = draft
 
     def element_map(self) -> dict[str, GElement]:
         return {e.id: e for a in self.actors for e in a.elements}
@@ -322,24 +378,34 @@ class GoalModel:
 # Value models
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Activity:
-    id: str
-    name: str
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class Activity(Record):
+    __slots__ = ("id", "name", "span")
+
+    def __init__(self, id: str, name: str, span: Optional[SourceSpan] = None):
+        self.id = id
+        self.name = name
+        self.span = span
 
 
-@dataclass
-class VActor:
-    id: str
-    name: str
-    parent: Optional[str] = None
-    activities: list[Activity] = field(default_factory=list)
-    market_segment: bool = False
-    api_role: bool = False
-    layer_assignments: dict[str, Layer] = field(default_factory=dict)
-    bapo_tags: set[BapoTag] = field(default_factory=set)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class VActor(Record):
+    __slots__ = ("id", "name", "parent", "activities", "market_segment", "api_role",
+                 "layer_assignments", "bapo_tags", "span")
+
+    def __init__(self, id: str, name: str, parent: Optional[str] = None,
+                 activities: Optional[list[Activity]] = None,
+                 market_segment: bool = False, api_role: bool = False,
+                 layer_assignments: Optional[dict[str, Layer]] = None,
+                 bapo_tags: Optional[set[BapoTag]] = None,
+                 span: Optional[SourceSpan] = None):
+        self.id = id
+        self.name = name
+        self.parent = parent
+        self.activities = [] if activities is None else activities
+        self.market_segment = market_segment
+        self.api_role = api_role
+        self.layer_assignments = {} if layer_assignments is None else layer_assignments
+        self.bapo_tags = set() if bapo_tags is None else bapo_tags
+        self.span = span
 
 
 class FlowStatus(Enum):
@@ -353,31 +419,92 @@ class ValueObject(NamedTuple):
     kind: ElementKind = ElementKind.RESOURCE
 
 
-@dataclass
-class ValueFlow:
-    id: str
-    source: str  # actor or activity id
-    target: str  # actor or activity id
-    obj: ValueObject = ValueObject("")
-    status: FlowStatus = FlowStatus.NORMAL
-    group: Optional[str] = None
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class ValueFlow(Record):
+    __slots__ = ("id", "source", "target", "obj", "status", "group", "span")
+
+    def __init__(self, id: str, source: str, target: str,
+                 obj: ValueObject = ValueObject(""),
+                 status: FlowStatus = FlowStatus.NORMAL,
+                 group: Optional[str] = None, span: Optional[SourceSpan] = None):
+        self.id = id
+        self.source = source  # actor or activity id
+        self.target = target  # actor or activity id
+        self.obj = obj
+        self.status = status
+        self.group = group
+        self.span = span
 
 
-@dataclass
-class Stimulus:
-    id: str
-    name: str
-    at: str  # owning actor id
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class Stimulus(Record):
+    __slots__ = ("id", "name", "at", "span")
+
+    def __init__(self, id: str, name: str, at: str,
+                 span: Optional[SourceSpan] = None):
+        self.id = id
+        self.name = name
+        self.at = at  # owning actor id
+        self.span = span
 
 
-@dataclass
-class ValueModel:
-    name: str
-    actors: list[VActor] = field(default_factory=list)
-    flows: list[ValueFlow] = field(default_factory=list)
-    stimuli: list[Stimulus] = field(default_factory=list)
+class ValueModel(Record):
+    __slots__ = ("name", "actors", "flows", "stimuli")
+
+    def __init__(self, name: str, actors: Optional[list[VActor]] = None,
+                 flows: Optional[list[ValueFlow]] = None,
+                 stimuli: Optional[list[Stimulus]] = None):
+        self.name = name
+        self.actors = [] if actors is None else actors
+        self.flows = [] if flows is None else flows
+        self.stimuli = [] if stimuli is None else stimuli
 
     def actor_map(self) -> dict[str, VActor]:
         return {a.id: a for a in self.actors}
+
+
+# ---------------------------------------------------------------------------
+# Scenarios and metric catalogs, the parser's other records
+# ---------------------------------------------------------------------------
+
+class Scenario(Record):
+    """Initial labels for an evaluation; CONFLICT cannot be assigned."""
+
+    __slots__ = ("name", "assignments")
+
+    def __init__(self, name: str, assignments: Optional[dict[str, Label]] = None):
+        self.name = name
+        self.assignments = {} if assignments is None else assignments
+
+
+class Dimension(Enum):
+    BUSINESS = "business"
+    USAGE = "usage"
+    DESIGN = "design"
+    IMPLEMENTATION = "implementation"
+
+
+class AutomationLevel(Enum):
+    AUTOMATABLE = "automatable"
+    PARTIALLY_AUTOMATABLE = "partial"
+    MANUAL = "manual"
+
+
+class MetricDef(Record):
+    __slots__ = ("name", "what", "why", "who", "where", "dimensions", "automation",
+                 "links", "span")
+
+    def __init__(self, name: str, what: Optional[str] = None,
+                 why: Optional[str] = None, who: Optional[list[str]] = None,
+                 where: Optional[list[str]] = None,
+                 dimensions: Optional[set[Dimension]] = None,
+                 automation: Optional[AutomationLevel] = None,
+                 links: Optional[list[str]] = None,
+                 span: Optional[SourceSpan] = None):
+        self.name = name
+        self.what = what
+        self.why = why
+        self.who = [] if who is None else who
+        self.where = [] if where is None else where
+        self.dimensions = set() if dimensions is None else dimensions
+        self.automation = automation
+        self.links = [] if links is None else links
+        self.span = span

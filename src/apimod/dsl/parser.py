@@ -23,14 +23,13 @@ from __future__ import annotations
 from typing import NamedTuple, NoReturn, Optional
 
 from ..core import (
-    Activity, AssociationKind, AssociationLink, BapoTag, ContributionStrength,
-    Contribution, Dependency, DependencyEnd, Dependum, Diagnostic, ElementKind,
-    FlowStatus, GActor, GElement, GoalModel, LABEL_WORDS, Layer,
-    Refinement, RefinementKind, Severity, SourceSpan, Stimulus, VActor,
-    ValueFlow, ValueModel, ValueObject, sort_diagnostics,
+    Activity, AssociationKind, AssociationLink, AutomationLevel, BapoTag,
+    ContributionStrength, Contribution, Dependency, DependencyEnd, Dependum,
+    Diagnostic, Dimension, ElementKind, FlowStatus, GActor, GElement, GoalModel,
+    LABEL_WORDS, Layer, MetricDef, Refinement, RefinementKind, Scenario, Severity,
+    SourceSpan, Stimulus, VActor, ValueFlow, ValueModel, ValueObject,
+    sort_diagnostics,
 )
-from ..evaluate import Scenario
-from ..govern import AutomationLevel, Dimension, MetricDef
 from ..lifecycle import (
     CHARACTERISTICS, ApiDescriptor, LifecycleStage, ValueCurveSample,
     curve_number_problems, curve_step_problems,

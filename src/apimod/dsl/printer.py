@@ -7,9 +7,9 @@ required.
 
 from __future__ import annotations
 
-from ..core import ApimodError, BapoTag, GActor, GoalModel, Label, VActor, ValueModel
-from ..evaluate import Scenario
-from ..govern import MetricDef
+from ..core import (
+    ApimodError, BapoTag, GActor, GoalModel, Label, MetricDef, Scenario, VActor, ValueModel,
+)
 from ..lifecycle import ApiDescriptor
 from .lexer import format_number as num, quote_name as q
 

@@ -34,13 +34,12 @@ is checked at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
 
 from .core import (
     ApimodError, ContributionStrength, Diagnostic, ElementKind, Evidence,
-    EvidencePair, GoalModel, Label, RefinementKind, Severity,
+    EvidencePair, GoalModel, Label, RefinementKind, Scenario, Severity,
     evidence_to_label, label_to_evidence, sort_diagnostics,
 )
 from .validate import validate_goal_model
@@ -52,14 +51,6 @@ _AND = RefinementKind.AND
 _GOAL, _QUALITY = ElementKind.GOAL, ElementKind.QUALITY
 _SATISFIED, _PARTIALLY_SATISFIED = Label.SATISFIED, Label.PARTIALLY_SATISFIED
 _CONFLICT_LABEL = Label.CONFLICT
-
-
-@dataclass
-class Scenario:
-    """Initial labels for an evaluation; CONFLICT cannot be assigned."""
-
-    name: str
-    assignments: dict[str, Label] = field(default_factory=dict)
 
 
 class EvaluationResult(NamedTuple):

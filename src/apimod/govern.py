@@ -4,12 +4,12 @@ change decision quadrants, prioritization, and metric-catalog checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .core import (
-    Diagnostic, Severity, SourceSpan, load_package_data, sort_diagnostics,
+from .core import (  # the catalog's records live in core, where the parser reads them
+    AutomationLevel, Diagnostic, Dimension, MetricDef, Record, Severity,
+    load_package_data, sort_diagnostics,
 )
 
 
@@ -55,20 +55,32 @@ class Quadrant(Enum):
     D = "D"
 
 
-@dataclass(frozen=True)
-class DecisionItem:
+class DecisionItem(Record):
     """Two scores in [0, 1]; their meaning depends on the decision model:
     (value, effort) for implementation decisions, (scope, impact) for change
-    decisions."""
+    decisions. Frozen, so it hashes by value."""
 
-    name: str
-    a: float
-    b: float
+    __slots__ = ("name", "a", "b")
 
-    def __post_init__(self):
-        for score in (self.a, self.b):
+    def __init__(self, name: str, a: float, b: float):
+        for score in (a, b):
             if not 0.0 <= score <= 1.0:
-                raise ValueError(f"{self.name}: score {score} outside [0, 1]")
+                raise ValueError(f"{name}: score {score} outside [0, 1]")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._compare(self))
+
+    def __reduce__(self):  # copy and pickle rebuild it through `__init__`
+        return DecisionItem, self._compare(self)
 
 
 #: A score equal to the threshold counts as high.
@@ -125,32 +137,6 @@ def prioritize_items(items: list[DecisionItem],
 # ---------------------------------------------------------------------------
 # Metric catalog
 # ---------------------------------------------------------------------------
-
-class Dimension(Enum):
-    BUSINESS = "business"
-    USAGE = "usage"
-    DESIGN = "design"
-    IMPLEMENTATION = "implementation"
-
-
-class AutomationLevel(Enum):
-    AUTOMATABLE = "automatable"
-    PARTIALLY_AUTOMATABLE = "partial"
-    MANUAL = "manual"
-
-
-@dataclass
-class MetricDef:
-    name: str
-    what: Optional[str] = None
-    why: Optional[str] = None
-    who: list[str] = field(default_factory=list)
-    where: list[str] = field(default_factory=list)
-    dimensions: set[Dimension] = field(default_factory=set)
-    automation: Optional[AutomationLevel] = None
-    links: list[str] = field(default_factory=list)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
-
 
 def check_metric_catalog(metrics: list[MetricDef]) -> list[Diagnostic]:
     """Flag metrics whose rationale, audience, sources, or placement is

@@ -4,12 +4,11 @@ value-curve mismatch detection, and transition-trigger checklists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from .core import (
-    ApimodError, Diagnostic, Severity, load_package_data, sort_diagnostics,
+    ApimodError, Diagnostic, Record, Severity, load_package_data, sort_diagnostics,
 )
 
 
@@ -70,17 +69,25 @@ CHARACTERISTICS: dict[str, type[Enum]] = {
 }
 
 
-@dataclass
-class Characteristics:
-    """One value per characteristic of `CHARACTERISTICS`; None means not
-    observed."""
+class Characteristics(Record):
+    """One value per characteristic of `CHARACTERISTICS`, in its order; None
+    means not observed."""
 
-    stability: Optional[Stability] = None
-    change: Optional[Change] = None
-    commitment: Optional[Commitment] = None
-    governance: Optional[Governance] = None
-    compatibility: Optional[Compatibility] = None
-    support: Optional[Support] = None
+    __slots__ = ("stability", "change", "commitment", "governance", "compatibility",
+                 "support")
+
+    def __init__(self, stability: Optional[Stability] = None,
+                 change: Optional[Change] = None,
+                 commitment: Optional[Commitment] = None,
+                 governance: Optional[Governance] = None,
+                 compatibility: Optional[Compatibility] = None,
+                 support: Optional[Support] = None):
+        self.stability = stability
+        self.change = change
+        self.commitment = commitment
+        self.governance = governance
+        self.compatibility = compatibility
+        self.support = support
 
     def items(self) -> list[tuple[str, Optional[Enum]]]:
         return [(name, getattr(self, name)) for name in CHARACTERISTICS]
@@ -124,13 +131,19 @@ def curve_number_problems(sample: ValueCurveSample) -> list[tuple[str, str, str]
     return problems
 
 
-@dataclass
-class ApiDescriptor:
-    name: str
-    declared_stage: LifecycleStage
-    observed: Characteristics = field(default_factory=Characteristics)
-    curve: list[ValueCurveSample] = field(default_factory=list)
-    transition_rationales: list[str] = field(default_factory=list)
+class ApiDescriptor(Record):
+    __slots__ = ("name", "declared_stage", "observed", "curve", "transition_rationales")
+
+    def __init__(self, name: str, declared_stage: LifecycleStage,
+                 observed: Optional[Characteristics] = None,
+                 curve: Optional[list[ValueCurveSample]] = None,
+                 transition_rationales: Optional[list[str]] = None):
+        self.name = name
+        self.declared_stage = declared_stage
+        self.observed = Characteristics() if observed is None else observed
+        self.curve = [] if curve is None else curve
+        self.transition_rationales = ([] if transition_rationales is None
+                                      else transition_rationales)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from typing import NamedTuple
 
 from .core import (
     Contribution, ContributionStrength, Diagnostic, ElementKind, GElement,
-    GoalModel, Severity, sort_diagnostics,
+    GoalModel, MetricDef, Severity, sort_diagnostics,
 )
-from .govern import MetricDef
 
 
 def metric_quality_id(metric_name: str) -> str:

@@ -7,7 +7,6 @@ envelope across commands and are byte-stable for identical inputs.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _json_string
 from math import isfinite
 
 from . import __version__
@@ -16,6 +15,11 @@ from .core import (
     load_package_data,
 )
 from .validate import duplicate_ids, reference_diagnostic, reference_problems
+
+#: `json.encoder.encode_basestring_ascii`, the C string encoder, once the
+#: first `report_json` call has imported it: a call without `--json` does not
+#: pay a few milliseconds to load `json`.
+_json_string = None
 
 _ELEMENT_SHAPES = {
     ElementKind.GOAL: "ellipse",
@@ -177,6 +181,10 @@ def report_json(report: dict) -> str:
     and a newline, without the pure-Python encoder that `indent` selects.
     Like `json.dumps`, nan and infinity raise ValueError and a value with no
     JSON form TypeError; reports are trees, so cycles are not looked for."""
+    global _json_string
+    if _json_string is None:
+        from json.encoder import encode_basestring_ascii
+        _json_string = encode_basestring_ascii
     out: list[str] = []
     _write_json(report, "\n", out.append)
     out.append("\n")

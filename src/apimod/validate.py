@@ -46,9 +46,16 @@ def duplicate_ids(model: ValueModel | GoalModel) -> list:
     if isinstance(model, ValueModel):
         return _repeated([x for a in model.actors for x in (a, *a.activities)]
                          + model.stimuli, set())
-    elements = [el for a in model.actors for el in a.elements]
-    return (_repeated(model.actors + elements, set())
-            + _repeated(model.dependencies, {el.id for el in elements}))
+    actors: set = set()
+    repeats = _repeated(model.actors, actors)
+    nodes: set = set()  # element ids, then dependency ids; one walk of the elements
+    add = nodes.add
+    for a in model.actors:
+        for el in a.elements:
+            if el.id in nodes or el.id in actors:
+                repeats.append(el)
+            add(el.id)
+    return repeats + _repeated(model.dependencies, nodes)
 
 
 def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:

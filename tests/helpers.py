@@ -10,6 +10,7 @@ the engine they check.
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 from pathlib import Path
@@ -24,6 +25,15 @@ from apimod.dsl.lexer import LexError, TokKind
 from apimod.evaluate import Scenario
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def replaced(record, **changes):
+    """A new record like `record` with `changes` set, sharing its other
+    fields (a shallow copy); `record` itself does not change."""
+    new = copy.copy(record)
+    for name, value in changes.items():
+        setattr(new, name, value)
+    return new
 
 
 # ---------------------------------------------------------------------------

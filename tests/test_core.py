@@ -1,21 +1,29 @@
-"""Label lattice and evidence-pair semantics."""
+"""Label lattice, evidence-pair semantics, and the record types."""
 
+import copy
 import itertools
 
 import pytest
 
+import apimod
 from apimod.core import (
-    Contribution, ContributionStrength, DependencyEnd, Dependum, Diagnostic, ElementKind,
-    Evidence, EvidencePair, Label, Refinement, RefinementKind, Severity,
-    SourceSpan, ValueObject, evidence_to_label, label_max, label_min, label_to_evidence,
+    Activity, AssociationKind, AssociationLink, Contribution, ContributionStrength,
+    Dependency, DependencyEnd, Dependum, Diagnostic, ElementKind, Evidence, EvidencePair,
+    GActor, GElement, GoalModel, Label, MetricDef, Record, Refinement, RefinementKind,
+    Scenario, Severity, SourceSpan, Stimulus, VActor, ValueFlow, ValueModel, ValueObject,
+    evidence_to_label, label_max, label_min, label_to_evidence,
 )
+from apimod.dsl import parse_goal_model
 from apimod.dsl.parser import ParseResult
 from apimod.evaluate import ComparisonRow, ComparisonTable, EvaluationResult, Rules
-from apimod.govern import AutomationReport, DimensionCoverage
+from apimod.govern import AutomationReport, DecisionItem, DimensionCoverage
 from apimod.lifecycle import (
-    LifecycleStage, MismatchThresholds, TransitionReport, TriggerEntry, ValueCurveSample,
+    ApiDescriptor, Characteristics, LifecycleStage, MismatchThresholds, Stability,
+    TransitionReport, TriggerEntry, ValueCurveSample,
 )
 from apimod.link import WhoRow
+
+from helpers import CORPUS
 
 ORDERED = [Label.DENIED, Label.PARTIALLY_DENIED, Label.UNKNOWN,
            Label.PARTIALLY_SATISFIED, Label.SATISFIED]
@@ -131,3 +139,111 @@ def test_records_are_immutable_and_hash_by_value(cls, values):
             setattr(record, name, None)
     twin = cls(*values)
     assert twin == record and hash(twin) == hash(record)
+
+
+#: One instance of each record that code changes in place.
+SPAN = SourceSpan("f", 1, 1, 1, 2)
+MUTABLE = [
+    GElement("G", ElementKind.GOAL, "G", span=SPAN),
+    GActor("A", "A", span=SPAN),
+    Dependency("d1", DependencyEnd("A", "G"), Dependum(ElementKind.GOAL, "D"),
+               DependencyEnd("B"), span=SPAN),
+    AssociationLink(AssociationKind.PART_OF, "A", "B", span=SPAN),
+    GoalModel("M"),
+    Activity("a", "a", span=SPAN),
+    VActor("A", "A", span=SPAN),
+    ValueFlow("f1", "A", "B", span=SPAN),
+    Stimulus("s", "s", "A", span=SPAN),
+    ValueModel("M"),
+    Scenario("s"),
+    MetricDef("m", span=SPAN),
+    Characteristics(),
+    ApiDescriptor("X", LifecycleStage.PLAN),
+]
+
+
+@pytest.mark.parametrize("record", MUTABLE, ids=[type(r).__name__ for r in MUTABLE])
+def test_changeable_records_are_unhashable_slotted_and_equal_by_value(record):
+    with pytest.raises(TypeError):
+        hash(record)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    twin = copy.deepcopy(record)
+    assert twin == record and not twin != record
+    assert record != object() and record != tuple(getattr(record, f) for f in record.__slots__)
+    assert repr(twin) == repr(record)
+    assert repr(record).startswith(type(record).__name__ + "(")
+
+
+def test_span_is_left_out_of_equality():
+    def element(span, name="G"):
+        return GElement("G", ElementKind.GOAL, name, span=span)
+
+    assert element(SPAN) == element(SourceSpan("g", 9, 9, 9, 9)) == element(None)
+    assert element(SPAN) != element(SPAN, name="H")
+    parsed = [parse_goal_model(text).model for text in (
+        "goalmodel M { actor A { goal G } }", "goalmodel M {\n  actor A {\n    goal G\n  }\n}")]
+    assert parsed[0] == parsed[1]
+    assert parsed[0].actors[0].span != parsed[1].actors[0].span
+
+
+def test_decision_items_are_frozen_hash_by_value_and_check_scores():
+    item = DecisionItem("x", 0.25, 0.75)
+    with pytest.raises(AttributeError):
+        item.a = 0.5
+    with pytest.raises(AttributeError):
+        del item.name
+    twin = DecisionItem("x", 0.25, 0.75)
+    assert twin == item and hash(twin) == hash(item) and len({item, twin}) == 1
+    assert item != DecisionItem("x", 0.25, 0.5)
+    assert copy.deepcopy(item) == item and not hasattr(item, "__dict__")
+    with pytest.raises(ValueError, match="score 1.5 outside"):
+        DecisionItem("x", 1.5, 0.5)
+    with pytest.raises(ValueError, match="score nan outside"):
+        DecisionItem("x", 0.5, float("nan"))
+
+
+def _containers(value, found: list) -> list:
+    """Every list, dict and set reachable from `value` through records,
+    tuples and containers."""
+    if isinstance(value, Record):
+        for name in value.__slots__:
+            _containers(getattr(value, name), found)
+    elif isinstance(value, (list, dict, set, tuple)):
+        if not isinstance(value, tuple):
+            found.append(value)
+        for item in value.items() if isinstance(value, dict) else value:
+            _containers(item, found)
+    return found
+
+
+def test_deep_copy_of_a_parsed_goal_model_is_equal_and_shares_no_container():
+    model = parse_goal_model((CORPUS / "device_api.gm").read_text(encoding="utf-8"),
+                             "device_api.gm").model
+    twin = copy.deepcopy(model)  # what `link.link_metrics` starts from
+    assert twin == model
+    ours, theirs = _containers(model, []), _containers(twin, [])
+    assert len(ours) == len(theirs) > 10
+    assert not {id(c) for c in ours} & {id(c) for c in theirs}
+    twin.actors[0].elements[0].contributions.append(
+        Contribution("q", ContributionStrength.HELPS))
+    assert twin != model
+
+
+def test_characteristics_keep_their_field_order():
+    row = Characteristics(Stability.STABLE)
+    assert row.stability is Stability.STABLE and row.change is None
+    assert [name for name, _ in row.items()] == list(Characteristics.__slots__)
+
+
+def test_every_exported_name_resolves():
+    for name in apimod.__all__:
+        assert getattr(apimod, name) is not None
+    assert set(apimod.__all__) <= set(dir(apimod))
+    assert {"core", "evaluate", "govern", "lifecycle", "link", "transform",
+            "validate"} <= set(dir(apimod))
+    assert apimod.Scenario is Scenario and apimod.MetricDef is MetricDef
+    assert apimod.validate.validate_goal_model is apimod.validate_goal_model
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        apimod.nothing

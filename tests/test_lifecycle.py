@@ -1,6 +1,5 @@
 """Stage characteristics, value-curve mismatches, transition checklists."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -50,8 +49,7 @@ def test_matrix_is_total_and_matches_reviewed_snapshot():
 
 
 def test_characteristics_table_names_every_field_with_its_enum():
-    fields = dataclasses.fields(Characteristics)
-    assert [f.name for f in fields] == list(CHARACTERISTICS)
+    assert list(Characteristics.__slots__) == list(CHARACTERISTICS)
     for name, values in CHARACTERISTICS.items():
         assert isinstance(getattr(expected_characteristics(P), name), values)
 

@@ -1,6 +1,5 @@
 """Value-model to goal-model transformation."""
 
-import dataclasses
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from apimod.dsl import parse_goal_model, parse_value_model, print_model
 from apimod.transform import transform_value_to_goal
 from apimod.validate import validate_goal_model
 
-from helpers import CORPUS, gen_value_model
+from helpers import CORPUS, gen_value_model, replaced
 
 
 def vm(text):
@@ -130,19 +129,19 @@ def test_precondition_rejects_model_with_errors():
 
 def test_precondition_rejects_dangling_stimulus_and_flow():
     model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
-    stimulus = dataclasses.replace(model.stimuli[0], at="nobody")
+    stimulus = replaced(model.stimuli[0], at="nobody")
     with pytest.raises(ApimodError, match="unknown actor 'nobody'"):
-        transform_value_to_goal(dataclasses.replace(model, stimuli=[stimulus]))
-    flow = dataclasses.replace(model.flows[0], target="ghost")
+        transform_value_to_goal(replaced(model, stimuli=[stimulus]))
+    flow = replaced(model.flows[0], target="ghost")
     with pytest.raises(ApimodError, match="unknown endpoint 'ghost'"):
-        transform_value_to_goal(dataclasses.replace(model, flows=[flow]))
+        transform_value_to_goal(replaced(model, flows=[flow]))
 
 
 def test_precondition_rejects_dangling_parent_actor():
     model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
-    actor = dataclasses.replace(model.actors[0], parent="Ghost")
+    actor = replaced(model.actors[0], parent="Ghost")
     with pytest.raises(ApimodError, match="unknown actor 'Ghost'"):
-        transform_value_to_goal(dataclasses.replace(model, actors=[actor, *model.actors[1:]]))
+        transform_value_to_goal(replaced(model, actors=[actor, *model.actors[1:]]))
 
 
 DEPENDENCY_ID_CLASH = """

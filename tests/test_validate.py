@@ -1,6 +1,5 @@
 """Model checks: references, reciprocity, cycles, floats, coverage."""
 
-import dataclasses
 import random
 import time
 
@@ -9,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
     Activity, AssociationKind, AssociationLink, Contribution, ContributionStrength,
-    DependencyEnd, ElementKind, GActor, GElement, GoalModel, Refinement, RefinementKind,
-    Severity, VActor, ValueModel,
+    Dependency, DependencyEnd, Dependum, ElementKind, GActor, GElement, GoalModel,
+    Refinement, RefinementKind, Severity, VActor, ValueModel,
 )
 from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_model
 from apimod.validate import (
-    check_bapo_coverage, check_layer_coverage, reference_problems, validate_goal_model,
-    validate_value_model,
+    check_bapo_coverage, check_layer_coverage, duplicate_ids, reference_problems,
+    validate_goal_model, validate_value_model,
 )
 
-from helpers import CORPUS, gen_goal_model, gen_value_model
+from helpers import CORPUS, gen_goal_model, gen_value_model, replaced
 
 
 def codes(diags):
@@ -233,7 +232,7 @@ def test_dangling_refinement_child_is_an_error():
 
 def test_stimulus_at_unknown_actor_dangles():
     model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
-    model.stimuli[0] = dataclasses.replace(model.stimuli[0], at="nobody")
+    model.stimuli[0] = replaced(model.stimuli[0], at="nobody")
     diags = validate_value_model(model)
     assert codes(diags) == ["E-DANGLE"]
     assert "'nobody'" in diags[0].message and diags[0].severity is Severity.ERROR
@@ -241,7 +240,7 @@ def test_stimulus_at_unknown_actor_dangles():
 
 def test_flow_with_unknown_endpoints_dangles():
     model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
-    model.flows[0] = dataclasses.replace(model.flows[0], source="ghost",
+    model.flows[0] = replaced(model.flows[0], source="ghost",
                                          target="Camera Platform.Govern API")
     diags = [d for d in validate_value_model(model) if d.code == "E-DANGLE"]
     assert [d.message for d in diags] == [
@@ -251,7 +250,7 @@ def test_flow_with_unknown_endpoints_dangles():
 
 def test_dangling_parent_actor_dangles():
     model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
-    model.actors[0] = dataclasses.replace(model.actors[0], parent="Ghost")
+    model.actors[0] = replaced(model.actors[0], parent="Ghost")
     diags = validate_value_model(model)
     assert codes(diags) == ["E-DANGLE"]
     assert "'Ghost'" in diags[0].message and diags[0].span == model.actors[0].span
@@ -260,8 +259,8 @@ def test_dangling_parent_actor_dangles():
 def test_partnership_cycle_is_an_error():
     model = vm((CORPUS / "device_api.vm").read_text(encoding="utf-8"))
     first, second = model.actors[:2]
-    model.actors[:2] = [dataclasses.replace(first, parent=second.id),
-                        dataclasses.replace(second, parent=first.id)]
+    model.actors[:2] = [replaced(first, parent=second.id),
+                        replaced(second, parent=first.id)]
     diags = [d for d in validate_value_model(model) if d.severity is Severity.ERROR]
     assert codes(diags) == ["E-CYCLE", "E-CYCLE"]
     assert {d.message for d in diags} == {f"partnership cycle through {first.id!r}",
@@ -270,7 +269,7 @@ def test_partnership_cycle_is_an_error():
 
 def test_part_of_link_to_unknown_actor_dangles():
     model = gm("goalmodel M { actor A { goal G } actor B  partof A -> B }")
-    model.associations[0] = dataclasses.replace(model.associations[0], target="Ghost")
+    model.associations[0] = replaced(model.associations[0], target="Ghost")
     diags = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
     assert codes(diags) == ["E-DANGLE"]
     assert "'Ghost'" in diags[0].message
@@ -281,7 +280,7 @@ def test_unknown_actor_named_at_both_ends_dangles_once():
                "depend A.a -> B.b : resource R  partof A -> B }")
     dep = model.dependencies[0]
     dep.depender, dep.dependee = DependencyEnd("X", "a"), DependencyEnd("X", "b")
-    model.associations[0] = dataclasses.replace(model.associations[0], source="Y", target="Y")
+    model.associations[0] = replaced(model.associations[0], source="Y", target="Y")
     diags = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
     assert [d.render() for d in diags] == [
         "<input>:1:55: error E-DANGLE dependency 'd1' references unknown actor 'X'",
@@ -306,6 +305,32 @@ def test_repeated_id_in_another_actor_is_a_duplicate():
     diags = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
     assert [(d.code, d.message) for d in diags] == [("E-DUP", "duplicate identifier 'G'")]
     assert "E-DUP" in codes(parse_model(print_model(model)).diagnostics)
+
+
+def _goal_duplicates_by_definition(model: GoalModel) -> list:
+    """The repeats of a goal model's two namespaces, read off their
+    definition: actors then elements, and elements then dependencies."""
+    def repeated(declared):
+        return [x for i, x in enumerate(declared)
+                if any(y.id == x.id for y in declared[:i])]
+
+    elements = [el for a in model.actors for el in a.elements]
+    return (repeated(model.actors + elements)
+            + [d for d in repeated(elements + model.dependencies)
+               if isinstance(d, Dependency)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_goal_model_duplicates_are_the_repeats_of_each_namespace(data):
+    ids = st.lists(st.sampled_from("abcd"), max_size=4)
+    model = GoalModel("m", actors=[
+        GActor(a, a, elements=[GElement(e, ElementKind.TASK, e) for e in data.draw(ids)])
+        for a in data.draw(ids)], dependencies=[
+        Dependency(d, DependencyEnd("a"), Dependum(ElementKind.GOAL, d), DependencyEnd("b"))
+        for d in data.draw(ids)])
+    got, want = duplicate_ids(model), _goal_duplicates_by_definition(model)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 def test_activity_named_like_an_actor_is_a_duplicate():
