@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 # Every command reports through these two; each handler imports the rest of
 # what it calls when it runs, so a call loads only the modules it uses.
 from .core import (
-    ApimodError, Diagnostic, GoalModel, ValueModel, sort_diagnostics,
+    ApimodError, AutomationLevel, Diagnostic, GoalModel, ValueModel, sort_diagnostics,
 )
 from .report import exit_code_for, make_report, report_json
 
@@ -265,7 +265,7 @@ def _parse_file(parse, path: str):
 
 def _cmd_check(args) -> _Outcome:
     from .dsl import parse_model
-    from .lifecycle import ApiDescriptor
+    from .lifecycle import ApiDescriptor, lint_characteristics
     from .validate import (
         check_bapo_coverage, check_layer_coverage, validate_goal_model,
         validate_value_model,
@@ -284,7 +284,6 @@ def _cmd_check(args) -> _Outcome:
             analysis["modelKind"] = "goalmodel"
             diagnostics += validate_goal_model(model)
         elif isinstance(model, ApiDescriptor):
-            from .lifecycle import lint_characteristics
             analysis["modelKind"] = "api"
             diagnostics += lint_characteristics(model)
         elif isinstance(model, list):
@@ -474,7 +473,6 @@ def _cmd_govern(args) -> _Outcome:
 
 
 def _cmd_metrics(args) -> _Outcome:
-    from .core import AutomationLevel
     from .dsl import parse_goal_model, parse_metric_catalog
     if args.metrics_command in ("who", "link"):
         model = _parse_file(parse_goal_model, args.model).model

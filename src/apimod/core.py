@@ -213,13 +213,14 @@ class BapoTag(Enum):
 # ---------------------------------------------------------------------------
 
 class Record:
-    """Base of the records that change in place: a subclass lists its fields,
-    in order, as `__slots__` and sets them in its own `__init__`.
+    """Base of the records that are not `NamedTuple`s: a subclass lists its
+    fields, in order, as `__slots__` and sets them in its own `__init__`.
 
     Two records are equal when they are of one class and agree on every
     field but `span`, so a model parsed from two layouts of one text compares
     equal. A record that can change while it compares by value must not be a
-    dict key, so it is unhashable.
+    dict key, so it is unhashable; a frozen one (`govern.DecisionItem`)
+    defines its own `__hash__`.
     """
 
     __slots__ = ()
