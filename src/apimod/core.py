@@ -16,11 +16,20 @@ from operator import attrgetter
 from typing import NamedTuple, Optional
 
 
+class ValueEnum(Enum):
+    """Base of every apimod `Enum`: `value` reads the member's value through
+    a C-level property. `Enum.value` is a Python-level descriptor, about four
+    times slower, and the printers and reports read it for every word they
+    write. A member is built, looked up, pickled and copied as by `Enum`."""
+
+    value = property(attrgetter("_value_"))
+
+
 # ---------------------------------------------------------------------------
 # Labels and evidence
 # ---------------------------------------------------------------------------
 
-class Label(Enum):
+class Label(ValueEnum):
     """Qualitative satisfaction label.
 
     The five regular values are totally ordered:
@@ -127,7 +136,7 @@ def label_to_evidence(label: Label) -> EvidencePair:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-class Severity(Enum):
+class Severity(ValueEnum):
     ERROR = "error"
     WARNING = "warning"
     INFO = "info"
@@ -194,14 +203,14 @@ def load_package_data(name: str):
 # ---------------------------------------------------------------------------
 
 # Both enums list their members in report order.
-class Layer(Enum):
+class Layer(ValueEnum):
     DOMAIN = "domain"
     USAGE = "usage"
     API = "api"
     ASSET = "asset"
 
 
-class BapoTag(Enum):
+class BapoTag(ValueEnum):
     BUSINESS = "B"
     ARCHITECTURE = "A"
     PROCESS = "P"
@@ -245,19 +254,19 @@ class Record:
 # Goal models
 # ---------------------------------------------------------------------------
 
-class ElementKind(Enum):
+class ElementKind(ValueEnum):
     GOAL = "goal"
     QUALITY = "quality"
     TASK = "task"
     RESOURCE = "resource"
 
 
-class RefinementKind(Enum):
+class RefinementKind(ValueEnum):
     AND = "and"
     OR = "or"
 
 
-class ContributionStrength(Enum):
+class ContributionStrength(ValueEnum):
     MAKES = "makes"
     HELPS = "helps"
     HURTS = "hurts"
@@ -333,7 +342,7 @@ class Dependency(Record):
         self.span = span
 
 
-class AssociationKind(Enum):
+class AssociationKind(ValueEnum):
     PART_OF = "partof"
 
 
@@ -409,7 +418,7 @@ class VActor(Record):
         self.span = span
 
 
-class FlowStatus(Enum):
+class FlowStatus(ValueEnum):
     NORMAL = "normal"
     PROBLEMATIC = "problematic"
     MISSING = "missing"
@@ -476,14 +485,14 @@ class Scenario(Record):
         self.assignments = {} if assignments is None else assignments
 
 
-class Dimension(Enum):
+class Dimension(ValueEnum):
     BUSINESS = "business"
     USAGE = "usage"
     DESIGN = "design"
     IMPLEMENTATION = "implementation"
 
 
-class AutomationLevel(Enum):
+class AutomationLevel(ValueEnum):
     AUTOMATABLE = "automatable"
     PARTIALLY_AUTOMATABLE = "partial"
     MANUAL = "manual"

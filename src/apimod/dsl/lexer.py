@@ -8,14 +8,13 @@ a keyword) are double-quoted.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
-from ..core import ApimodError, SourceSpan
+from ..core import ApimodError, SourceSpan, ValueEnum
 
 
-class TokKind(Enum):
+class TokKind(ValueEnum):
     IDENT = "identifier"
     STRING = "string"
     NUMBER = "number"
@@ -89,8 +88,6 @@ KEYWORDS = frozenset({
     "what", "why", "who", "where", "dimensions", "automation", "links",
 })
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 #: One alternation for the whole lexer, matched once over the whole text.
 #: Each match absorbs the blanks and line breaks before it; blanks at the
 #: end of the text match nothing, and `finditer` passes over them. The
@@ -108,7 +105,6 @@ _MASTER = re.compile(r"""[ \t\r\n]*(?:
     |(?P<OPEN>")
     |(?P<BAD>[^ \t\r\n])
 )""", re.VERBOSE)
-_ESCAPE_RE = re.compile(r'\\(["\\])')
 #: Group number -> token kind, None for SKIP, OPEN and BAD. `tokenize` reads
 #: a match by the number of its group, which is cheaper than by its name.
 _KIND_OF_GROUP = {i: TokKind.__members__.get(name) for name, i in _MASTER.groupindex.items()}
@@ -151,8 +147,11 @@ def tokenize(text: str, filename: str = "<input>") -> Tokens:
         value = m[group]
         if kind is string:
             value = value[1:-1]
-            if "\\" in value:
-                value = _ESCAPE_RE.sub(lambda m: m[1], value)
+            if "\\" in value:  # `\\` stands for `\` and `\"` for `"`, read left to right
+                if "\\\\" in value:
+                    value = "\\".join([part.replace('\\"', '"') for part in value.split("\\\\")])
+                else:
+                    value = value.replace('\\"', '"')
         add_kind(kind)
         add_value(value)
         add_start(m.start(group))
@@ -165,8 +164,9 @@ def tokenize(text: str, filename: str = "<input>") -> Tokens:
 
 
 def is_bare_name(s: str) -> bool:
-    """True if `s` can be printed unquoted."""
-    return bool(_IDENT_RE.fullmatch(s)) and s not in KEYWORDS
+    """True if `s` can be printed unquoted: an IDENT token that is no keyword.
+    An ASCII identifier is exactly `[A-Za-z_][A-Za-z0-9_]*`."""
+    return s.isascii() and s.isidentifier() and s not in KEYWORDS
 
 
 def quote_name(s: str) -> str:

@@ -4,11 +4,10 @@ change decision quadrants, prioritization, and metric-catalog checks.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Optional
 
 from .core import (  # the catalog's records live in core, where the parser reads them
-    AutomationLevel, Diagnostic, Dimension, MetricDef, Record, Severity,
+    AutomationLevel, Diagnostic, Dimension, MetricDef, Record, Severity, ValueEnum,
     load_package_data, sort_diagnostics,
 )
 
@@ -17,17 +16,17 @@ from .core import (  # the catalog's records live in core, where the parser read
 # Openness
 # ---------------------------------------------------------------------------
 
-class Exclusion(Enum):
+class Exclusion(ValueEnum):
     DIFFICULT = "difficult"
     EASY = "easy"
 
 
-class Subtractability(Enum):
+class Subtractability(ValueEnum):
     LOW = "low"
     HIGH = "high"
 
 
-class GoodsClass(Enum):
+class GoodsClass(ValueEnum):
     PUBLIC_GOODS = "public-goods"
     COMMON_POOL = "common-pool"
     CLUB_GOODS = "club-goods"
@@ -48,7 +47,7 @@ def classify_openness(exclusion: Exclusion,
 # Decision quadrants
 # ---------------------------------------------------------------------------
 
-class Quadrant(Enum):
+class Quadrant(ValueEnum):
     A = "A"
     B = "B"
     C = "C"

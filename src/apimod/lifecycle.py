@@ -4,15 +4,15 @@ value-curve mismatch detection, and transition-trigger checklists.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Optional
 
 from .core import (
-    ApimodError, Diagnostic, Record, Severity, load_package_data, sort_diagnostics,
+    ApimodError, Diagnostic, Record, Severity, ValueEnum, load_package_data,
+    sort_diagnostics,
 )
 
 
-class LifecycleStage(Enum):
+class LifecycleStage(ValueEnum):
     PLAN = "plan"
     OPERATION = "operation"
     DEPRECATION = "deprecation"
@@ -23,39 +23,39 @@ class LifecycleStage(Enum):
 STAGE_RANK = {s: i for i, s in enumerate(LifecycleStage)}
 
 
-class Stability(Enum):
+class Stability(ValueEnum):
     UNSTABLE = "unstable"
     MAINLY_STABLE = "mainly_stable"
     STABLE = "stable"
 
 
-class Change(Enum):
+class Change(ValueEnum):
     UNCOORDINATED_EXPERIMENTAL = "uncoordinated_experimental"
     COORDINATED_WITH_COST = "coordinated_with_cost"
     MINIMAL_ERROR_CORRECTION = "minimal_error_correction"
     NONE = "none"
 
 
-class Commitment(Enum):
+class Commitment(ValueEnum):
     NONE = "none"
     COMMITTED = "committed"
     DECREASING = "decreasing"
 
 
-class Governance(Enum):
+class Governance(ValueEnum):
     SETTING_UP = "setting_up"
     GOVERNED = "governed"
     NOT_APPLICABLE = "not_applicable"
 
 
-class Compatibility(Enum):
+class Compatibility(ValueEnum):
     NONE_EITHER = "none_either"
     FORWARD_AND_BACKWARD = "forward_and_backward"
     BACKWARD_ONLY = "backward_only"
     NONE_EITHER_RETIRED = "none_either_retired"
 
 
-class Support(Enum):
+class Support(ValueEnum):
     INTENSE_FEW_USERS = "intense_few_users"
     MANY_USERS = "many_users"
     MINIMIZING = "minimizing"
@@ -63,7 +63,7 @@ class Support(Enum):
 
 
 #: Each lifecycle characteristic, in report order, and the enum of its values.
-CHARACTERISTICS: dict[str, type[Enum]] = {
+CHARACTERISTICS: dict[str, type[ValueEnum]] = {
     "stability": Stability, "change": Change, "commitment": Commitment,
     "governance": Governance, "compatibility": Compatibility, "support": Support,
 }
@@ -89,7 +89,7 @@ class Characteristics(Record):
         self.compatibility = compatibility
         self.support = support
 
-    def items(self) -> list[tuple[str, Optional[Enum]]]:
+    def items(self) -> list[tuple[str, Optional[ValueEnum]]]:
         return [(name, getattr(self, name)) for name in CHARACTERISTICS]
 
 

@@ -21,11 +21,12 @@ from .validate import duplicate_ids, reference_diagnostic, reference_problems
 #: pay a few milliseconds to load `json`.
 _json_string = None
 
+#: Keyed by the kind's value: hashing an enum member runs Python code.
 _ELEMENT_SHAPES = {
-    ElementKind.GOAL: "ellipse",
-    ElementKind.QUALITY: "egg",
-    ElementKind.TASK: "hexagon",
-    ElementKind.RESOURCE: "box",
+    ElementKind.GOAL.value: "ellipse",
+    ElementKind.QUALITY.value: "egg",
+    ElementKind.TASK.value: "hexagon",
+    ElementKind.RESOURCE.value: "box",
 }
 
 #: Band order for layered exports, top band first.
@@ -33,11 +34,9 @@ _BAND_ORDER = tuple(reversed(Layer))
 
 
 def _q(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _actor_node(actor_id: str) -> str:
-    return _q(f"actor:{actor_id}")
+    if '"' in s or "\\" in s:
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return f'"{s}"'
 
 
 def export_dot(model, cluster_by_actor: bool = True,
@@ -67,36 +66,51 @@ def export_dot(model, cluster_by_actor: bool = True,
     cluster = cluster_by_actor and layer_bands is None
     indent = "    " if cluster else "  "
 
+    # The DOT node of each actor, element and activity by id, quoted once. An
+    # actor shares its model's namespace with the elements or activities, and
+    # every reference resolves, so each edge end is a key.
+    node = {actor.id: _q(f"actor:{actor.id}") for actor in model.actors}
     # Per model kind: each actor's member node lines (`members`), the node
     # lines that follow the bands (`loose`), each actor's shape, the edges.
     edges: list[str] = []
     if isinstance(model, GoalModel):
-        members = [[f"{indent}{_q(el.id)} [label={_q(el.name)}, "
-                    f"shape={_ELEMENT_SHAPES[el.kind]}];" for el in actor.elements]
-                   for actor in model.actors]
+        members = []
+        for actor in model.actors:
+            lines = []
+            for el in actor.elements:
+                node[el.id] = quoted = _q(el.id)
+                lines.append(f"{indent}{quoted} [label={_q(el.name)}, "
+                             f"shape={_ELEMENT_SHAPES[el.kind.value]}];")
+            members.append(lines)
         loose = [line for lines in members for line in lines]
         shapes = ["circle"] * len(model.actors)
         for actor in model.actors:
             for el in actor.elements:
+                source = node[el.id]
                 if el.refinement is not None:
                     kind = _q(el.refinement.kind.value)
                     for child in el.refinement.children:
-                        edges.append(f"  {_q(child)} -> {_q(el.id)} [label={kind}];")
+                        edges.append(f"  {node[child]} -> {source} [label={kind}];")
                 for c in el.contributions:
-                    edges.append(f"  {_q(el.id)} -> {_q(c.target)} "
+                    edges.append(f"  {source} -> {node[c.target]} "
                                  f"[label={_q(c.strength.value)}, style=dashed];")
-        edges += [f"  {_actor_node(link.source)} -> {_actor_node(link.target)} "
-                  f'[label="part of"];' for link in model.associations]
+        edges += [f'  {node[link.source]} -> {node[link.target]} [label="part of"];'
+                  for link in model.associations]
         for dep in model.dependencies:
-            src, dst = (_q(end.element) if end.element is not None else _actor_node(end.actor)
+            src, dst = (node[end.actor if end.element is None else end.element]
                         for end in (dep.depender, dep.dependee))
             label = f"{dep.dependum.kind.value} {dep.dependum.name}"
             if dep.dependum.initial_label is not None:
                 label += f" [{dep.dependum.initial_label.value}]"
             edges.append(f"  {src} -> {dst} [label={_q(label)}, style=bold];")
     else:
-        activities = [[f"{indent}{_q(act.id)} [label={_q(act.name)}, shape=hexagon];"
-                       for act in actor.activities] for actor in model.actors]
+        activities = []
+        for actor in model.actors:
+            lines = []
+            for act in actor.activities:
+                node[act.id] = quoted = _q(act.id)
+                lines.append(f"{indent}{quoted} [label={_q(act.name)}, shape=hexagon];")
+            activities.append(lines)
         stimuli = [(stim.at, f"{indent}{_q(stim.id)} [label={_q(stim.name)}, "
                              f"shape=circle, color=red];") for stim in model.stimuli]
         members = [lines + [line for at, line in stimuli if at == actor.id]
@@ -104,14 +118,11 @@ def export_dot(model, cluster_by_actor: bool = True,
         loose = [line for lines in activities for line in lines]
         loose += [line for _, line in stimuli]
         shapes = ["doublecircle" if actor.api_role else "circle" for actor in model.actors]
-        activity_ids = {act.id for a in model.actors for act in a.activities}
         styles = {"normal": "solid", "problematic": "dashed", "missing": "dotted"}
         for flow in model.flows:
-            src, dst = (_q(ref) if ref in activity_ids else _actor_node(ref)
-                        for ref in (flow.source, flow.target))
             label = f"{flow.obj.name} : {flow.obj.kind.value}"
-            edges.append(f"  {src} -> {dst} [label={_q(label)}, "
-                         f"style={styles[flow.status.value]}];")
+            edges.append(f"  {node[flow.source]} -> {node[flow.target]} "
+                         f"[label={_q(label)}, style={styles[flow.status.value]}];")
 
     # One layout: the four rank bands and then `loose`, or the actors each
     # as a cluster or flat; then the edges.
@@ -121,7 +132,7 @@ def export_dot(model, cluster_by_actor: bool = True,
         bands: dict[Layer | None, list[str]] = {key: [] for key in (*_BAND_ORDER, None)}
         for actor in model.actors:
             layer = actor.layer_assignments.get(layer_bands)
-            bands[layer].append(f"{'  ' if layer is None else '    '}{_actor_node(actor.id)} "
+            bands[layer].append(f"{'  ' if layer is None else '    '}{node[actor.id]} "
                                 f"[label={_q(actor.id)}, shape=circle];")
         for layer in _BAND_ORDER:
             out += [f'  subgraph "band_{layer.value}" {{', "    rank=same;",
@@ -132,11 +143,10 @@ def export_dot(model, cluster_by_actor: bool = True,
         out += bands[None] + loose
     else:
         for actor, lines, shape in zip(model.actors, members, shapes):
+            name = _q(actor.name)
             if cluster:
-                out += [f"  subgraph {_q('cluster_' + actor.id)} {{",
-                        f"    label={_q(actor.name)};"]
-            out.append(f"{indent}{_actor_node(actor.id)} "
-                       f"[label={_q(actor.name)}, shape={shape}];")
+                out += [f"  subgraph {_q('cluster_' + actor.id)} {{", f"    label={name};"]
+            out.append(f"{indent}{node[actor.id]} [label={name}, shape={shape}];")
             out += lines
             if cluster:
                 out.append("  }")
@@ -193,7 +203,9 @@ def report_json(report: dict) -> str:
 
 def _write_json(value, newline: str, write) -> None:
     """`value` through `write`, its nested lines starting with `newline` and
-    two more spaces. Strings go through the C string encoder."""
+    two more spaces. Strings go through the C string encoder. A container
+    writes an item of exact type `str` or `int` itself, without a call; any
+    other item, subclasses included, takes the `isinstance` path."""
     if isinstance(value, str):
         write(_json_string(value))
     elif isinstance(value, (list, tuple, dict)):
@@ -209,7 +221,13 @@ def _write_json(value, newline: str, write) -> None:
                 key, item = item
                 write(_json_string(key if isinstance(key, str) else _json_scalar(key)))
                 write(": ")
-            _write_json(item, inner, write)
+            kind = type(item)
+            if kind is str:
+                write(_json_string(item))
+            elif kind is int:
+                write(int.__repr__(item))
+            else:
+                _write_json(item, inner, write)
             separator = "," + inner
         write(newline + ("}" if is_dict else "]"))
     else:

@@ -18,12 +18,11 @@ from .core import (
     Dependum, Diagnostic, ElementKind, GActor, GElement, GoalModel, Label,
     Severity, ValueModel, sort_diagnostics,
 )
-from .validate import duplicate_ids, validate_value_model
+from .validate import duplicate_ids, value_model_errors
 
 
 def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnostic]]:
-    errors = [d for d in validate_value_model(model)
-              if d.severity is Severity.ERROR]
+    errors = value_model_errors(model)
     if errors:
         raise ApimodError(
             "value model does not validate: " + "; ".join(d.message for d in errors))
@@ -51,9 +50,9 @@ def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnost
             "how well (more qualities), and how it relates (more links)",
             vactor.span))
 
+    actors = goal.actor_map()
     for stim in model.stimuli:
-        owner = goal.actor_map()[stim.at]
-        owner.elements.append(GElement(
+        actors[stim.at].elements.append(GElement(
             id=stim.id, kind=ElementKind.GOAL, name=stim.name, span=stim.span))
 
     for i, flow in enumerate(model.flows):

@@ -1,7 +1,12 @@
 """Label lattice, evidence-pair semantics, and the record types."""
 
 import copy
+import importlib
+import inspect
 import itertools
+import pickle
+import pkgutil
+from enum import Enum
 
 import pytest
 
@@ -10,8 +15,8 @@ from apimod.core import (
     Activity, AssociationKind, AssociationLink, Contribution, ContributionStrength,
     Dependency, DependencyEnd, Dependum, Diagnostic, ElementKind, Evidence, EvidencePair,
     GActor, GElement, GoalModel, Label, MetricDef, Record, Refinement, RefinementKind,
-    Scenario, Severity, SourceSpan, Stimulus, VActor, ValueFlow, ValueModel, ValueObject,
-    evidence_to_label, label_max, label_min, label_to_evidence,
+    Scenario, Severity, SourceSpan, Stimulus, VActor, ValueEnum, ValueFlow, ValueModel,
+    ValueObject, evidence_to_label, label_max, label_min, label_to_evidence,
 )
 from apimod.dsl import parse_goal_model
 from apimod.dsl.parser import ParseResult
@@ -247,3 +252,21 @@ def test_every_exported_name_resolves():
     assert apimod.validate.validate_goal_model is apimod.validate_goal_model
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         apimod.nothing
+
+
+def test_every_apimod_enum_reads_its_value_through_the_shared_property():
+    """A new `Enum` that is no `ValueEnum` would read `.value` through the
+    slower `Enum` descriptor; `Evidence` is an `IntEnum` and counts as an int."""
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(apimod.__path__, "apimod.")]
+    enums = {obj for module in modules for obj in vars(module).values()
+             if isinstance(obj, type) and issubclass(obj, Enum)
+             and obj.__module__.startswith("apimod.")} - {ValueEnum, Evidence}
+    assert len(enums) == 23  # core 11, the lexer's TokKind, lifecycle 7, govern 4
+    value = ValueEnum.__dict__["value"]
+    for cls in enums:
+        assert issubclass(cls, ValueEnum) and inspect.getattr_static(cls, "value") is value
+        member = next(iter(cls))
+        assert cls(member.value) is member and member.value is member._value_
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.deepcopy(member) is member and copy.copy(member) is member

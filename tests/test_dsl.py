@@ -523,6 +523,13 @@ def test_printing_is_deterministic():
     assert print_model(model) == print_model(model)
 
 
+def test_a_non_ascii_element_name_prints_quoted_and_round_trips():
+    model = parse_goal_model('goalmodel M { actor A { goal "é" task T "é" and T } }').model
+    text = print_model(model)
+    assert '    goal "é"\n' in text and '    "é" and T\n' in text
+    assert print_model(parse_goal_model(text).model) == text
+
+
 def test_quote_name_refuses_a_line_break():
     assert quote_name("a\tb") == '"a\tb"'
     with pytest.raises(ApimodError, match="line break"):

@@ -1,6 +1,8 @@
 """The master-regex lexer against the reference scanner, its edge cases, and
 the parser's single pass over each input."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,7 @@ from apimod.dsl import (
     parse_scenario, parse_value_model, print_model,
 )
 from apimod.dsl import parser as parser_module
-from apimod.dsl.lexer import LexError, TokKind, tokenize
+from apimod.dsl.lexer import KEYWORDS, LexError, TokKind, is_bare_name, tokenize
 
 from helpers import CORPUS, oracle_tokenize
 
@@ -178,3 +180,14 @@ def test_parse_model_gives_each_dialect_its_tokens():
             via = parse_model(text, str(path))
             assert diag_tuples(via) == diag_tuples(direct)
             assert print_model(via.model) == print_model(direct.model)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=st.one_of(
+    st.text(st.sampled_from("aZ_09éüａℌ١ -"), max_size=6),
+    st.sampled_from(sorted(KEYWORDS) + ["", "_", "9a", "a9"])))
+def test_a_bare_name_is_an_ascii_identifier_that_is_no_keyword(s):
+    """Non-ASCII letters and digits (`é`, `ü`, a fullwidth `ａ`, `ℌ`, an
+    Arabic-Indic `١`) are identifiers to Python but not to the lexer."""
+    ident = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", s) is not None
+    assert is_bare_name(s) == (ident and s not in KEYWORDS)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
-    ApimodError, AssociationKind, AssociationLink, Diagnostic, GActor, Severity,
+    ApimodError, AssociationKind, AssociationLink, Diagnostic, Evidence, GActor, Severity,
     SourceSpan, Stimulus, VActor, ValueFlow,
 )
 from apimod.dsl import parse_goal_model, parse_value_model
@@ -318,15 +318,22 @@ def test_report_json_refuses_non_finite_numbers():
             report_json(make_report("lifecycle", [], [], {"high": value}))
 
 
+class _Text(str):
+    """A `str` subclass, which `json` writes as the string it holds."""
+
+
 # Leaves and keys of the JSON-like values `report_json` is checked on:
 # strings with non-ASCII and control characters and lone surrogates, ints
-# past 64 bits and floats at their edges; `json` coerces each to a key.
+# past 64 bits and floats at their edges, a `str` subclass and an `IntEnum`
+# member, which `json` writes as a string and an int; `json` coerces each to
+# a key.
 _STRINGS = st.text(st.one_of(st.characters(exclude_categories=()),
                              st.sampled_from("\x00\x1f\x7f\"\\/\u2028\ud800\udfffé\U0001f600")))
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
 _INTS = st.one_of(st.integers(), st.integers(-2 ** 80, 2 ** 80))
-_SCALARS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none())
+_SCALARS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none(),
+                     _STRINGS.map(_Text), st.sampled_from(Evidence))
 _BAD = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apimod.core import (
-    Activity, AssociationKind, AssociationLink, Contribution, ContributionStrength,
-    Dependency, DependencyEnd, Dependum, ElementKind, GActor, GElement, GoalModel,
-    Refinement, RefinementKind, Severity, VActor, ValueModel,
+    Activity, ApimodError, AssociationKind, AssociationLink, Contribution,
+    ContributionStrength, Dependency, DependencyEnd, Dependum, ElementKind, GActor,
+    GElement, GoalModel, Refinement, RefinementKind, Severity, Stimulus, VActor, ValueFlow,
+    ValueModel,
 )
 from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_model
+from apimod.evaluate import compile_rules
+from apimod.transform import transform_value_to_goal
 from apimod.validate import (
-    check_bapo_coverage, check_layer_coverage, duplicate_ids, reference_problems,
-    validate_goal_model, validate_value_model,
+    check_bapo_coverage, check_layer_coverage, duplicate_ids, goal_model_errors,
+    reference_problems, validate_goal_model, validate_value_model, value_model_errors,
 )
 
 from helpers import CORPUS, gen_goal_model, gen_value_model, replaced
@@ -690,3 +693,105 @@ def test_diagnostics_are_sorted_deterministically():
     assert d1 == d2
     spans = [(d.span.start_line, d.span.start_col) for d in d1]
     assert spans == sorted(spans)
+
+
+# ---------------------------------------------------------------------------
+# The analyses' precondition: a validator's errors, without its warnings
+# ---------------------------------------------------------------------------
+
+def _checks(model):
+    """The errors-only helper and the validator of `model`'s kind."""
+    if isinstance(model, GoalModel):
+        return goal_model_errors, validate_goal_model
+    return value_model_errors, validate_value_model
+
+
+def test_error_helpers_return_the_errors_of_validation_on_every_model_file():
+    paths = sorted(p for d in (CORPUS, CORPUS.parent / "tests" / "data")
+                   for p in d.rglob("*") if p.suffix in (".gm", ".vm"))
+    assert len(paths) >= 7
+    for path in paths:
+        model = parse_model(path.read_text(encoding="utf-8"), str(path)).model
+        errors, validate = _checks(model)
+        assert errors(model) == [d for d in validate(model) if d.severity is Severity.ERROR]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), goal=st.booleans(), links=st.integers(0, 2),
+       references=st.integers(0, 2))
+def test_error_helpers_return_the_errors_of_validation_in_order(seed, goal, links,
+                                                                references):
+    """On generated models with broken link rules, then broken references,
+    a repeated id and, for value models, no API actor. A link break looks
+    refinement children up, so it comes before the references break."""
+    rng = random.Random(seed)
+    if goal:
+        model = gen_goal_model(rng, max_elements=10)
+        break_link, break_reference = _break_goal_link, _break_goal_reference
+        declared = [el for a in model.actors for el in a.elements]
+    else:
+        model = gen_value_model(rng, max_elements=12)
+        break_link, break_reference = _break_value_link, _break_value_reference
+        declared = [x for a in model.actors for x in (a, *a.activities)]
+        if rng.random() < 0.3:
+            for actor in model.actors:
+                actor.api_role = False
+    for _ in range(links):
+        break_link(model, rng)
+    for _ in range(references):
+        break_reference(model, rng)
+    if len(declared) > 1 and rng.random() < 0.3:
+        rng.choice(declared[1:]).id = declared[0].id
+    errors, validate = _checks(model)
+    assert errors(model) == [d for d in validate(model) if d.severity is Severity.ERROR]
+
+
+def _model_with_several_errors() -> GoalModel:
+    """A repeated id, dangling references, a refinement cycle, link typing
+    and a self-dependency."""
+    t = GElement("T", ElementKind.TASK, "T", refinement=Refinement(RefinementKind.OR, ("G",)),
+                 contributions=[Contribution("T", ContributionStrength.HELPS),
+                                Contribution("G", ContributionStrength.MAKES)])
+    return GoalModel("broken", actors=[
+        GActor("A", "A", elements=[
+            GElement("G", ElementKind.GOAL, "G",
+                     refinement=Refinement(RefinementKind.AND, ("T", "X"))),
+            t,
+            GElement("Q", ElementKind.QUALITY, "Q",
+                     refinement=Refinement(RefinementKind.AND, ("T",))),
+            GElement("F", ElementKind.TASK, "F"),
+            GElement("C1", ElementKind.GOAL, "C1",
+                     refinement=Refinement(RefinementKind.AND, ("C2",))),
+            GElement("C2", ElementKind.GOAL, "C2",
+                     refinement=Refinement(RefinementKind.OR, ("C1",)))]),
+        GActor("B", "B", elements=[GElement("T", ElementKind.GOAL, "T")])],
+        dependencies=[
+            Dependency("d1", DependencyEnd("A"), Dependum(ElementKind.RESOURCE, "r"),
+                       DependencyEnd("A")),
+            Dependency("d2", DependencyEnd("C"), Dependum(ElementKind.GOAL, "s"),
+                       DependencyEnd("B", "Z"))])
+
+
+def test_preconditions_name_every_error_in_report_order():
+    with pytest.raises(ApimodError) as refused:
+        compile_rules(_model_with_several_errors())
+    assert str(refused.value) == (
+        "model does not validate: contribution target 'G' is a goal; contributions "
+        "target qualities only; refinement cycle through 'C1', 'C2'; dependency 'd2' "
+        "references unknown actor 'C'; dependency 'd2' references unknown element 'Z' "
+        "in actor 'B'; refinement of 'G' names 'X', which is no element of its actor; "
+        "duplicate identifier 'T'; quality 'Q' cannot be refined; use contribution "
+        "links; contribution must connect two distinct elements; dependency must "
+        "connect two distinct ends")
+    model = ValueModel("broken", actors=[
+        VActor("A", "A", activities=[Activity("x", "x")]),
+        VActor("B", "B", parent="C"), VActor("x", "x")],
+        flows=[ValueFlow("f1", "A", "A"), ValueFlow("f2", "A", "nowhere")],
+        stimuli=[Stimulus("s", "s", "ghost")])
+    with pytest.raises(ApimodError) as refused:
+        transform_value_to_goal(model)
+    assert str(refused.value) == (
+        "value model does not validate: actor 'B' is part of unknown actor 'C'; flow "
+        "'f2' references unknown endpoint 'nowhere'; stimulus 's' is placed at unknown "
+        "actor 'ghost'; duplicate identifier 'x'; no actor is marked as the API; add "
+        "an `api` marker; value flow must connect two distinct endpoints")
