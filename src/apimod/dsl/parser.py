@@ -449,7 +449,8 @@ class _GoalModelParser(_Parser):
     def parse_element(self, kw: int) -> None:
         element = self.name("element name")
         value = self.values[element]
-        self.actor.elements.append(GElement(  # by position: keywords cost a record 0.3 µs
+        # By position, in `__init__`'s order: keywords cost a record 0.3 µs.
+        self.actor.elements.append(GElement(
             value, _ELEMENT_KIND_WORDS[self.values[kw]], value, None, None, self.span(element)))
 
     def parse_link_stmt(self, head: int) -> None:

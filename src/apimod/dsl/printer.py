@@ -58,35 +58,21 @@ def print_goal_model(model: GoalModel) -> str:
     if model.draft:
         head += " draft"
     out = [head + " {"]
-    # Each actor and element id is quoted once, where the text first writes
-    # it, so the first name that cannot be written is still the one refused.
-    # A child, target or end that is neither (a model built in Python may
-    # dangle) is quoted at each use.
-    ids: dict[str, str] = {}
     for actor in model.actors:
-        body = []
-        for el in actor.elements:
-            ids[el.id] = name = q(el.id)
-            body.append(f"    {el.kind.value} {name}")
+        body = [f"    {el.kind.value} {q(el.id)}" for el in actor.elements]
         for el in actor.elements:
             if el.refinement is not None:
-                children = ", ".join([ids.get(c) or q(c) for c in el.refinement.children])
-                body.append(f"    {ids[el.id]} {el.refinement.kind.value} {children}")
+                children = ", ".join(q(c) for c in el.refinement.children)
+                body.append(f"    {q(el.id)} {el.refinement.kind.value} {children}")
         for el in actor.elements:
             for c in el.contributions:
-                body.append(f"    {ids[el.id]} {c.strength.value} "
-                            f"{ids.get(c.target) or q(c.target)}")
-        ids[actor.id] = name = q(actor.id)
-        _actor_block(out, f"  actor {name}", body, actor)
+                body.append(f"    {q(el.id)} {c.strength.value} {q(c.target)}")
+        _actor_block(out, f"  actor {q(actor.id)}", body, actor)
     for link in model.associations:
-        out.append(f"  partof {ids.get(link.source) or q(link.source)} -> "
-                   f"{ids.get(link.target) or q(link.target)}")
-
-    def end(e) -> str:
-        actor = ids.get(e.actor) or q(e.actor)
-        return actor if e.element is None else f"{actor}.{ids.get(e.element) or q(e.element)}"
-
+        out.append(f"  partof {q(link.source)} -> {q(link.target)}")
     for dep in model.dependencies:
+        def end(e) -> str:
+            return q(e.actor) if e.element is None else f"{q(e.actor)}.{q(e.element)}"
         stmt = (f"  depend {end(dep.depender)} -> {end(dep.dependee)} : "
                 f"{dep.dependum.kind.value} {q(dep.dependum.name)}")
         if dep.dependum.initial_label is not None:

@@ -42,7 +42,7 @@ from .core import (
     EvidencePair, GoalModel, Label, RefinementKind, Scenario, Severity,
     evidence_to_label, label_to_evidence, sort_diagnostics,
 )
-from .validate import goal_model_errors
+from .validate import validate_goal_model
 
 RULE_SET = "symmetric-closure"
 
@@ -178,9 +178,9 @@ class Rules(NamedTuple):
 
 
 def compile_rules(model: GoalModel) -> Rules:
-    """Compile the delivery rules of `model` for any number of scenarios;
-    raises ApimodError when the model has errors (`goal_model_errors`)."""
-    errors = goal_model_errors(model)
+    """Validate `model` and compile its delivery rules for any number of
+    scenarios; raises ApimodError when the model has errors."""
+    errors = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
     if errors:
         raise ApimodError(
             "model does not validate: " + "; ".join(d.message for d in errors))

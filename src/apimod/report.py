@@ -204,8 +204,8 @@ def report_json(report: dict) -> str:
 def _write_json(value, newline: str, write) -> None:
     """`value` through `write`, its nested lines starting with `newline` and
     two more spaces. Strings go through the C string encoder. A container
-    writes an item of exact type `str` or `int` itself, without a call; any
-    other item, subclasses included, takes the `isinstance` path."""
+    writes an item of exact type `int` itself, without a call; any other
+    item, `IntEnum` members and `bool` included, takes the `isinstance` path."""
     if isinstance(value, str):
         write(_json_string(value))
     elif isinstance(value, (list, tuple, dict)):
@@ -221,10 +221,7 @@ def _write_json(value, newline: str, write) -> None:
                 key, item = item
                 write(_json_string(key if isinstance(key, str) else _json_scalar(key)))
                 write(": ")
-            kind = type(item)
-            if kind is str:
-                write(_json_string(item))
-            elif kind is int:
+            if type(item) is int:
                 write(int.__repr__(item))
             else:
                 _write_json(item, inner, write)

@@ -18,11 +18,12 @@ from .core import (
     Dependum, Diagnostic, ElementKind, GActor, GElement, GoalModel, Label,
     Severity, ValueModel, sort_diagnostics,
 )
-from .validate import duplicate_ids, value_model_errors
+from .validate import duplicate_ids, validate_value_model
 
 
 def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnostic]]:
-    errors = value_model_errors(model)
+    errors = [d for d in validate_value_model(model)
+              if d.severity is Severity.ERROR]
     if errors:
         raise ApimodError(
             "value model does not validate: " + "; ".join(d.message for d in errors))

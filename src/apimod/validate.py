@@ -13,9 +13,7 @@ and `self_links` decide E-REFINE, E-CONTRIB and E-SELF for both, and one
 search, `_cycles`, finds partnership and refinement cycles alike, over the
 edges of each id's last declaration. Value models are also checked for
 reciprocity, scoping, a captured API and a stimulus; goal models for floating
-elements. `value_model_errors` and `goal_model_errors` hold the error rules,
-which each validator extends with its warnings and the analyses check alone.
-Layer and BAPO coverage checks work on both model types.
+elements. Layer and BAPO coverage checks work on both model types.
 """
 
 from __future__ import annotations
@@ -276,26 +274,13 @@ def _shared_diagnostics(model, problems) -> list[Diagnostic]:
                     for code, message, link in self_links(model)]
 
 
-def value_model_errors(model: ValueModel) -> list[Diagnostic]:
-    """The errors of `validate_value_model`, in its order: repeated ids,
-    reference problems, self-flows and a missing API actor. A precondition
-    checks these alone and builds no warning."""
-    diags = _shared_diagnostics(model, reference_problems(model))
-    # An empty model has not been scoped yet, so a missing API would be noise.
-    if model.actors and not any(a.api_role for a in model.actors):
-        diags.append(Diagnostic(
-            Severity.ERROR, "E-NOAPI",
-            "no actor is marked as the API; add an `api` marker"))
-    return sort_diagnostics(diags)
-
-
 def validate_value_model(model: ValueModel,
                          strict_reciprocity: bool = False) -> list[Diagnostic]:
     """Repeated ids, reference problems, reciprocity, scoping, and
     completeness checks (§-style construction hygiene). With
     `strict_reciprocity`, every actor pair with a flow must also have a
     backflow."""
-    diags = value_model_errors(model)
+    diags = _shared_diagnostics(model, reference_problems(model))
     owner = {a.id: a.id for a in model.actors}
     for actor in model.actors:
         for act in actor.activities:
@@ -329,18 +314,23 @@ def validate_value_model(model: ValueModel,
                     Severity.WARNING, "W-RECIP",
                     f"no backflow from {dst!r} to {src!r}"))
 
-    # As for E-NOAPI, an empty model is not asked for a stimulus.
-    if model.actors and not model.stimuli:
-        diags.append(Diagnostic(
-            Severity.WARNING, "W-NOSTIM",
-            "model has no stimulus; what sets the ecosystem in motion?"))
+    # An empty model has not been scoped yet, so the completeness
+    # checks below would be noise.
+    if model.actors:
+        if not any(a.api_role for a in model.actors):
+            diags.append(Diagnostic(
+                Severity.ERROR, "E-NOAPI",
+                "no actor is marked as the API; add an `api` marker"))
+        if not model.stimuli:
+            diags.append(Diagnostic(
+                Severity.WARNING, "W-NOSTIM",
+                "model has no stimulus; what sets the ecosystem in motion?"))
     return sort_diagnostics(diags)
 
 
-def goal_model_errors(model: GoalModel) -> list[Diagnostic]:
-    """The errors of `validate_goal_model`, in its order: repeated ids,
-    reference problems, self-dependencies, refinement cycles and link typing.
-    A precondition checks these alone and builds no warning."""
+def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
+    """Construction-rule checks: repeated ids, reference problems,
+    self-dependencies, refinement cycles, floating elements and link typing."""
     local_maps, elements = element_maps(model)
     diags = _shared_diagnostics(
         model, goal_reference_problems(model, (), local_maps, elements))
@@ -350,35 +340,24 @@ def goal_model_errors(model: GoalModel) -> list[Diagnostic]:
     diags += [Diagnostic(Severity.ERROR, "E-CYCLE", "refinement cycle through "
                          + ", ".join(repr(c) for c in cycle)) for cycle in _cycles(graph)]
 
-    for actor in model.actors:
-        local = local_maps[id(actor)]
-        for el in actor.elements:
-            for link in (el.contributions if el.refinement is None
-                         else (el.refinement, *el.contributions)):
-                for code, message in link_problems(el, link, local, elements):
-                    diags.append(Diagnostic(Severity.ERROR, code, message, el.span))
-    return sort_diagnostics(diags)
-
-
-def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
-    """Construction-rule checks: repeated ids, reference problems,
-    self-dependencies, refinement cycles, floating elements and link typing."""
-    diags = goal_model_errors(model)
-
-    # The elements a link attaches; those without links of their own float
-    # unless a link or a dependency attaches them.
+    # Link typing, and the elements a link attaches; those without links of
+    # their own float unless a link or a dependency attaches them.
     attached = {end.element for dep in model.dependencies
                 for end in (dep.depender, dep.dependee) if end.element is not None}
     unlinked = []
     for actor in model.actors:
+        local = local_maps[id(actor)]
         for el in actor.elements:
-            if el.refinement is None and not el.contributions:
+            links = (el.contributions if el.refinement is None
+                     else (el.refinement, *el.contributions))
+            if not links:
                 unlinked.append(el)
                 continue
             attached.add(el.id)
-            if el.refinement is not None:
-                attached.update(el.refinement.children)
-            attached.update([c.target for c in el.contributions])
+            for link in links:
+                attached.update(link.children if type(link) is Refinement else (link.target,))
+                for code, message in link_problems(el, link, local, elements):
+                    diags.append(Diagnostic(Severity.ERROR, code, message, el.span))
 
     for el in unlinked:
         if el.id not in attached:

@@ -471,8 +471,8 @@ def test_score_counts_satisfied_and_half_for_partial():
 
 def test_comparison_validates_the_model_once(monkeypatch):
     calls = []
-    real = evaluate.goal_model_errors
-    monkeypatch.setattr(evaluate, "goal_model_errors",
+    real = evaluate.validate_goal_model
+    monkeypatch.setattr(evaluate, "validate_goal_model",
                         lambda model: calls.append(model) or real(model))
     model = gm(ONE_ACTOR.format(body="goal G task T G and T"))
     compare_scenarios(model, [Scenario(n, {"T": S}) for n in "xyz"])

@@ -16,8 +16,8 @@ from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_m
 from apimod.evaluate import compile_rules
 from apimod.transform import transform_value_to_goal
 from apimod.validate import (
-    check_bapo_coverage, check_layer_coverage, duplicate_ids, goal_model_errors,
-    reference_problems, validate_goal_model, validate_value_model, value_model_errors,
+    check_bapo_coverage, check_layer_coverage, duplicate_ids, reference_problems,
+    validate_goal_model, validate_value_model,
 )
 
 from helpers import CORPUS, gen_goal_model, gen_value_model, replaced
@@ -696,55 +696,8 @@ def test_diagnostics_are_sorted_deterministically():
 
 
 # ---------------------------------------------------------------------------
-# The analyses' precondition: a validator's errors, without its warnings
+# The analyses' precondition: every error of the validator, in report order
 # ---------------------------------------------------------------------------
-
-def _checks(model):
-    """The errors-only helper and the validator of `model`'s kind."""
-    if isinstance(model, GoalModel):
-        return goal_model_errors, validate_goal_model
-    return value_model_errors, validate_value_model
-
-
-def test_error_helpers_return_the_errors_of_validation_on_every_model_file():
-    paths = sorted(p for d in (CORPUS, CORPUS.parent / "tests" / "data")
-                   for p in d.rglob("*") if p.suffix in (".gm", ".vm"))
-    assert len(paths) >= 7
-    for path in paths:
-        model = parse_model(path.read_text(encoding="utf-8"), str(path)).model
-        errors, validate = _checks(model)
-        assert errors(model) == [d for d in validate(model) if d.severity is Severity.ERROR]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), goal=st.booleans(), links=st.integers(0, 2),
-       references=st.integers(0, 2))
-def test_error_helpers_return_the_errors_of_validation_in_order(seed, goal, links,
-                                                                references):
-    """On generated models with broken link rules, then broken references,
-    a repeated id and, for value models, no API actor. A link break looks
-    refinement children up, so it comes before the references break."""
-    rng = random.Random(seed)
-    if goal:
-        model = gen_goal_model(rng, max_elements=10)
-        break_link, break_reference = _break_goal_link, _break_goal_reference
-        declared = [el for a in model.actors for el in a.elements]
-    else:
-        model = gen_value_model(rng, max_elements=12)
-        break_link, break_reference = _break_value_link, _break_value_reference
-        declared = [x for a in model.actors for x in (a, *a.activities)]
-        if rng.random() < 0.3:
-            for actor in model.actors:
-                actor.api_role = False
-    for _ in range(links):
-        break_link(model, rng)
-    for _ in range(references):
-        break_reference(model, rng)
-    if len(declared) > 1 and rng.random() < 0.3:
-        rng.choice(declared[1:]).id = declared[0].id
-    errors, validate = _checks(model)
-    assert errors(model) == [d for d in validate(model) if d.severity is Severity.ERROR]
-
 
 def _model_with_several_errors() -> GoalModel:
     """A repeated id, dangling references, a refinement cycle, link typing
