@@ -220,9 +220,11 @@ def _render(args, command: str, outcome: _Outcome) -> int:
 
 
 def _read(path: str) -> str:
+    """The text of an input file, without a leading UTF-8 byte-order mark
+    (spreadsheet "CSV UTF-8" exports and some editors write one)."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except OSError as exc:
         raise _Failure(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -233,12 +235,11 @@ def _read(path: str) -> str:
 def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(row number, cells) for each row of a CSV file that has data.
 
-    A leading UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports write
-    one), blank rows and a first non-blank row equal to `header` are skipped;
-    a row with fewer cells than `header` is an error."""
+    Blank rows and a first non-blank row equal to `header` are skipped; a
+    row with fewer cells than `header` is an error."""
     import csv
     try:
-        rows = list(csv.reader(_read(path).removeprefix("\ufeff").splitlines()))
+        rows = list(csv.reader(_read(path).splitlines()))
     except csv.Error as exc:
         raise _Failure(f"{path}: {exc}") from exc
     first = next((i for i, row in enumerate(rows) if row), None)

@@ -88,22 +88,30 @@ KEYWORDS = frozenset({
     "what", "why", "who", "where", "dimensions", "automation", "links",
 })
 
-#: One alternation for the whole lexer, matched once over the whole text.
-#: Each match absorbs the blanks and line breaks before it; blanks at the
-#: end of the text match nothing, and `finditer` passes over them. The
-#: string rule is an unrolled loop: a backslash escapes a following quote or
+#: The token rules, as pattern fragments: the blank characters, an
+#: identifier, the body of a string (between its quotes) and a comment. The
+#: string body is an unrolled loop: a backslash escapes a following quote or
 #: backslash and is kept literally otherwise, and every position has one way
 #: to match, so a string with no closing quote fails without backtracking
-#: into its escapes. A quote that does not start a whole string is an
-#: unterminated string, and BAD is any other character that is not a blank.
-_MASTER = re.compile(r"""[ \t\r\n]*(?:
-     (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    |(?P<PUNCT>->|[{}()=:,.])
-    |(?P<STRING>"[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*")
+#: into its escapes. The scenario parser builds its reader from them too.
+BLANK = r" \t\r\n"
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+STRING_BODY = r'[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*'
+COMMENT = r"//.*"
+
+#: One alternation for the whole lexer, matched once over the whole text.
+#: Each match absorbs the blanks and line breaks before it; blanks at the
+#: end of the text match nothing, and `finditer` passes over them. A quote
+#: that does not start a whole string is an unterminated string, and BAD is
+#: any other character that is not a blank.
+_MASTER = re.compile(rf"""[{BLANK}]*(?:
+     (?P<IDENT>{IDENT})
+    |(?P<PUNCT>->|[{{}}()=:,.])
+    |(?P<STRING>"{STRING_BODY}")
     |(?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
-    |(?P<SKIP>//.*)
+    |(?P<SKIP>{COMMENT})
     |(?P<OPEN>")
-    |(?P<BAD>[^ \t\r\n])
+    |(?P<BAD>[^{BLANK}])
 )""", re.VERBOSE)
 #: Group number -> token kind, None for SKIP, OPEN and BAD. `tokenize` reads
 #: a match by the number of its group, which is cheaper than by its name.
@@ -147,11 +155,8 @@ def tokenize(text: str, filename: str = "<input>") -> Tokens:
         value = m[group]
         if kind is string:
             value = value[1:-1]
-            if "\\" in value:  # `\\` stands for `\` and `\"` for `"`, read left to right
-                if "\\\\" in value:
-                    value = "\\".join([part.replace('\\"', '"') for part in value.split("\\\\")])
-                else:
-                    value = value.replace('\\"', '"')
+            if "\\" in value:
+                value = unescape(value)
         add_kind(kind)
         add_value(value)
         add_start(m.start(group))
@@ -161,6 +166,15 @@ def tokenize(text: str, filename: str = "<input>") -> Tokens:
     starts.append(len(text))
     ends.append(len(text) + 1)
     return Tokens(text, filename, kinds, values, starts, ends)
+
+
+def unescape(body: str) -> str:
+    """A string token's value from its body, which holds a backslash: `\\\\`
+    stands for `\\` and `\\"` for `"`, read left to right, and any other
+    backslash is kept."""
+    if "\\\\" in body:
+        return "\\".join([part.replace('\\"', '"') for part in body.split("\\\\")])
+    return body.replace('\\"', '"')
 
 
 def is_bare_name(s: str) -> bool:

@@ -20,6 +20,7 @@ in one run. Every reported span points inside the offending token range.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, NoReturn, Optional
 
 from ..core import (
@@ -38,6 +39,7 @@ from ..validate import (
     duplicate_ids, element_maps, goal_reference_problems, link_problems, reference_problems,
     self_links,
 )
+from . import lexer
 from .lexer import KEYWORDS, LexError, TokKind, Tokens, tokenize
 
 
@@ -710,6 +712,55 @@ class _ScenarioParser(_Parser):
     STATEMENTS = {"label": parse_label}
 
 
+#: The clean-scenario reader's patterns, compiled by its first call: the
+#: `scenario NAME {` header, and one `label NAME = WORD` statement or the
+#: closing brace and the end of the text. A gap is blanks and comments; a
+#: comment runs to the end of its line, so a gap splits one way only. A
+#: keyword may not be followed by an identifier character, since the lexer
+#: would read both as one identifier. A name is a bare identifier (group 1)
+#: or a string body (group 2); group 3 is the label word.
+_clean_scenario: tuple | None = None
+
+
+def _clean_name(bare: str | None, body: str | None) -> str | None:
+    """A name the reader matched, or None for a bare keyword."""
+    if bare is None:
+        return lexer.unescape(body) if "\\" in body else body
+    return None if bare in KEYWORDS else bare
+
+
+def _read_clean_scenario(text: str) -> Scenario | None:
+    """The scenario `text` holds, read one statement per match with no
+    tokens, if it is clean: `scenario NAME { (label NAME = WORD)* }` with no
+    bare name a keyword, every WORD a label word and no target repeated.
+    Otherwise None, and `_ScenarioParser` reads the text and words its
+    diagnostics."""
+    global _clean_scenario
+    if _clean_scenario is None:
+        gap = rf"[{lexer.BLANK}]*(?:{lexer.COMMENT}(?!.)[{lexer.BLANK}]*)*"
+        name = rf'(?:({lexer.IDENT})|"({lexer.STRING_BODY})")'
+        end = "(?![A-Za-z0-9_])"
+        _clean_scenario = (
+            re.compile(rf"{gap}scenario{end}{gap}{name}{gap}\{{"),
+            re.compile(rf"{gap}(?:label{end}{gap}{name}{gap}={gap}({lexer.IDENT})|\}}{gap}\Z)"))
+    header, statement = _clean_scenario
+    m = header.match(text)
+    if m is None or (name := _clean_name(*m.groups())) is None:
+        return None
+    scenario = Scenario(name)
+    assignments = scenario.assignments
+    match = statement.match
+    while (m := match(text, m.end())) is not None:
+        bare, body, word = m.groups()
+        if word is None:  # the closing brace
+            return scenario
+        target = _clean_name(bare, body)
+        if target is None or target in assignments or (label := LABEL_WORDS.get(word)) is None:
+            return None
+        assignments[target] = label
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
@@ -731,6 +782,11 @@ def parse_metric_catalog(text: str, filename: str = "<input>") -> ParseResult:
 
 
 def parse_scenario(text: str, filename: str = "<input>") -> ParseResult:
+    """A clean scenario is read without tokens; any other text goes to the
+    token parser, which words every diagnostic."""
+    scenario = _read_clean_scenario(text)
+    if scenario is not None:
+        return ParseResult(scenario, [])
     return _ScenarioParser(*_lex(text, filename)).parse()
 
 

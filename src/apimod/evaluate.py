@@ -281,10 +281,18 @@ def propagate(model: GoalModel, scenario: Scenario,
         iterations += 1
         if iterations > bound:
             raise ApimodError(f"fixpoint took {iterations} rounds (> {bound})")
-        frontier = set()
-        for node in relabelled:
+        # Most rounds relabel one node, whose reader list is then the
+        # frontier: a reader listed twice is evaluated twice, and the second
+        # time finds its pair merged already.
+        if len(relabelled) == 1:
+            node = relabelled[0]
             labels[node] = _PROJECT[pairs[node]]
-            frontier.update(readers[node])
+            frontier = readers[node]
+        else:
+            frontier = set()
+            for node in relabelled:
+                labels[node] = _PROJECT[pairs[node]]
+                frontier.update(readers[node])
 
     overridden = {
         rules.nodes[node] for node, label in assigned.items()

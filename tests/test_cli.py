@@ -504,3 +504,37 @@ def test_the_cli_imports_without_pathlib():
                            f"import sys; sys.path.insert(0, {SRC!r}); {code}"],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+_BAD_SCENARIO = "scenario s {\n  label goal = satisfied\n}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "device_api.gm"], ["check", "device_api.gm", "--json"],
+    ["check", "device_settings.api"], ["check", "device_settings.api", "--json"],
+    ["check", "bad.scn"], ["check", "bad.scn", "--json"],
+    ["evaluate", "device_api.gm", "--scenario", "device_gap.scn"],
+    ["evaluate", "device_api.gm", "--scenario", "bad.scn"],
+    ["compare", "ecosystem.gm", "--scenarios", "option_direct.scn,option_platform.scn"],
+    ["export", "device_api.vm", "--flat"],
+    ["lifecycle", "device_settings.api", "--curve", "curve.csv"],
+    ["govern", "classify", "items.csv", "--mode", "impl"],
+])
+def test_byte_order_mark_is_ignored_in_every_input_file(capsys, monkeypatch, tmp_path, argv):
+    """A BOM-prefixed copy of each input gives the output of a plain copy of
+    the same name, diagnostic columns included."""
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        folder = tmp_path / f"bom{len(prefix)}"
+        folder.mkdir()
+        for name in argv[1:]:
+            for part in name.split(","):
+                if part.endswith((".gm", ".vm", ".api", ".scn", ".csv")):
+                    text = (_BAD_SCENARIO if part == "bad.scn"
+                            else (CORPUS / part).read_text(encoding="utf-8"))
+                    (folder / part).write_text(prefix + text, encoding="utf-8")
+        monkeypatch.chdir(folder)
+        outputs.append(run(capsys, *argv)[:2])
+    assert outputs[0] == outputs[1]
+    if "bad.scn" in argv:  # the column of `goal`
+        assert ('"startCol": 9' if "--json" in argv else "2:9: error E-SYNTAX") in outputs[1][1]

@@ -338,6 +338,27 @@ def test_engine_matches_plain_jacobi_rounds_and_comparison_matches_engine(seed, 
                           for actor in model.actors for el in actor.elements]
 
 
+@pytest.mark.parametrize("assignments", [
+    {"a": Label.SATISFIED, "b": Label.SATISFIED},
+    {"a": Label.DENIED},
+    {"a": Label.PARTIALLY_DENIED, "b": Label.SATISFIED},
+])
+def test_one_node_round_with_a_reader_listed_twice_matches_jacobi_rounds(assignments):
+    """The round that relabels only X evaluates its reader list, Y twice;
+    the second evaluation finds Y's pair merged and changes nothing."""
+    model = parse_goal_model("goalmodel m { actor A { goal X goal Y task a task b "
+                             "X and a, a, b Y or X, X } }").model
+    rules = compile_rules(model)
+    index = {node: i for i, node in enumerate(rules.nodes)}
+    assert rules.readers[index["a"]] == [index["X"]] * 2
+    assert rules.readers[index["X"]] == [index["Y"]] * 2
+    result = propagate(model, Scenario("s", assignments), rules)
+    labels, rounds, overridden = jacobi_propagate(model, assignments)
+    assert {node: lab.value for node, lab in result.labels.items()} == labels
+    assert result.iterations == rounds == 2
+    assert result.overridden == overridden
+
+
 def and_chain(actors: int, per_actor: int) -> GoalModel:
     """Each actor holds an AND-chain of goals whose last goal depends on the
     first goal of the next actor, so evidence from the last leaf climbs

@@ -1,6 +1,8 @@
-"""The master-regex lexer against the reference scanner, its edge cases, and
-the parser's single pass over each input."""
+"""The master-regex lexer against the reference scanner, its edge cases, the
+parser's single pass over each input, and the clean-scenario reader against
+the token parser."""
 
+import random
 import re
 
 import pytest
@@ -14,7 +16,8 @@ from apimod.dsl import (
 from apimod.dsl import parser as parser_module
 from apimod.dsl.lexer import KEYWORDS, LexError, TokKind, is_bare_name, tokenize
 
-from helpers import CORPUS, oracle_tokenize
+from helpers import CORPUS, gen_goal_model, gen_scenario, oracle_tokenize
+from test_parse_golden import golden_texts
 
 
 def lexed(text: str, filename: str = "f"):
@@ -191,3 +194,111 @@ def test_a_bare_name_is_an_ascii_identifier_that_is_no_keyword(s):
     Arabic-Indic `١`) are identifiers to Python but not to the lexer."""
     ident = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", s) is not None
     assert is_bare_name(s) == (ident and s not in KEYWORDS)
+
+
+# ---------------------------------------------------------------------------
+# The clean-scenario reader against the token parser
+# ---------------------------------------------------------------------------
+
+def token_parse(text: str):
+    """`_ScenarioParser` on `text`, with no reader in front of it."""
+    return parser_module._ScenarioParser(*parser_module._lex(text, "m")).parse()
+
+
+def read_both(text: str):
+    """The reader's scenario, after checking that it is None or is the token
+    parser's model, read with no diagnostic, in the same assignment order."""
+    clean = parser_module._read_clean_scenario(text)
+    if clean is not None:
+        parsed = token_parse(text)
+        assert parsed.diagnostics == []
+        assert parsed.model == clean
+        assert list(parsed.model.assignments.items()) == list(clean.assignments.items())
+    return clean
+
+
+def test_reader_agrees_with_token_parser_on_golden_texts():
+    """The reader reads exactly the golden texts that the token parser reads
+    with no diagnostic."""
+    accepted, clean = [], []
+    for label, text in golden_texts():
+        if read_both(text) is not None:
+            accepted.append(label)
+        if (parsed := token_parse(text)).ok and not parsed.diagnostics:
+            clean.append(label)
+    assert accepted == clean and len(clean) == 17
+
+
+# Scenario-shaped text: a clean scenario as a list of tokens and gaps, in
+# which one piece may be replaced by, or preceded by, an odd one. Clean gaps
+# hold blanks, CRLF and comments; names hold escapes, quoted keywords and
+# non-ASCII letters, and a few repeat. Odd pieces are an empty gap, which
+# joins two identifiers, a comment that swallows the rest of its line, bare
+# keywords, label words that are not writable or carry a suffix, a stray
+# `@`, a byte-order mark, an unterminated quote and misplaced punctuation.
+_GAP = st.sampled_from(["", " ", "\n", "\r\n", "\t", "// note\n", "// a // b\r\n", "\n\n  "])
+_NAME = st.sampled_from(["x", "T", "x1", '"x"', '"x y"', '"label"', '"goal"', '"a\\"b"',
+                         '"a\\\\b"', '"a\\b"', '"a\\\\"', '"\\\\\\""', '"ü"', '"a//b"'])
+_STATEMENT = st.tuples(st.just("label"), _GAP, _NAME, _GAP, st.just("="), _GAP,
+                       st.sampled_from(["satisfied", "denied", "unknown", "partsat", "partden"]),
+                       _GAP)
+_PIECES = st.tuples(
+    st.tuples(_GAP, st.just("scenario"), _GAP, _NAME, _GAP, st.just("{"), _GAP),
+    st.lists(_STATEMENT, max_size=4),
+    st.tuples(st.just("}"), st.sampled_from(["", "\n", "// end", " // end\n"])),
+).map(lambda parts: [*parts[0], *[p for statement in parts[1] for p in statement], *parts[2]])
+_ODD = st.sampled_from([
+    "", "//", " // end", "\ufeff", "@", "label", "goal", "scenario", "ü", "x@", '"unterminated',
+    '"a\\"', "conflict", "satisfied1", '"satisfied"', "labelx", '"label"', "==", ":", "{{", "}}",
+    "} x", "("])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(pieces=_PIECES, edit=st.one_of(st.none(), st.tuples(st.integers(0, 60), _ODD,
+                                                           st.booleans())))
+def test_reader_agrees_with_token_parser_on_scenario_shaped_texts(pieces, edit):
+    """The reader refuses exactly the texts the token parser reads with a
+    diagnostic, and reads the others as the parser does."""
+    if edit is not None:
+        at, odd, insert = edit
+        at %= len(pieces)
+        pieces[at:at + (not insert)] = [odd]
+    text = "".join(pieces)
+    parsed = token_parse(text)
+    assert (read_both(text) is None) == (not parsed.ok or parsed.diagnostics != [])
+
+
+_GAPS = [" ", "\n", "\r\n\t", "  // note // more\n", "//\n", "\t//\r\n  "]
+
+
+def test_reader_reads_generated_scenarios_with_blanks_and_comments():
+    rng = random.Random(7)
+    for _ in range(200):
+        model = gen_goal_model(rng)
+        text = print_model(gen_scenario(rng, model, max_assignments=8))
+        tokens = tokenize(text)
+        pieces = [text[tokens.starts[i]:tokens.ends[i]] for i in range(len(tokens) - 1)]
+        tail = rng.choice(["", "\n", "// end", "// end\n"])
+        spaced = "".join(rng.choice(_GAPS) + piece for piece in pieces) + tail
+        assert read_both(spaced) == read_both(text) is not None
+
+
+def test_parse_scenario_reads_a_clean_scenario_without_the_lexer(monkeypatch):
+    calls = []
+
+    def counting(text, filename="<input>"):
+        calls.append(filename)
+        return tokenize(text, filename)
+
+    monkeypatch.setattr(parser_module, "tokenize", counting)
+    for path in sorted(CORPUS.glob("*.scn")):
+        assert parse_scenario(path.read_text(encoding="utf-8"), str(path)).ok
+    assert calls == []
+    for text in ("scenario s { label x = conflict }",
+                 "scenario s { label x = satisfied label x = denied }",
+                 "scenario s {\n  label goal = satisfied\n}"):
+        calls.clear()
+        result = parse_scenario(text, "m")
+        assert calls == ["m"]
+        assert result.model is None
+        assert diag_tuples(result) == diag_tuples(parse_model(text, "m"))
