@@ -119,20 +119,17 @@ _KIND_OF_GROUP = {i: TokKind.__members__.get(name) for name, i in _MASTER.groupi
 
 
 class LexError(Exception):
-    """A text the lexer cannot read. `tokens`, when set, is a lone EOF token
-    at `span`."""
+    """A text the lexer cannot read, and where."""
 
-    def __init__(self, message: str, span: SourceSpan, tokens: Tokens | None = None):
+    def __init__(self, message: str, span: SourceSpan):
         super().__init__(message)
         self.message = message
         self.span = span
-        self.tokens = tokens
 
 
 def tokenize(text: str, filename: str = "<input>") -> Tokens:
     """`text` as a `Tokens` stream, in one pass of the master regex. Raises
-    `LexError` at the first bad character or unterminated string; the error
-    keeps an end-of-input stream at its span for the parser to read."""
+    `LexError` at the first bad character or unterminated string."""
     kinds, values, starts, ends = [], [], [], []
     add_kind, add_value, add_start, add_end = (
         kinds.append, values.append, starts.append, ends.append)
@@ -150,8 +147,8 @@ def tokenize(text: str, filename: str = "<input>") -> Tokens:
                 message, end = "unterminated string", text.find("\n", start)
                 if end < 0:
                     end = len(text)
-            error = Tokens(text, filename, [TokKind.EOF], [""], [start], [end + 1])
-            raise LexError(message, error.span(0), error)
+            line, col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+            raise LexError(message, _span((filename, line, col, line, col + end - start)))
         value = m[group]
         if kind is string:
             value = value[1:-1]

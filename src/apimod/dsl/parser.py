@@ -8,20 +8,25 @@ Five dialects share one lexer:
 * ``metric <name> { ... }``*      metric catalog (one block per metric)
 * ``scenario <name> { ... }``     initial labels for evaluation
 
-`_Parser.parse` reads the ``keyword name {`` frame of the single-block
-dialects. Each braced block has one table from its statement keywords to
-their handlers, and `_Parser.block` is the one loop that reads a block's
-statements through it; a block owns its closing brace, and a dialect ends
-at its brace. A malformed
-statement produces one Error diagnostic and parsing resumes at the next
-keyword of the block's statement table, so several problems are reported
-in one run. Every reported span points inside the offending token range.
+Every entry point goes through `_parse`, which lexes the text once and
+returns a lex error as the result's only diagnostic; `parse_model` picks the
+dialect by the leading keyword there. `_Parser.parse` reads the
+``keyword name {`` frame of the single-block dialects. Each braced block has
+one table from its statement keywords to their handlers, and `_Parser.block`
+is the one loop that reads a block's statements through it; a block owns its
+closing brace, and a dialect ends at its brace. `_Parser.fail` and
+`_Parser.keyword_choice` word every ``expected X, found Y`` but an
+unexpected statement head, which its block's template words; a token with
+no text is shown by its kind (``'end of input'``). A malformed statement
+produces one Error diagnostic and parsing resumes at the next keyword of the
+block's statement table, so several problems are reported in one run. Every
+reported span points inside the offending token range.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn, Optional
+from typing import NamedTuple, Optional
 
 from ..core import (
     Activity, AssociationKind, AssociationLink, AutomationLevel, BapoTag,
@@ -36,8 +41,8 @@ from ..lifecycle import (
     curve_number_problems, curve_step_problems,
 )
 from ..validate import (
-    duplicate_ids, element_maps, goal_reference_problems, link_problems, reference_problems,
-    self_links,
+    duplicate_diagnostics, element_maps, goal_reference_problems, link_problems,
+    reference_diagnostic, reference_problems, self_links,
 )
 from . import lexer
 from .lexer import KEYWORDS, LexError, TokKind, Tokens, tokenize
@@ -70,19 +75,13 @@ _STAGE_WORDS = {s.value: s for s in LifecycleStage}
 _DIMENSION_WORDS = {d.value: d for d in Dimension}
 _AUTOMATION_WORDS = {a.value: a for a in AutomationLevel}
 
-#: `observed` characteristic (a `Characteristics` attribute) -> its value words.
-_OBSERVED_WORDS = {name: {v.value: v for v in values}
-                   for name, values in CHARACTERISTICS.items()}
-
-
-def _lex(text: str, filename: str) -> tuple[Tokens, list[Diagnostic]]:
-    """Tokens and lexer diagnostics. A lex error becomes one E-SYNTAX
-    diagnostic and a lone end-of-input token at the error's span, so the
-    parser still runs and reports what it expected there."""
-    try:
-        return tokenize(text, filename), []
-    except LexError as exc:
-        return exc.tokens, [Diagnostic(Severity.ERROR, "E-SYNTAX", exc.message, exc.span)]
+#: `observed` characteristic (a `Characteristics` attribute) -> what its
+#: value is read as, and its value words.
+_OBSERVED_WORDS = {
+    name: (f"{name} value ({'|'.join(v.value for v in values)})",
+           {v.value: v for v in values})
+    for name, values in CHARACTERISTICS.items()}
+_CHARACTERISTIC = f"characteristic ({'|'.join(CHARACTERISTICS)})"
 
 
 #: `Actor` or `Actor.element` as the positions of its actor and element
@@ -100,9 +99,9 @@ class _Parser:
     statement wording (see `block`). Its `start(name)` builds `model`, which
     handlers extend, keeping the actor being read and pending links too."""
 
-    def __init__(self, tokens: Tokens, diagnostics: list[Diagnostic]):
+    def __init__(self, tokens: Tokens):
         self.kinds, self.values, self.span = tokens.kinds, tokens.values, tokens.span
-        self.diagnostics = diagnostics
+        self.diagnostics: list[Diagnostic] = []
         self.pos = 0
 
     def parse(self) -> ParseResult:
@@ -136,7 +135,7 @@ class _Parser:
 
     def expect(self, value: str) -> None:
         if not self.eat(value):
-            self.fail(repr(value), self.pos)
+            raise self.fail(repr(value), self.pos)
 
     def name(self, what: str = "name") -> int:
         """The position of the next token, read as a name."""
@@ -145,15 +144,14 @@ class _Parser:
         if kind is _STRING or (kind is _IDENT and self.values[pos] not in KEYWORDS):
             self.pos = pos + 1
             return pos
-        self.fail(what, pos)
+        raise self.fail(what, pos)
 
     def number(self, what: str = "number") -> tuple[float, SourceSpan]:
         pos = self.pos
         if self.kinds[pos] is TokKind.NUMBER:
             self.pos = pos + 1
             return float(self.values[pos]), self.span(pos)
-        self.error("E-SYNTAX", f"expected {what}, found {self.values[pos]!r}", self.span(pos))
-        raise _ParseAbort()
+        raise self.fail(what, pos)
 
     def keyword_choice(self, words: dict, what: str):
         """The value `words` maps the next identifier to."""
@@ -161,18 +159,23 @@ class _Parser:
         if self.kinds[pos] is _IDENT and (word := self.values[pos]) in words:
             self.pos = pos + 1
             return words[word]
-        self.fail(what, pos)
+        raise self.fail(what, pos)
 
     # -- diagnostics and recovery -------------------------------------------
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
-    def fail(self, what: str, pos: int) -> NoReturn:
-        """Report that `what` was expected at token `pos` and unwind."""
-        shown = self.values[pos] or str(self.kinds[pos].value)
-        self.error("E-SYNTAX", f"expected {what}, found {shown!r}", self.span(pos))
-        raise _ParseAbort()
+    def shown(self, pos: int) -> str:
+        """Token `pos` as a diagnostic shows it: its value, or its kind if
+        the value is empty."""
+        return self.values[pos] or self.kinds[pos].value
+
+    def fail(self, what: str, pos: int) -> _ParseAbort:
+        """Report that `what` was expected at token `pos`; raise what it
+        returns to unwind."""
+        self.error("E-SYNTAX", f"expected {what}, found {self.shown(pos)!r}", self.span(pos))
+        return _ParseAbort()
 
     def block(self, statements: dict, unexpected: str, other=None) -> None:
         """Read a block's statements and its closing brace. `statements`
@@ -182,14 +185,14 @@ class _Parser:
         as E-SYNTAX `unexpected`, formatted with the head's `value` and with
         `shown`, the text `fail` shows for it. After an error, parsing
         resumes at the next keyword of `statements`. At the end of input the
-        missing brace is reported as `fail` words it, without unwinding,
-        since no enclosing block could resume there."""
+        missing brace is reported through `fail` without unwinding, since
+        no enclosing block could resume there."""
         kinds, values = self.kinds, self.values
         while True:
             pos = self.pos
             kind = kinds[pos]
             if kind is _EOF:
-                self.error("E-SYNTAX", "expected '}', found 'end of input'", self.span(pos))
+                self.fail("'}'", pos)
                 return
             value = values[pos]
             if kind is _PUNCT and value == "}":
@@ -203,8 +206,7 @@ class _Parser:
                 elif other is not None and (kind is _IDENT or kind is _STRING):
                     other(pos)
                 else:
-                    shown = value or str(kind.value)
-                    self.error("E-SYNTAX", unexpected.format(value=value, shown=shown),
+                    self.error("E-SYNTAX", unexpected.format(value=value, shown=self.shown(pos)),
                                self.span(pos))
                     raise _ParseAbort()
             except _ParseAbort:
@@ -228,11 +230,6 @@ class _Parser:
             elif depth == 0 and kind is _IDENT and values[self.pos] in keywords:
                 return
             self.pos += 1
-
-    def report_duplicates(self, model) -> None:
-        """E-DUP at each declaration whose id is taken (see `duplicate_ids`)."""
-        for obj in duplicate_ids(model):
-            self.error("E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
 
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
@@ -281,13 +278,7 @@ class _Parser:
         """`bapo = tag, ...` in an actor body."""
         self.expect("=")
         while True:
-            pos = self.pos
-            if self.kinds[pos] is not _IDENT or self.values[pos] not in _BAPO_WORDS:
-                self.error("E-SYNTAX", "expected BAPO tag (B|A|P|O), found "
-                           f"{self.values[pos]!r}", self.span(pos))
-                raise _ParseAbort()
-            self.pos = pos + 1
-            self.actor.bapo_tags.add(_BAPO_WORDS[self.values[pos]])
+            self.actor.bapo_tags.add(self.keyword_choice(_BAPO_WORDS, "BAPO tag (B|A|P|O)"))
             if not self.eat(","):
                 return
 
@@ -345,14 +336,7 @@ class _ValueModelParser(_Parser):
                                        "object kind (resource|task|goal|quality)")
         status = FlowStatus.NORMAL
         if self.eat("status"):
-            pos = self.pos
-            if self.kinds[pos] is _IDENT and self.values[pos] in _FLOW_STATUS_WORDS:
-                self.pos = pos + 1
-                status = _FLOW_STATUS_WORDS[self.values[pos]]
-            else:
-                self.error("E-SYNTAX", "expected problematic or missing, found "
-                           f"{self.values[pos]!r}", self.span(pos))
-                raise _ParseAbort()
+            status = self.keyword_choice(_FLOW_STATUS_WORDS, "problematic or missing")
         group = None
         if self.eat("group"):
             group = self.text("group id")
@@ -382,7 +366,7 @@ class _ValueModelParser(_Parser):
 
     def finish(self) -> None:
         model = self.model
-        self.report_duplicates(model)
+        self.diagnostics += duplicate_diagnostics(model)
 
         # `Actor.activity` is bound here, from the name tokens rather than the
         # joined text (names may contain dots); any other endpoint is left to
@@ -408,7 +392,7 @@ class _ValueModelParser(_Parser):
                 self.error("E-REF", f"unknown parent actor {ref!r}",
                            self.span(self.parents[id(owner)]))
             elif kind == "cycle":
-                self.error("E-CYCLE", f"partnership cycle through {ref!r}", owner.span)
+                self.diagnostics.append(reference_diagnostic(kind, ref, owner))
             elif kind == "stimulus":
                 self.error("E-REF", f"unknown actor {ref!r}", owner.span)
             elif (id(owner), kind) in ends:
@@ -508,7 +492,7 @@ class _GoalModelParser(_Parser):
 
     def finish(self) -> None:
         model = self.model
-        self.report_duplicates(model)
+        self.diagnostics += duplicate_diagnostics(model)
         local_maps, elements = element_maps(model)
 
         unresolved: dict[int, list[str]] = {}  # statement position -> its unknown ids
@@ -583,20 +567,12 @@ class _ApiDescriptorParser(_Parser):
 
     def parse_observed(self, kw: int) -> None:
         pos = self.pos
-        attr = self.values[pos]
-        if self.kinds[pos] is not _IDENT or attr not in _OBSERVED_WORDS:
-            self.error("E-SYNTAX", f"unknown characteristic {attr!r}", self.span(pos))
-            raise _ParseAbort()
-        words = _OBSERVED_WORDS[attr]
-        word = self.values[pos + 1]
-        if self.kinds[pos + 1] is not _IDENT or word not in words:
-            self.error("E-SYNTAX", f"unknown {attr} value {word!r}", self.span(pos + 1))
-            raise _ParseAbort()
-        self.pos = pos + 2
-        observed = self.model.observed
+        what, words = self.keyword_choice(_OBSERVED_WORDS, _CHARACTERISTIC)
+        value = self.keyword_choice(words, what)
+        attr, observed = self.values[pos], self.model.observed
         if getattr(observed, attr) is not None:
             self.error("E-DUP", f"characteristic {attr} observed twice", self.span(pos))
-        setattr(observed, attr, words[word])
+        setattr(observed, attr, value)
 
     def parse_curve_sample(self, kw: int) -> None:
         t, tspan = self.number("sample time")
@@ -639,13 +615,10 @@ class _MetricCatalogParser(_Parser):
     def parse(self) -> ParseResult:
         metrics: list[MetricDef] = []
         names: dict[str, SourceSpan] = {}
-        while (kind := self.kinds[pos := self.pos]) is not _EOF:
+        while self.kinds[pos := self.pos] is not _EOF:
             try:
-                if (value := self.values[pos]) != "metric" or kind is not _IDENT:
-                    self.error("E-SYNTAX", f"expected metric block, found {value!r}",
-                               self.span(pos))
-                    raise _ParseAbort()
-                self.pos = pos + 1
+                if not self.eat("metric"):
+                    raise self.fail("metric block", pos)
                 self.parse_metric(metrics, names)
             except _ParseAbort:
                 self.sync({"metric"})
@@ -765,20 +738,44 @@ def _read_clean_scenario(text: str) -> Scenario | None:
 # Public entry points
 # ---------------------------------------------------------------------------
 
+#: Leading keyword -> parser class, for `parse_model`.
+_DISPATCH = {cls.KEYWORD: cls for cls in (_ValueModelParser, _GoalModelParser,
+                                          _ApiDescriptorParser, _MetricCatalogParser,
+                                          _ScenarioParser)}
+
+
+def _parse(parser: type[_Parser] | None, text: str, filename: str) -> ParseResult:
+    """Every entry point's front door: lex `text` once, and run `parser` on
+    its tokens, or the parser its leading keyword names when `parser` is
+    None. A lex error is the result's only diagnostic."""
+    try:
+        tokens = tokenize(text, filename)
+    except LexError as exc:
+        return ParseResult(None, [Diagnostic(Severity.ERROR, "E-SYNTAX", exc.message, exc.span)])
+    if parser is None:
+        parser = _DISPATCH.get(tokens.values[0]) if tokens.kinds[0] is _IDENT else None
+        if parser is None:
+            front = _Parser(tokens)
+            front.error("E-SYNTAX", f"unrecognized model format (found {front.shown(0)!r})",
+                        tokens.span(0))
+            return front.result(None)
+    return parser(tokens).parse()
+
+
 def parse_value_model(text: str, filename: str = "<input>") -> ParseResult:
-    return _ValueModelParser(*_lex(text, filename)).parse()
+    return _parse(_ValueModelParser, text, filename)
 
 
 def parse_goal_model(text: str, filename: str = "<input>") -> ParseResult:
-    return _GoalModelParser(*_lex(text, filename)).parse()
+    return _parse(_GoalModelParser, text, filename)
 
 
 def parse_api_descriptor(text: str, filename: str = "<input>") -> ParseResult:
-    return _ApiDescriptorParser(*_lex(text, filename)).parse()
+    return _parse(_ApiDescriptorParser, text, filename)
 
 
 def parse_metric_catalog(text: str, filename: str = "<input>") -> ParseResult:
-    return _MetricCatalogParser(*_lex(text, filename)).parse()
+    return _parse(_MetricCatalogParser, text, filename)
 
 
 def parse_scenario(text: str, filename: str = "<input>") -> ParseResult:
@@ -787,25 +784,9 @@ def parse_scenario(text: str, filename: str = "<input>") -> ParseResult:
     scenario = _read_clean_scenario(text)
     if scenario is not None:
         return ParseResult(scenario, [])
-    return _ScenarioParser(*_lex(text, filename)).parse()
-
-
-#: Leading keyword -> parser class, for `parse_model`.
-_DISPATCH = {cls.KEYWORD: cls for cls in (_ValueModelParser, _GoalModelParser,
-                                          _ApiDescriptorParser, _MetricCatalogParser,
-                                          _ScenarioParser)}
+    return _parse(_ScenarioParser, text, filename)
 
 
 def parse_model(text: str, filename: str = "<input>") -> ParseResult:
-    """Parse any supported format, dispatching on the leading keyword. The
-    text is lexed once and the tokens go to the dialect's parser."""
-    tokens, diagnostics = _lex(text, filename)
-    if diagnostics:
-        return ParseResult(None, diagnostics)
-    head = tokens.values[0]
-    parser = _DISPATCH.get(head) if tokens.kinds[0] is _IDENT else None
-    if parser is None:
-        return ParseResult(None, [Diagnostic(
-            Severity.ERROR, "E-SYNTAX",
-            f"unrecognized model format (found {head!r})", tokens.span(0))])
-    return parser(tokens, diagnostics).parse()
+    """Parse any supported format, dispatching on the leading keyword."""
+    return _parse(None, text, filename)

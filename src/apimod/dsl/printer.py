@@ -8,7 +8,8 @@ required.
 from __future__ import annotations
 
 from ..core import (
-    ApimodError, BapoTag, GActor, GoalModel, Label, MetricDef, Scenario, VActor, ValueModel,
+    ApimodError, BapoTag, Dimension, GActor, GoalModel, Label, MetricDef, Scenario, VActor,
+    ValueModel,
 )
 from ..lifecycle import ApiDescriptor
 from .lexer import format_number as num, quote_name as q
@@ -96,8 +97,6 @@ def print_api_descriptor(d: ApiDescriptor) -> str:
 
 
 def print_metric_catalog(metrics: list[MetricDef]) -> str:
-    from ..govern import Dimension
-
     out: list[str] = []
     for m in metrics:
         out.append(f"metric {q(m.name)} {{")

@@ -7,13 +7,15 @@ that the parser and `validate_goal_model` also use for link typing. For
 goal models it follows iStar 2.0: refinement children stay inside their
 parent's actor, and dependencies name elements only of open actors. The
 parser reports its problems as E-REF at the tokens, validation as E-DANGLE at
-the model objects (E-CYCLE for a partnership cycle); both report a repeated
-id as E-DUP at the declaration that repeats it. `link_problems` (link typing)
-and `self_links` decide E-REFINE, E-CONTRIB and E-SELF for both, and one
-search, `_cycles`, finds partnership and refinement cycles alike, over the
-edges of each id's last declaration. Value models are also checked for
-reciprocity, scoping, a captured API and a stimulus; goal models for floating
-elements. Layer and BAPO coverage checks work on both model types.
+the model objects (E-CYCLE for a partnership cycle, which
+`reference_diagnostic` words for both); both report a repeated id as E-DUP
+at the declaration that repeats it, through `duplicate_diagnostics`.
+`link_problems` (link typing) and `self_links` decide E-REFINE, E-CONTRIB
+and E-SELF for both, and one search, `_cycles`, finds partnership and
+refinement cycles alike, over the edges of each id's last declaration.
+Value models are also checked for reciprocity, scoping, a captured API and
+a stimulus; goal models for floating elements. Layer and BAPO coverage
+checks work on both model types.
 """
 
 from __future__ import annotations
@@ -105,19 +107,16 @@ def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:
     return sorted(cycles)
 
 
-def reference_problems(model: ValueModel | GoalModel,
-                       pending=()) -> list[tuple[str, object, object]]:
+def reference_problems(model: ValueModel | GoalModel) -> list[tuple[str, object, object]]:
     """`(kind, ref, owner)` for each reference of `model` that does not
     resolve: `ref` as written, `owner` the object holding it. Value models:
     `parent`, `cycle` (the actor's id is on a partnership cycle), `source` and
     `target` (flow endpoints) and `stimulus`. Goal models: for each link
-    placed on an element and each `pending` statement not yet placed, both
-    as `(actor, source id, Refinement or Contribution, owner)`, `element`
-    (its source; then nothing else of it is checked), `child` or
-    `contribution` (its target); then `actor` (once per unknown actor of a
-    dependency), `end` and `closed` for dependency ends (`ref` is the
-    `DependencyEnd`) and `partof` (once per unknown actor of a link). Where
-    ids repeat, the last declaration resolves."""
+    placed on an element, `child` or `contribution` (its target); then
+    `actor` (once per unknown actor of a dependency), `end` and `closed` for
+    dependency ends (`ref` is the `DependencyEnd`) and `partof` (once per
+    unknown actor of a link). Where ids repeat, the last declaration
+    resolves."""
     problems: list[tuple[str, object, object]] = []
     if isinstance(model, ValueModel):
         actors = model.actor_map()
@@ -140,7 +139,7 @@ def reference_problems(model: ValueModel | GoalModel,
                 problems.append(("stimulus", stim.at, stim))
         return problems
 
-    return goal_reference_problems(model, pending, *element_maps(model))
+    return goal_reference_problems(model, (), *element_maps(model))
 
 
 def element_maps(model: GoalModel) -> tuple[dict[int, dict], dict]:
@@ -156,7 +155,10 @@ def element_maps(model: GoalModel) -> tuple[dict[int, dict], dict]:
 
 def goal_reference_problems(model: GoalModel, pending, local_maps: dict,
                             elements: dict) -> list[tuple[str, object, object]]:
-    """`reference_problems` of a goal model, given its `element_maps`."""
+    """`reference_problems` of a goal model, given its `element_maps`, and
+    of each `pending` statement not yet placed on an element, as `(actor,
+    source id, Refinement or Contribution, owner)`: `element` for its source
+    (then nothing else of it is checked), else `child` or `contribution`."""
     problems: list[tuple[str, object, object]] = []
     for actor in model.actors:
         ids = local_maps[id(actor)]
@@ -264,11 +266,16 @@ def self_links(model: ValueModel | GoalModel) -> list[tuple[str, str, object]]:
             for dep in model.dependencies if dep.depender == dep.dependee]
 
 
+def duplicate_diagnostics(model: ValueModel | GoalModel) -> list[Diagnostic]:
+    """E-DUP at each declaration whose id is taken (see `duplicate_ids`)."""
+    return [Diagnostic(Severity.ERROR, "E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
+            for obj in duplicate_ids(model)]
+
+
 def _shared_diagnostics(model, problems) -> list[Diagnostic]:
     """Repeated ids, the `reference_problems` given and self-links, each at
     its owner."""
-    diags = [Diagnostic(Severity.ERROR, "E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
-             for obj in duplicate_ids(model)]
+    diags = duplicate_diagnostics(model)
     diags += [reference_diagnostic(*problem) for problem in problems]
     return diags + [Diagnostic(Severity.ERROR, code, message, link.span)
                     for code, message, link in self_links(model)]

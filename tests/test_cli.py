@@ -506,6 +506,18 @@ def test_the_cli_imports_without_pathlib():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_printing_a_metric_catalog_does_not_import_govern():
+    catalog = str(CORPUS / "sample_catalog.metrics")
+    code = ("import sys; from apimod.dsl import parse_metric_catalog, print_metric_catalog; "
+            f"text = open({catalog!r}, encoding='utf-8').read(); "
+            "assert print_metric_catalog(parse_metric_catalog(text).model); "
+            "print('apimod.govern' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c",
+                           f"import sys; sys.path.insert(0, {SRC!r}); {code}"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 _BAD_SCENARIO = "scenario s {\n  label goal = satisfied\n}\n"
 
 
@@ -538,3 +550,76 @@ def test_byte_order_mark_is_ignored_in_every_input_file(capsys, monkeypatch, tmp
     assert outputs[0] == outputs[1]
     if "bad.scn" in argv:  # the column of `goal`
         assert ('"startCol": 9' if "--json" in argv else "2:9: error E-SYNTAX") in outputs[1][1]
+
+
+_STRAY_GOAL = "goalmodel M {\n  actor A { goal @ }\n}\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    (["evaluate", "{}", "--scenario", str(CORPUS / "device_gap.scn")], _STRAY_GOAL),
+    (["compare", "{}", "--scenarios", str(CORPUS / "device_gap.scn")], _STRAY_GOAL),
+    (["metrics", "link", "{}", str(CORPUS / "device_metrics.metrics")], _STRAY_GOAL),
+    (["metrics", "who", "{}", str(CORPUS / "device_metrics.metrics")], _STRAY_GOAL),
+    (["transform", "{}"], "valuemodel M {\n  actor A { activity @ }\n}\n"),
+    (["lifecycle", "{}"], "api X {\n  stage @\n}\n"),
+], ids=["evaluate", "compare", "metrics-link", "metrics-who", "transform", "lifecycle"])
+def test_a_stray_character_is_one_syntax_error_in_every_command(capsys, tmp_path, command, text):
+    """Each command reports a lex error as `check` does: one E-SYNTAX line."""
+    path = tmp_path / "stray.txt"
+    path.write_text(text, encoding="utf-8")
+    col = text.splitlines()[1].index("@") + 1
+    line = f"{path}:2:{col}: error E-SYNTAX unexpected character '@'\n"
+    assert run(capsys, "check", str(path)) == (2, line, "")
+    code, out, err = run(capsys, *[str(path) if arg == "{}" else arg for arg in command])
+    assert code == 2
+    assert out + err == line
+
+
+_AMBIGUOUS_DEPENDUM = """goalmodel M {
+  actor A { goal G }
+  actor B { goal H }
+  depend A.G -> B.H : resource R
+  depend B.H -> A.G : resource R
+}
+"""
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--scenario", "s.scn"],
+                                     ["compare", "--scenarios", "s.scn,t.scn"]])
+def test_a_scenario_naming_an_ambiguous_dependum_exits_two(capsys, monkeypatch, tmp_path,
+                                                           command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.gm").write_text(_AMBIGUOUS_DEPENDUM, encoding="utf-8")
+    (tmp_path / "s.scn").write_text("scenario s { label R = satisfied }", encoding="utf-8")
+    (tmp_path / "t.scn").write_text("scenario t { label G = denied }", encoding="utf-8")
+    assert run(capsys, command[0], "m.gm", *command[1:]) == (
+        2, "", "error: scenario 's': dependum name 'R' is ambiguous (d1, d2)\n")
+
+
+def test_compare_refuses_an_unknown_focus_actor(capsys):
+    scenarios = f"{CORPUS / 'option_direct.scn'},{CORPUS / 'option_platform.scn'}"
+    assert run(capsys, "compare", str(CORPUS / "ecosystem.gm"), "--scenarios", scenarios,
+               "--actor", "Nobody") == (2, "", "error: unknown focus actor 'Nobody'\n")
+
+
+def test_lifecycle_of_a_retired_api_has_no_transition(capsys, tmp_path):
+    path = tmp_path / "r.api"
+    path.write_text('api X {\n  stage retire\n  rationale "Whatever Reason"\n}\n',
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "lifecycle", str(path))
+    assert code == 0
+    assert out.splitlines()[-4:] == [
+        "api: X", "stage: retire", "no outgoing transition from the retire stage",
+        "  uncatalogued rationale: whatever-reason"]
+
+
+def test_metrics_commands_on_a_catalog_without_business_or_design_metrics(capsys, tmp_path):
+    path = tmp_path / "u.metrics"
+    path.write_text('metric M {\n  what "w"\n  dimensions usage\n}\n', encoding="utf-8")
+    code, out, _ = run(capsys, "metrics", "dimensions", str(path))
+    assert code == 0
+    assert out.splitlines()[4] == (
+        "gap business: Which business outcomes (revenue, market share, customer growth, "
+        "strategic objectives) should the API move, and how would you measure them?")
+    assert run(capsys, "metrics", "automation", str(path)) == (
+        0, "catalog contains no Design-dimension metrics\n", "")

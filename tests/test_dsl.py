@@ -722,3 +722,58 @@ def test_nothing_may_follow_the_closing_brace(parse, text, expected):
         assert r.model is None
         assert [d.render() for d in r.diagnostics] == [f"m:{expected}"]
 
+
+#: Each read of a word from a list or of a number: a text with a wrong token
+#: at the read, what the read expects, the token's column and its value. Cut
+#: short at that column, the text ends where the read expected a token.
+_CHARACTERISTIC = ("characteristic (stability|change|commitment|governance|compatibility"
+                   "|support)")
+TOKEN_READS = {
+    "bapo": ("valuemodel M { actor A { bapo = B, X } }", "BAPO tag (B|A|P|O)", 36, "X"),
+    "status": ("valuemodel M { actor A actor B flow D from A to B status broken }",
+               "problematic or missing", 58, "broken"),
+    "characteristic": ("api X { stage plan observed speed stable }", _CHARACTERISTIC, 29,
+                       "speed"),
+    "characteristic value": ("api X { stage plan observed stability solid }",
+                             "stability value (unstable|mainly_stable|stable)", 39, "solid"),
+    "number": ("api X { stage plan curve x plan 0.5 }", "sample time", 26, "x"),
+}
+
+
+@pytest.mark.parametrize("read", TOKEN_READS)
+@pytest.mark.parametrize("cut", [True, False], ids=["end-of-input", "mid-text"])
+def test_token_read_words_what_it_expected_and_found(read, cut):
+    text, what, col, found = TOKEN_READS[read]
+    expected = [f"m:1:{col}: error E-SYNTAX expected {what}, found {found!r}"]
+    if cut:  # the enclosing block's brace is missing too
+        text = text[:col - 1].rstrip()
+        col = len(text) + 1
+        expected = [f"m:1:{col}: error E-SYNTAX expected '}}', found 'end of input'",
+                    f"m:1:{col}: error E-SYNTAX expected {what}, found 'end of input'"]
+    r = parse_model(text, "m")
+    assert r.model is None
+    assert [d.render() for d in r.diagnostics] == expected
+
+
+@pytest.mark.parametrize("text, found, col", [
+    ('metric M { what "w" } x', "x", 23),
+    # An empty quoted name shows as its kind; the loop ends at the end of input.
+    ('metric M { what "w" } ""', "string", 23),
+])
+def test_metric_catalog_head_words_what_it_expected_and_found(text, found, col):
+    r = parse_metric_catalog(text, "m")
+    assert [d.render() for d in r.diagnostics] == [
+        f"m:1:{col}: error E-SYNTAX expected metric block, found {found!r}"]
+
+
+@pytest.mark.parametrize("text, shown, at", [
+    ("", "end of input", "1:1"), (" \n ", "end of input", "2:2"), ("actor A", "actor", "1:1")])
+def test_parse_model_shows_an_unrecognized_head_as_a_token(text, shown, at):
+    r = parse_model(text, "m")
+    assert [d.render() for d in r.diagnostics] == [
+        f"m:{at}: error E-SYNTAX unrecognized model format (found {shown!r})"]
+
+
+def test_print_model_refuses_a_non_model():
+    with pytest.raises(TypeError, match="^cannot print str$"):
+        print_model("goalmodel M { }")

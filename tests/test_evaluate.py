@@ -588,3 +588,10 @@ def test_hierarchy_rejects_non_quality_elements():
     model = gm(ONE_ACTOR.format(body="task T quality Q T helps Q"))
     with pytest.raises(ApimodError):
         propagate_metric_hierarchy(model, Scenario("m", {}))
+
+
+def test_hierarchy_rejects_dependencies():
+    model = gm("goalmodel M { actor A { quality Q } actor B { quality P }"
+               " depend A.Q -> B.P : quality R }")
+    with pytest.raises(ApimodError, match="^metric hierarchy may not contain dependencies$"):
+        propagate_metric_hierarchy(model, Scenario("m", {}))

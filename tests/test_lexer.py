@@ -120,34 +120,26 @@ def test_parse_model_lexes_once(monkeypatch):
             assert calls == [str(path)]
 
 
-_LEX_ERROR = ("E-SYNTAX", "unexpected character '@'", SourceSpan("m", 1, 22, 1, 22))
-
-
 def diag_tuples(result):
     return [(d.code, d.message, d.span) for d in result.diagnostics]
 
 
-def test_lex_error_through_parse_model_is_one_diagnostic():
-    result = parse_model("valuemodel M { actor @ }", "m")
-    assert result.model is None
-    assert diag_tuples(result) == [_LEX_ERROR]
+#: Each entry point with a dialect of its own and another dialect.
+_ENTRY_POINTS = [
+    (parse_model, "valuemodel", "scenario"), (parse_value_model, "valuemodel", "goalmodel"),
+    (parse_goal_model, "goalmodel", "valuemodel"), (parse_api_descriptor, "api", "metric"),
+    (parse_metric_catalog, "metric", "api"), (parse_scenario, "scenario", "goalmodel")]
 
 
 @pytest.mark.parametrize("parse, keyword", [
-    (parse_value_model, "valuemodel"), (parse_goal_model, "goalmodel"),
-    (parse_api_descriptor, "api"), (parse_scenario, "scenario"),
-])
-def test_lex_error_through_each_parser_reports_what_was_expected(parse, keyword):
-    result = parse("valuemodel M { actor @ }", "m")
+    (parse, keyword) for parse, *keywords in _ENTRY_POINTS for keyword in keywords])
+def test_lex_error_through_each_entry_point_is_its_only_diagnostic(parse, keyword):
+    text = f"{keyword} M {{ actor @ }}"
+    at = text.index("@") + 1
+    result = parse(text, "m")
     assert result.model is None
-    assert diag_tuples(result) == [(
-        "E-SYNTAX", f"expected {keyword!r}, found 'end of input'", _LEX_ERROR[2]),
-        _LEX_ERROR]
-
-
-def test_lex_error_through_metric_catalog_parser():
-    result = parse_metric_catalog("valuemodel M { actor @ }", "m")
-    assert diag_tuples(result) == [_LEX_ERROR]
+    assert diag_tuples(result) == [
+        ("E-SYNTAX", "unexpected character '@'", SourceSpan("m", 1, at, 1, at))]
 
 
 def test_stray_brace_in_metric_catalog_ends_parsing():
@@ -202,7 +194,7 @@ def test_a_bare_name_is_an_ascii_identifier_that_is_no_keyword(s):
 
 def token_parse(text: str):
     """`_ScenarioParser` on `text`, with no reader in front of it."""
-    return parser_module._ScenarioParser(*parser_module._lex(text, "m")).parse()
+    return parser_module._parse(parser_module._ScenarioParser, text, "m")
 
 
 def read_both(text: str):

@@ -408,3 +408,8 @@ def test_exit_codes():
     assert exit_code_for(warn, strict=True) == 2
     assert exit_code_for(err + warn) == 2
     assert exit_code_for(err, strict=True) == 2
+
+
+def test_export_dot_refuses_a_non_model():
+    with pytest.raises(TypeError, match="^cannot export dict$"):
+        export_dot({})
