@@ -10,12 +10,13 @@ import argparse
 import math
 import os
 import sys
-from typing import Iterator, NamedTuple, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 # Every command reports through these two; each handler imports the rest of
 # what it calls when it runs, so a call loads only the modules it uses.
 from .core import (
-    ApimodError, AutomationLevel, Diagnostic, GoalModel, ValueModel, sort_diagnostics,
+    ApimodError, AutomationLevel, Diagnostic, GoalModel, Scenario, TupleRecord, ValueModel,
+    sort_diagnostics, tuple_new,
 )
 from .report import exit_code_for, make_report, report_json
 
@@ -144,7 +145,7 @@ _SUBPARSERS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser for a call whose first argument is `command`. A command
     gets only its own subparser: building the others costs about ten times
     as long, and that call never reads them. Anything else (no argument,
@@ -178,15 +179,19 @@ class _ParseFailure(Exception):
         self.diagnostics = diagnostics
 
 
-class _Outcome(NamedTuple):
+class _Outcome(TupleRecord):
     """What a command found. `artifact` is the text `-o` writes; `lines` is
     the text report after the diagnostics."""
 
+    __slots__ = ()
     files: list[str]
     diagnostics: list[Diagnostic]
     analysis: dict
-    lines: Sequence[str] = ()
-    artifact: Optional[str] = None
+    lines: Sequence[str]
+    artifact: str | None
+
+    def __new__(cls, files, diagnostics, analysis, lines=(), artifact=None):
+        return tuple_new(cls, (files, diagnostics, analysis, lines, artifact))
 
 
 def _render(args, command: str, outcome: _Outcome) -> int:
@@ -266,7 +271,6 @@ def _parse_file(parse, path: str):
 
 def _cmd_check(args) -> _Outcome:
     from .dsl import parse_model
-    from .lifecycle import ApiDescriptor, lint_characteristics
     from .validate import (
         check_bapo_coverage, check_layer_coverage, validate_goal_model,
         validate_value_model,
@@ -284,15 +288,16 @@ def _cmd_check(args) -> _Outcome:
         elif isinstance(model, GoalModel):
             analysis["modelKind"] = "goalmodel"
             diagnostics += validate_goal_model(model)
-        elif isinstance(model, ApiDescriptor):
-            analysis["modelKind"] = "api"
-            diagnostics += lint_characteristics(model)
         elif isinstance(model, list):
             from .govern import check_metric_catalog
             analysis["modelKind"] = "metrics"
             diagnostics += check_metric_catalog(model)
-        else:
+        elif isinstance(model, Scenario):
             analysis["modelKind"] = "scenario"
+        else:  # an API descriptor, the one kind that needs `lifecycle`
+            from .lifecycle import lint_characteristics
+            analysis["modelKind"] = "api"
+            diagnostics += lint_characteristics(model)
         if isinstance(model, (ValueModel, GoalModel)):
             focuses = args.focus or sorted(
                 {f for a in model.actors for f in a.layer_assignments})

@@ -1,19 +1,25 @@
 """Shared domain types: the qualitative label lattice, evidence pairs,
 diagnostics, and the value-model / goal-model object structures.
 
-One rule holds for records across the package: a record is a `NamedTuple`
-unless code or tests change it (assign to it or fill its lists), it keeps a
-field out of equality (`span`), or it validates its fields when built; then it
-is a :class:`Record`, as every model object is. No module imports
-`dataclasses`: importing it and generating each class's methods cost a CLI
-call more than the call's own work.
+One rule holds for records across the package: a record is a tuple record
+(a :class:`TupleRecord`) unless code or tests change it (assign to it or fill
+its lists), it keeps a field out of equality (`span`), or it validates its
+fields when built; then it is a :class:`Record`, as every model object is. No
+module imports `dataclasses` or `typing`, and no record is a
+`typing.NamedTuple`: importing them and generating each class's methods cost a
+CLI call more than the call's own work.
 """
 
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from operator import attrgetter
-from typing import NamedTuple, Optional
+from operator import attrgetter, itemgetter
+
+try:  # the C field getter that `collections.namedtuple` reads fields with
+    from _collections import _tuplegetter
+except ImportError:  # as `collections` falls back
+    def _tuplegetter(index: int, doc: str) -> property:
+        return property(itemgetter(index), doc=doc)
 
 
 class ValueEnum(Enum):
@@ -23,6 +29,37 @@ class ValueEnum(Enum):
     write. A member is built, looked up, pickled and copied as by `Enum`."""
 
     value = property(attrgetter("_value_"))
+
+
+#: What a tuple record's `__new__` builds it with. A global: a call that
+#: leaves an argument to its default takes a slower path, so a
+#: `_new=tuple.__new__` parameter would slow every call.
+tuple_new = tuple.__new__
+
+
+class TupleRecord(tuple):
+    """Base of the immutable records, which are tuples as a `NamedTuple` is.
+    A subclass sets `__slots__ = ()`, annotates its fields in order, and
+    builds itself as `tuple_new(cls, (field, ...))` in its own `__new__`,
+    whose parameters are the fields in order, with their defaults. Each
+    annotated field is read through the C getter that `collections.namedtuple`
+    uses. A record compares, hashes, prints, pickles and copies as a
+    `NamedTuple` with the same fields does."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        #: The field names, in order.
+        cls._fields = fields = tuple(cls.__annotations__)
+        for index, name in enumerate(fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +114,7 @@ class Evidence(IntEnum):
     FULL = 2
 
 
-class EvidencePair(NamedTuple):
+class EvidencePair(TupleRecord):
     """Accumulated positive and negative satisfaction evidence.
 
     Pairs only ever gain evidence (`merge` takes the per-side maximum), which
@@ -85,8 +122,12 @@ class EvidencePair(NamedTuple):
     structures.
     """
 
-    positive: Evidence = Evidence.NONE
-    negative: Evidence = Evidence.NONE
+    __slots__ = ()
+    positive: Evidence
+    negative: Evidence
+
+    def __new__(cls, positive=Evidence.NONE, negative=Evidence.NONE):
+        return tuple_new(cls, (positive, negative))
 
     def merge(self, other: "EvidencePair") -> "EvidencePair":
         return EvidencePair(
@@ -142,24 +183,32 @@ class Severity(ValueEnum):
     INFO = "info"
 
 
-class SourceSpan(NamedTuple):
+class SourceSpan(TupleRecord):
     """1-based source range; `file` may be a path or a synthetic name."""
 
+    __slots__ = ()
     file: str
     start_line: int
     start_col: int
     end_line: int
     end_col: int
 
+    def __new__(cls, file, start_line, start_col, end_line, end_col):
+        return tuple_new(cls, (file, start_line, start_col, end_line, end_col))
+
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-class Diagnostic(NamedTuple):
+class Diagnostic(TupleRecord):
+    __slots__ = ()
     severity: Severity
     code: str
     message: str
-    span: Optional[SourceSpan] = None
+    span: SourceSpan | None
+
+    def __new__(cls, severity, code, message, span=None):
+        return tuple_new(cls, (severity, code, message, span))
 
     def render(self) -> str:
         loc = str(self.span) if self.span else "<model>"
@@ -222,7 +271,7 @@ class BapoTag(ValueEnum):
 # ---------------------------------------------------------------------------
 
 class Record:
-    """Base of the records that are not `NamedTuple`s: a subclass lists its
+    """Base of the records that are not tuple records: a subclass lists its
     fields, in order, as `__slots__` and sets them in its own `__init__`.
 
     Two records are equal when they are of one class and agree on every
@@ -273,23 +322,31 @@ class ContributionStrength(ValueEnum):
     BREAKS = "breaks"
 
 
-class Contribution(NamedTuple):
+class Contribution(TupleRecord):
+    __slots__ = ()
     target: str  # quality element id
     strength: ContributionStrength
 
+    def __new__(cls, target, strength):
+        return tuple_new(cls, (target, strength))
 
-class Refinement(NamedTuple):
+
+class Refinement(TupleRecord):
+    __slots__ = ()
     kind: RefinementKind
     children: tuple[str, ...]  # element ids, same actor
+
+    def __new__(cls, kind, children):
+        return tuple_new(cls, (kind, children))
 
 
 class GElement(Record):
     __slots__ = ("id", "kind", "name", "refinement", "contributions", "span")
 
     def __init__(self, id: str, kind: ElementKind, name: str,
-                 refinement: Optional[Refinement] = None,
-                 contributions: Optional[list[Contribution]] = None,
-                 span: Optional[SourceSpan] = None):
+                 refinement: Refinement | None = None,
+                 contributions: list[Contribution] | None = None,
+                 span: SourceSpan | None = None):
         self.id = id
         self.kind = kind
         self.name = name
@@ -302,10 +359,10 @@ class GActor(Record):
     __slots__ = ("id", "name", "elements", "layer_assignments", "bapo_tags", "span")
 
     def __init__(self, id: str, name: str,
-                 elements: Optional[list[GElement]] = None,
-                 layer_assignments: Optional[dict[str, Layer]] = None,
-                 bapo_tags: Optional[set[BapoTag]] = None,
-                 span: Optional[SourceSpan] = None):
+                 elements: list[GElement] | None = None,
+                 layer_assignments: dict[str, Layer] | None = None,
+                 bapo_tags: set[BapoTag] | None = None,
+                 span: SourceSpan | None = None):
         self.id = id
         self.name = name
         self.elements = [] if elements is None else elements
@@ -319,22 +376,30 @@ class GActor(Record):
         return bool(self.elements)
 
 
-class DependencyEnd(NamedTuple):
+class DependencyEnd(TupleRecord):
+    __slots__ = ()
     actor: str
-    element: Optional[str] = None
+    element: str | None
+
+    def __new__(cls, actor, element=None):
+        return tuple_new(cls, (actor, element))
 
 
-class Dependum(NamedTuple):
+class Dependum(TupleRecord):
+    __slots__ = ()
     kind: ElementKind
     name: str
-    initial_label: Optional[Label] = None
+    initial_label: Label | None
+
+    def __new__(cls, kind, name, initial_label=None):
+        return tuple_new(cls, (kind, name, initial_label))
 
 
 class Dependency(Record):
     __slots__ = ("id", "depender", "dependum", "dependee", "span")
 
     def __init__(self, id: str, depender: DependencyEnd, dependum: Dependum,
-                 dependee: DependencyEnd, span: Optional[SourceSpan] = None):
+                 dependee: DependencyEnd, span: SourceSpan | None = None):
         self.id = id
         self.depender = depender
         self.dependum = dependum
@@ -350,7 +415,7 @@ class AssociationLink(Record):
     __slots__ = ("kind", "source", "target", "span")
 
     def __init__(self, kind: AssociationKind, source: str, target: str,
-                 span: Optional[SourceSpan] = None):
+                 span: SourceSpan | None = None):
         self.kind = kind
         self.source = source  # actor id (the part)
         self.target = target  # actor id (the whole)
@@ -360,9 +425,9 @@ class AssociationLink(Record):
 class GoalModel(Record):
     __slots__ = ("name", "actors", "dependencies", "associations", "draft")
 
-    def __init__(self, name: str, actors: Optional[list[GActor]] = None,
-                 dependencies: Optional[list[Dependency]] = None,
-                 associations: Optional[list[AssociationLink]] = None,
+    def __init__(self, name: str, actors: list[GActor] | None = None,
+                 dependencies: list[Dependency] | None = None,
+                 associations: list[AssociationLink] | None = None,
                  draft: bool = False):
         self.name = name
         self.actors = [] if actors is None else actors
@@ -376,7 +441,7 @@ class GoalModel(Record):
     def actor_map(self) -> dict[str, GActor]:
         return {a.id: a for a in self.actors}
 
-    def owner_of(self, element_id: str) -> Optional[GActor]:
+    def owner_of(self, element_id: str) -> GActor | None:
         for a in self.actors:
             for e in a.elements:
                 if e.id == element_id:
@@ -391,7 +456,7 @@ class GoalModel(Record):
 class Activity(Record):
     __slots__ = ("id", "name", "span")
 
-    def __init__(self, id: str, name: str, span: Optional[SourceSpan] = None):
+    def __init__(self, id: str, name: str, span: SourceSpan | None = None):
         self.id = id
         self.name = name
         self.span = span
@@ -401,12 +466,12 @@ class VActor(Record):
     __slots__ = ("id", "name", "parent", "activities", "market_segment", "api_role",
                  "layer_assignments", "bapo_tags", "span")
 
-    def __init__(self, id: str, name: str, parent: Optional[str] = None,
-                 activities: Optional[list[Activity]] = None,
+    def __init__(self, id: str, name: str, parent: str | None = None,
+                 activities: list[Activity] | None = None,
                  market_segment: bool = False, api_role: bool = False,
-                 layer_assignments: Optional[dict[str, Layer]] = None,
-                 bapo_tags: Optional[set[BapoTag]] = None,
-                 span: Optional[SourceSpan] = None):
+                 layer_assignments: dict[str, Layer] | None = None,
+                 bapo_tags: set[BapoTag] | None = None,
+                 span: SourceSpan | None = None):
         self.id = id
         self.name = name
         self.parent = parent
@@ -424,9 +489,13 @@ class FlowStatus(ValueEnum):
     MISSING = "missing"
 
 
-class ValueObject(NamedTuple):
+class ValueObject(TupleRecord):
+    __slots__ = ()
     name: str
-    kind: ElementKind = ElementKind.RESOURCE
+    kind: ElementKind
+
+    def __new__(cls, name, kind=ElementKind.RESOURCE):
+        return tuple_new(cls, (name, kind))
 
 
 class ValueFlow(Record):
@@ -435,7 +504,7 @@ class ValueFlow(Record):
     def __init__(self, id: str, source: str, target: str,
                  obj: ValueObject = ValueObject(""),
                  status: FlowStatus = FlowStatus.NORMAL,
-                 group: Optional[str] = None, span: Optional[SourceSpan] = None):
+                 group: str | None = None, span: SourceSpan | None = None):
         self.id = id
         self.source = source  # actor or activity id
         self.target = target  # actor or activity id
@@ -449,7 +518,7 @@ class Stimulus(Record):
     __slots__ = ("id", "name", "at", "span")
 
     def __init__(self, id: str, name: str, at: str,
-                 span: Optional[SourceSpan] = None):
+                 span: SourceSpan | None = None):
         self.id = id
         self.name = name
         self.at = at  # owning actor id
@@ -459,9 +528,9 @@ class Stimulus(Record):
 class ValueModel(Record):
     __slots__ = ("name", "actors", "flows", "stimuli")
 
-    def __init__(self, name: str, actors: Optional[list[VActor]] = None,
-                 flows: Optional[list[ValueFlow]] = None,
-                 stimuli: Optional[list[Stimulus]] = None):
+    def __init__(self, name: str, actors: list[VActor] | None = None,
+                 flows: list[ValueFlow] | None = None,
+                 stimuli: list[Stimulus] | None = None):
         self.name = name
         self.actors = [] if actors is None else actors
         self.flows = [] if flows is None else flows
@@ -480,7 +549,7 @@ class Scenario(Record):
 
     __slots__ = ("name", "assignments")
 
-    def __init__(self, name: str, assignments: Optional[dict[str, Label]] = None):
+    def __init__(self, name: str, assignments: dict[str, Label] | None = None):
         self.name = name
         self.assignments = {} if assignments is None else assignments
 
@@ -502,13 +571,13 @@ class MetricDef(Record):
     __slots__ = ("name", "what", "why", "who", "where", "dimensions", "automation",
                  "links", "span")
 
-    def __init__(self, name: str, what: Optional[str] = None,
-                 why: Optional[str] = None, who: Optional[list[str]] = None,
-                 where: Optional[list[str]] = None,
-                 dimensions: Optional[set[Dimension]] = None,
-                 automation: Optional[AutomationLevel] = None,
-                 links: Optional[list[str]] = None,
-                 span: Optional[SourceSpan] = None):
+    def __init__(self, name: str, what: str | None = None,
+                 why: str | None = None, who: list[str] | None = None,
+                 where: list[str] | None = None,
+                 dimensions: set[Dimension] | None = None,
+                 automation: AutomationLevel | None = None,
+                 links: list[str] | None = None,
+                 span: SourceSpan | None = None):
         self.name = name
         self.what = what
         self.why = why

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import NamedTuple
 
-from ..core import ApimodError, SourceSpan, ValueEnum
+from ..core import ApimodError, SourceSpan, TupleRecord, ValueEnum, tuple_new
 
 
 class TokKind(ValueEnum):
@@ -22,12 +21,16 @@ class TokKind(ValueEnum):
     EOF = "end of input"
 
 
-class Token(NamedTuple):
+class Token(TupleRecord):
     """One token of a `Tokens` stream, as indexing or iterating it gives."""
 
+    __slots__ = ()
     kind: TokKind
     value: str  # decoded text for STRING, lexeme otherwise
     span: SourceSpan
+
+    def __new__(cls, kind, value, span):
+        return tuple_new(cls, (kind, value, span))
 
 
 #: `SourceSpan(*fields)` without the Python-level `__new__` frame.

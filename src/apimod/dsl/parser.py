@@ -26,19 +26,15 @@ reported span points inside the offending token range.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from functools import cache
 
 from ..core import (
     Activity, AssociationKind, AssociationLink, AutomationLevel, BapoTag,
     ContributionStrength, Contribution, Dependency, DependencyEnd, Dependum,
     Diagnostic, Dimension, ElementKind, FlowStatus, GActor, GElement, GoalModel,
     LABEL_WORDS, Layer, MetricDef, Refinement, RefinementKind, Scenario, Severity,
-    SourceSpan, Stimulus, VActor, ValueFlow, ValueModel, ValueObject,
-    sort_diagnostics,
-)
-from ..lifecycle import (
-    CHARACTERISTICS, ApiDescriptor, LifecycleStage, ValueCurveSample,
-    curve_number_problems, curve_step_problems,
+    SourceSpan, Stimulus, TupleRecord, VActor, ValueFlow, ValueModel, ValueObject,
+    sort_diagnostics, tuple_new,
 )
 from ..validate import (
     duplicate_diagnostics, element_maps, goal_reference_problems, link_problems,
@@ -48,11 +44,15 @@ from . import lexer
 from .lexer import KEYWORDS, LexError, TokKind, Tokens, tokenize
 
 
-class ParseResult(NamedTuple):
+class ParseResult(TupleRecord):
     """Outcome of a parse: `model` is None iff an Error was reported."""
 
-    model: Optional[object]
+    __slots__ = ()
+    model: object | None
     diagnostics: list[Diagnostic]
+
+    def __new__(cls, model, diagnostics):
+        return tuple_new(cls, (model, diagnostics))
 
     @property
     def ok(self) -> bool:
@@ -71,22 +71,13 @@ _STRENGTH_WORDS = {s.value: s for s in ContributionStrength}
 _FLOW_STATUS_WORDS = {s.value: s for s in FlowStatus if s is not FlowStatus.NORMAL}
 _LAYER_WORDS = {l.value: l for l in Layer}
 _BAPO_WORDS = {t.value: t for t in BapoTag}
-_STAGE_WORDS = {s.value: s for s in LifecycleStage}
 _DIMENSION_WORDS = {d.value: d for d in Dimension}
 _AUTOMATION_WORDS = {a.value: a for a in AutomationLevel}
-
-#: `observed` characteristic (a `Characteristics` attribute) -> what its
-#: value is read as, and its value words.
-_OBSERVED_WORDS = {
-    name: (f"{name} value ({'|'.join(v.value for v in values)})",
-           {v.value: v for v in values})
-    for name, values in CHARACTERISTICS.items()}
-_CHARACTERISTIC = f"characteristic ({'|'.join(CHARACTERISTICS)})"
 
 
 #: `Actor` or `Actor.element` as the positions of its actor and element
 #: name tokens; `span(*ref)` covers both.
-_Ref = tuple[int, Optional[int]]
+_Ref = tuple[int, int | None]
 
 
 class _Parser:
@@ -546,11 +537,28 @@ class _GoalModelParser(_Parser):
 # API descriptors
 # ---------------------------------------------------------------------------
 
+@cache
+def _api_words() -> tuple[dict, dict, str]:
+    """The `api` dialect's keyword tables, built by its first parse, so that
+    no other dialect loads `lifecycle`: the stage words; each `observed`
+    characteristic (a `Characteristics` attribute), what its value is read
+    as and its value words; and what a characteristic is read as."""
+    from ..lifecycle import CHARACTERISTICS, LifecycleStage
+    observed = {
+        name: (f"{name} value ({'|'.join(v.value for v in values)})",
+               {v.value: v for v in values})
+        for name, values in CHARACTERISTICS.items()}
+    return ({s.value: s for s in LifecycleStage}, observed,
+            f"characteristic ({'|'.join(CHARACTERISTICS)})")
+
+
 class _ApiDescriptorParser(_Parser):
     KEYWORD, NAME = "api", "api name"
     UNEXPECTED = "expected stage, observed, curve, or rationale, found {value!r}"
 
     def start(self, name: str) -> None:
+        from ..lifecycle import ApiDescriptor, LifecycleStage
+        self.stage_words, self.observed_words, self.characteristic = _api_words()
         self.model = ApiDescriptor(name, LifecycleStage.PLAN)
         self.staged = False  # a stage statement was read
 
@@ -560,14 +568,14 @@ class _ApiDescriptorParser(_Parser):
                        self.span(self.pos))
 
     def parse_stage(self, kw: int) -> None:
-        stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
+        stage = self.keyword_choice(self.stage_words, "lifecycle stage")
         if self.staged:
             self.error("E-DUP", "stage declared twice", self.span(kw))
         self.model.declared_stage, self.staged = stage, True
 
     def parse_observed(self, kw: int) -> None:
         pos = self.pos
-        what, words = self.keyword_choice(_OBSERVED_WORDS, _CHARACTERISTIC)
+        what, words = self.keyword_choice(self.observed_words, self.characteristic)
         value = self.keyword_choice(words, what)
         attr, observed = self.values[pos], self.model.observed
         if getattr(observed, attr) is not None:
@@ -575,8 +583,9 @@ class _ApiDescriptorParser(_Parser):
         setattr(observed, attr, value)
 
     def parse_curve_sample(self, kw: int) -> None:
+        from ..lifecycle import ValueCurveSample, curve_number_problems, curve_step_problems
         t, tspan = self.number("sample time")
-        stage = self.keyword_choice(_STAGE_WORDS, "lifecycle stage")
+        stage = self.keyword_choice(self.stage_words, "lifecycle stage")
         value, vspan = self.number("sample value")
         sample = ValueCurveSample(t, stage, value)
         curve = self.model.curve

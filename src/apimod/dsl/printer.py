@@ -11,7 +11,6 @@ from ..core import (
     ApimodError, BapoTag, Dimension, GActor, GoalModel, Label, MetricDef, Scenario, VActor,
     ValueModel,
 )
-from ..lifecycle import ApiDescriptor
 from .lexer import format_number as num, quote_name as q
 
 
@@ -130,15 +129,17 @@ def print_scenario(s: Scenario) -> str:
 
 
 def print_model(model) -> str:
-    """Dispatch on model type; also accepts a metric-catalog list."""
+    """Dispatch on model type; also accepts a metric-catalog list. An API
+    descriptor is tested for last, so that only it loads `lifecycle`."""
     if isinstance(model, ValueModel):
         return print_value_model(model)
     if isinstance(model, GoalModel):
         return print_goal_model(model)
-    if isinstance(model, ApiDescriptor):
-        return print_api_descriptor(model)
     if isinstance(model, Scenario):
         return print_scenario(model)
     if isinstance(model, list) and all(isinstance(m, MetricDef) for m in model):
         return print_metric_catalog(model)
+    from ..lifecycle import ApiDescriptor
+    if isinstance(model, ApiDescriptor):
+        return print_api_descriptor(model)
     raise TypeError(f"cannot print {type(model).__name__}")

@@ -35,12 +35,11 @@ is checked at run time.
 from __future__ import annotations
 
 from itertools import compress
-from typing import NamedTuple
 
 from .core import (
     ApimodError, ContributionStrength, Diagnostic, ElementKind, Evidence,
-    EvidencePair, GoalModel, Label, RefinementKind, Scenario, Severity,
-    evidence_to_label, label_to_evidence, sort_diagnostics,
+    EvidencePair, GoalModel, Label, RefinementKind, Scenario, Severity, TupleRecord,
+    evidence_to_label, label_to_evidence, sort_diagnostics, tuple_new,
 )
 from .validate import validate_goal_model
 
@@ -53,12 +52,16 @@ _SATISFIED, _PARTIALLY_SATISFIED = Label.SATISFIED, Label.PARTIALLY_SATISFIED
 _CONFLICT_LABEL = Label.CONFLICT
 
 
-class EvaluationResult(NamedTuple):
+class EvaluationResult(TupleRecord):
+    __slots__ = ()
     labels: dict[str, Label]
     overridden: set[str]
     iterations: int
     diagnostics: list[Diagnostic]
-    scenario: str = ""
+    scenario: str
+
+    def __new__(cls, labels, overridden, iterations, diagnostics, scenario=""):
+        return tuple_new(cls, (labels, overridden, iterations, diagnostics, scenario))
 
 
 def evaluation_nodes(model: GoalModel) -> list[str]:
@@ -161,9 +164,10 @@ _CONTRIBUTED = {
 MAX_ROUNDS_PER_NODE = 4
 
 
-class Rules(NamedTuple):
+class Rules(TupleRecord):
     """A validated goal model compiled for evaluation, indexed like `nodes`."""
 
+    __slots__ = ()
     model: GoalModel
     nodes: list[str]
     index: dict[str, int]
@@ -175,6 +179,9 @@ class Rules(NamedTuple):
     initial: list[int]  # per node: evidence before any scenario is applied
     fed: list[int]  # the nodes that have an input, in node order
     targets: dict  # scenario target -> node (see `_targets`)
+
+    def __new__(cls, model, nodes, index, inputs, readers, initial, fed, targets):
+        return tuple_new(cls, (model, nodes, index, inputs, readers, initial, fed, targets))
 
 
 def compile_rules(model: GoalModel) -> Rules:
@@ -313,17 +320,25 @@ def propagate(model: GoalModel, scenario: Scenario,
 # Scenario comparison
 # ---------------------------------------------------------------------------
 
-class ComparisonRow(NamedTuple):
+class ComparisonRow(TupleRecord):
+    __slots__ = ()
     node: str
     labels: list[Label]  # one per scenario, in scenario order
 
+    def __new__(cls, node, labels):
+        return tuple_new(cls, (node, labels))
 
-class ComparisonTable(NamedTuple):
+
+class ComparisonTable(TupleRecord):
+    __slots__ = ()
     scenarios: list[str]
     rows: list[ComparisonRow]
     scores: dict[str, float]
     ranking: list[tuple[str, int]]  # (scenario, dense rank starting at 1)
-    focus_actor: str | None = None
+    focus_actor: str | None
+
+    def __new__(cls, scenarios, rows, scores, ranking, focus_actor=None):
+        return tuple_new(cls, (scenarios, rows, scores, ranking, focus_actor))
 
 
 def scenario_score(model: GoalModel, result: EvaluationResult,

@@ -4,11 +4,9 @@ change decision quadrants, prioritization, and metric-catalog checks.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 from .core import (  # the catalog's records live in core, where the parser reads them
-    AutomationLevel, Diagnostic, Dimension, MetricDef, Record, Severity, ValueEnum,
-    load_package_data, sort_diagnostics,
+    AutomationLevel, Diagnostic, Dimension, MetricDef, Record, Severity, TupleRecord,
+    ValueEnum, load_package_data, sort_diagnostics, tuple_new,
 )
 
 
@@ -181,10 +179,14 @@ DIMENSION_QUESTIONS = {
 }
 
 
-class DimensionCoverage(NamedTuple):
+class DimensionCoverage(TupleRecord):
+    __slots__ = ()
     counts: dict[Dimension, int]
     metrics: dict[Dimension, list[str]]
     gaps: list[tuple[Dimension, str]]
+
+    def __new__(cls, counts, metrics, gaps):
+        return tuple_new(cls, (counts, metrics, gaps))
 
 
 def dimension_coverage_report(metrics: list[MetricDef]) -> DimensionCoverage:
@@ -200,10 +202,14 @@ def dimension_coverage_report(metrics: list[MetricDef]) -> DimensionCoverage:
     return DimensionCoverage(counts, names, gaps)
 
 
-class AutomationReport(NamedTuple):
+class AutomationReport(TupleRecord):
+    __slots__ = ()
     groups: dict[AutomationLevel, list[str]]
     unclassified: list[str]
-    note: Optional[str] = None
+    note: str | None
+
+    def __new__(cls, groups, unclassified, note=None):
+        return tuple_new(cls, (groups, unclassified, note))
 
 
 def automation_report(metrics: list[MetricDef]) -> AutomationReport:

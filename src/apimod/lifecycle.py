@@ -4,11 +4,9 @@ value-curve mismatch detection, and transition-trigger checklists.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 from .core import (
-    ApimodError, Diagnostic, Record, Severity, ValueEnum, load_package_data,
-    sort_diagnostics,
+    ApimodError, Diagnostic, Record, Severity, TupleRecord, ValueEnum,
+    load_package_data, sort_diagnostics, tuple_new,
 )
 
 
@@ -76,12 +74,12 @@ class Characteristics(Record):
     __slots__ = ("stability", "change", "commitment", "governance", "compatibility",
                  "support")
 
-    def __init__(self, stability: Optional[Stability] = None,
-                 change: Optional[Change] = None,
-                 commitment: Optional[Commitment] = None,
-                 governance: Optional[Governance] = None,
-                 compatibility: Optional[Compatibility] = None,
-                 support: Optional[Support] = None):
+    def __init__(self, stability: Stability | None = None,
+                 change: Change | None = None,
+                 commitment: Commitment | None = None,
+                 governance: Governance | None = None,
+                 compatibility: Compatibility | None = None,
+                 support: Support | None = None):
         self.stability = stability
         self.change = change
         self.commitment = commitment
@@ -89,17 +87,21 @@ class Characteristics(Record):
         self.compatibility = compatibility
         self.support = support
 
-    def items(self) -> list[tuple[str, Optional[ValueEnum]]]:
+    def items(self) -> list[tuple[str, ValueEnum | None]]:
         return [(name, getattr(self, name)) for name in CHARACTERISTICS]
 
 
-class ValueCurveSample(NamedTuple):
+class ValueCurveSample(TupleRecord):
+    __slots__ = ()
     t: float
     stage: LifecycleStage
     value: float
 
+    def __new__(cls, t, stage, value):
+        return tuple_new(cls, (t, stage, value))
 
-def curve_step_problems(before: Optional[ValueCurveSample],
+
+def curve_step_problems(before: ValueCurveSample | None,
                         sample: ValueCurveSample) -> list[tuple[str, str]]:
     """(code, message) for each rule `sample` breaks as the point after
     `before` (None for the first point): E-RANGE for a value outside [0, 1],
@@ -120,7 +122,7 @@ def curve_number_problems(sample: ValueCurveSample) -> list[tuple[str, str, str]
     """(field, code, message), `field` "time" or "value": E-RANGE for a time,
     or a value in [0, 1], that the `.api` NUMBER token cannot write. Apart from
     `curve_step_problems`, which judges the curve: one built in Python may start before 0."""
-    from .dsl.lexer import format_number  # the dsl parser imports this module
+    from .dsl.lexer import format_number  # `apimod.dsl` loads every parser
     problems = []
     for field, x in (("time", sample.t), ("value", sample.value)):
         try:
@@ -135,9 +137,9 @@ class ApiDescriptor(Record):
     __slots__ = ("name", "declared_stage", "observed", "curve", "transition_rationales")
 
     def __init__(self, name: str, declared_stage: LifecycleStage,
-                 observed: Optional[Characteristics] = None,
-                 curve: Optional[list[ValueCurveSample]] = None,
-                 transition_rationales: Optional[list[str]] = None):
+                 observed: Characteristics | None = None,
+                 curve: list[ValueCurveSample] | None = None,
+                 transition_rationales: list[str] | None = None):
         self.name = name
         self.declared_stage = declared_stage
         self.observed = Characteristics() if observed is None else observed
@@ -229,12 +231,16 @@ def lint_characteristics(d: ApiDescriptor) -> list[Diagnostic]:
 PLAN_WINDOW = 2
 
 
-class MismatchThresholds(NamedTuple):
+class MismatchThresholds(TupleRecord):
     """`high` marks "very high" value; `drop_fraction` the in-operation decline
     considered excessive."""
 
-    high: float = 0.7
-    drop_fraction: float = 0.5
+    __slots__ = ()
+    high: float
+    drop_fraction: float
+
+    def __new__(cls, high=0.7, drop_fraction=0.5):
+        return tuple_new(cls, (high, drop_fraction))
 
 
 def detect_value_mismatches(d: ApiDescriptor,
@@ -303,18 +309,26 @@ _OUTGOING = {
 }
 
 
-class TriggerEntry(NamedTuple):
+class TriggerEntry(TupleRecord):
+    __slots__ = ()
     tag: str
     description: str
     matched: bool
 
+    def __new__(cls, tag, description, matched):
+        return tuple_new(cls, (tag, description, matched))
 
-class TransitionReport(NamedTuple):
+
+class TransitionReport(TupleRecord):
+    __slots__ = ()
     api: str
     stage: LifecycleStage
-    transition: Optional[str]
+    transition: str | None
     entries: list[TriggerEntry]
     uncatalogued: list[str]
+
+    def __new__(cls, api, stage, transition, entries, uncatalogued):
+        return tuple_new(cls, (api, stage, transition, entries, uncatalogued))
 
 
 def _normalize_tag(text: str) -> str:

@@ -9,11 +9,10 @@ the evaluation of the rest of the ecosystem.
 from __future__ import annotations
 
 import copy
-from typing import NamedTuple
 
 from .core import (
     Contribution, ContributionStrength, Diagnostic, ElementKind, GElement,
-    GoalModel, MetricDef, Severity, sort_diagnostics,
+    GoalModel, MetricDef, Severity, TupleRecord, sort_diagnostics, tuple_new,
 )
 
 
@@ -62,12 +61,16 @@ def link_metrics(model: GoalModel,
     return out, sort_diagnostics(diagnostics)
 
 
-class WhoRow(NamedTuple):
+class WhoRow(TupleRecord):
+    __slots__ = ()
     metric: str
     why: str | None
     who: list[str]
     where: list[str]
     actors: list[str]  # owners of linked elements
+
+    def __new__(cls, metric, why, who, where, actors):
+        return tuple_new(cls, (metric, why, who, where, actors))
 
 
 def who_report(model: GoalModel, metrics: list[MetricDef]) -> list[WhoRow]:

@@ -16,9 +16,10 @@ from .core import (
 )
 from .validate import duplicate_ids, reference_diagnostic, reference_problems
 
-#: `json.encoder.encode_basestring_ascii`, the C string encoder, once the
-#: first `report_json` call has imported it: a call without `--json` does not
-#: pay a few milliseconds to load `json`.
+#: `encode_basestring_ascii`, the C string encoder that `json.dumps` writes
+#: strings with, once the first `report_json` call has imported it from
+#: `_json`: `--json` does not load the `json` package, and a call without
+#: `--json` does not load `_json` either.
 _json_string = None
 
 #: Keyed by the kind's value: hashing an enum member runs Python code.
@@ -193,7 +194,10 @@ def report_json(report: dict) -> str:
     JSON form TypeError; reports are trees, so cycles are not looked for."""
     global _json_string
     if _json_string is None:
-        from json.encoder import encode_basestring_ascii
+        try:
+            from _json import encode_basestring_ascii
+        except ImportError:  # a Python without the C accelerator
+            from json.encoder import encode_basestring_ascii
         _json_string = encode_basestring_ascii
     out: list[str] = []
     _write_json(report, "\n", out.append)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output, files, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -518,7 +519,58 @@ def test_printing_a_metric_catalog_does_not_import_govern():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
-_BAD_SCENARIO = "scenario s {\n  label goal = satisfied\n}\n"
+#: The modules a call loads only where its command needs them.
+_HEAVY = ("typing", "json", "apimod.lifecycle")
+
+
+def _isolated_runs(runs: list[list[str]]) -> tuple[list, list[str]]:
+    """Run `runs` through `main`, at the top of the repository, in one
+    `python -I -S` process: each run's [exit code, stdout digest, stderr
+    digest, None] as `cli_golden.json` writes an outcome, and which
+    `_HEAVY` modules were loaded after the last run."""
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "from apimod.cli import main\n"
+        "digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:16]\n"
+        "outcomes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    outcomes.append([code, digest(out.getvalue()), digest(err.getvalue()), None])\n"
+        f"print(repr((outcomes, [m for m in {_HEAVY!r} if m in sys.modules])))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], cwd=CORPUS.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_goal_and_value_model_commands_load_neither_lifecycle_nor_json():
+    runs = [
+        ["check", "corpus/device_api.gm", "--json"],
+        ["evaluate", "corpus/device_api.gm", "--scenario", "corpus/device_gap.scn", "--json"],
+        ["compare", "corpus/ecosystem.gm", "--scenarios",
+         "corpus/option_direct.scn,corpus/option_platform.scn", "--json"],
+        ["export", "corpus/cloud_api_layers.gm", "--focus", "Cloud API", "--json"],
+        ["transform", "corpus/device_api.vm"],
+    ]
+    outcomes, loaded = _isolated_runs(runs)
+    assert [outcome[0] for outcome in outcomes] == [0] * len(runs)
+    assert loaded == []
+
+
+def test_api_descriptor_commands_still_load_lifecycle_and_keep_their_bytes():
+    runs = [["check", "corpus/device_settings.api"],
+            ["lifecycle", "corpus/device_settings.api", "--curve", "corpus/curve.csv"]]
+    golden = json.loads((Path(__file__).resolve().parent / "data" / "cli_golden.json")
+                        .read_text(encoding="utf-8"))
+    outcomes, loaded = _isolated_runs(runs)
+    assert outcomes == [golden[" ".join(argv)] for argv in runs]
+    assert "apimod.lifecycle" in loaded
+
+
+_BAD_SCENARIO ="scenario s {\n  label goal = satisfied\n}\n"
 
 
 @pytest.mark.parametrize("argv", [

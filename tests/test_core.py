@@ -15,10 +15,12 @@ from apimod.core import (
     Activity, AssociationKind, AssociationLink, Contribution, ContributionStrength,
     Dependency, DependencyEnd, Dependum, Diagnostic, ElementKind, Evidence, EvidencePair,
     GActor, GElement, GoalModel, Label, MetricDef, Record, Refinement, RefinementKind,
-    Scenario, Severity, SourceSpan, Stimulus, VActor, ValueEnum, ValueFlow, ValueModel,
-    ValueObject, evidence_to_label, label_max, label_min, label_to_evidence,
+    Scenario, Severity, SourceSpan, Stimulus, TupleRecord, VActor, ValueEnum, ValueFlow,
+    ValueModel, ValueObject, evidence_to_label, label_max, label_min, label_to_evidence,
 )
+from apimod.cli import _Outcome
 from apimod.dsl import parse_goal_model
+from apimod.dsl.lexer import Token, TokKind
 from apimod.dsl.parser import ParseResult
 from apimod.evaluate import ComparisonRow, ComparisonTable, EvaluationResult, Rules
 from apimod.govern import AutomationReport, DecisionItem, DimensionCoverage
@@ -133,17 +135,62 @@ RECORDS = [
     (AutomationReport, ((), ("m",), "note")),
     (WhoRow, ("m", "why", ("who",), ("where",), ("A",))),
     (ParseResult, (None, ())),
+    (SourceSpan, ("f", 1, 2, 3, 4)),
+    (Token, (TokKind.IDENT, "goal", SourceSpan("f", 1, 1, 1, 4))),
+    (_Outcome, (("f",), (), (), ("line",), "artifact")),
 ]
 
+#: The trailing field defaults of each record that has any, as its
+#: `NamedTuple` declared them.
+DEFAULTS = {
+    EvidencePair: (Evidence.NONE, Evidence.NONE),
+    Diagnostic: (None,),
+    DependencyEnd: (None,),
+    Dependum: (None,),
+    ValueObject: (ElementKind.RESOURCE,),
+    MismatchThresholds: (0.7, 0.5),
+    EvaluationResult: ("",),
+    ComparisonTable: (None,),
+    AutomationReport: (None,),
+    _Outcome: ((), None),
+}
 
-@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+_RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+def test_records_cover_every_tuple_record():
+    for info in pkgutil.walk_packages(apimod.__path__, "apimod."):
+        importlib.import_module(info.name)
+    assert set(TupleRecord.__subclasses__()) == {cls for cls, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=_RECORD_IDS)
 def test_records_are_immutable_and_hash_by_value(cls, values):
+    assert cls.__annotations__, "a record without annotated fields has none to check"
     record = cls(*values)
     for name in cls.__annotations__:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     twin = cls(*values)
     assert twin == record and hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=_RECORD_IDS)
+def test_records_read_build_print_and_copy_as_named_tuples(cls, values):
+    fields = list(cls.__annotations__)
+    record = cls(*values)
+    assert [getattr(record, name) for name in fields] == list(values) == list(record)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(fields, values)) + ")"
+    assert list(inspect.signature(cls).parameters) == fields
+    assert cls(**dict(zip(fields, values))) == record
+    defaults = DEFAULTS.get(cls, ())
+    required = values[:len(values) - len(defaults)]
+    assert cls(*required) == cls(*required, *defaults)
+    assert type(cls(*required)) is cls
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
 
 
 #: One instance of each record that code changes in place.
