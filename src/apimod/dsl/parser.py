@@ -14,13 +14,15 @@ dialect by the leading keyword there. `_Parser.parse` reads the
 ``keyword name {`` frame of the single-block dialects. Each braced block has
 one table from its statement keywords to their handlers, and `_Parser.block`
 is the one loop that reads a block's statements through it; a block owns its
-closing brace, and a dialect ends at its brace. `_Parser.fail` and
-`_Parser.keyword_choice` word every ``expected X, found Y`` but an
-unexpected statement head, which its block's template words; a token with
-no text is shown by its kind (``'end of input'``). A malformed statement
-produces one Error diagnostic and parsing resumes at the next keyword of the
-block's statement table, so several problems are reported in one run. Every
-reported span points inside the offending token range.
+closing brace, and a dialect ends at its brace. `_Parser.fail` words every
+``expected X, found Y``, and a token with no text is shown by its kind
+(``'end of input'``). Where X lists choices, the list is read off the table
+the parser reads there (`_Parser.keyword_choice`, `_Parser.block`,
+`parse_model`'s dispatch), so it names exactly the words accepted. A
+malformed statement produces one Error diagnostic and parsing resumes at the
+next keyword of the block's statement table, so several problems are
+reported in one run. Every reported span points inside the offending token
+range.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class _ParseAbort(Exception):
 _IDENT, _PUNCT, _STRING, _EOF = TokKind.IDENT, TokKind.PUNCT, TokKind.STRING, TokKind.EOF
 
 _ELEMENT_KIND_WORDS = {k.value: k for k in ElementKind}
-_REFINEMENT_WORDS = {k.value: k for k in RefinementKind}
-_STRENGTH_WORDS = {s.value: s for s in ContributionStrength}
+_LINK_WORDS = {k.value: k for kinds in (RefinementKind, ContributionStrength) for k in kinds}
 _FLOW_STATUS_WORDS = {s.value: s for s in FlowStatus if s is not FlowStatus.NORMAL}
 _LAYER_WORDS = {l.value: l for l in Layer}
 _BAPO_WORDS = {t.value: t for t in BapoTag}
@@ -86,9 +87,9 @@ class _Parser:
     the end-of-input token, so the current token is always `kinds[pos]` and
     `values[pos]`, and `span(first, last)` is built only for a token that is
     kept or reported. Handlers and helpers pass positions. A dialect states its
-    `KEYWORD`, what its name is read as (`NAME`) and its `UNEXPECTED`
-    statement wording (see `block`). Its `start(name)` builds `model`, which
-    handlers extend, keeping the actor being read and pending links too."""
+    `KEYWORD`, what its name is read as (`NAME`) and its `STATEMENTS` table
+    (see `block`). Its `start(name)` builds `model`, which handlers extend,
+    keeping the actor being read and pending links too."""
 
     def __init__(self, tokens: Tokens):
         self.kinds, self.values, self.span = tokens.kinds, tokens.values, tokens.span
@@ -104,10 +105,9 @@ class _Parser:
             self.expect("{")
         except _ParseAbort:
             return self.result(None)
-        self.block(self.STATEMENTS, self.UNEXPECTED)
+        self.block(self.STATEMENTS)
         if self.kinds[pos := self.pos] is not _EOF:
-            self.error("E-SYNTAX", f"unexpected trailing input {self.values[pos]!r}",
-                       self.span(pos))
+            self.fail("end of input", pos)
         self.finish()
         return self.result(self.model)
 
@@ -145,39 +145,37 @@ class _Parser:
         raise self.fail(what, pos)
 
     def keyword_choice(self, words: dict, what: str):
-        """The value `words` maps the next identifier to."""
+        """The value `words` maps the next identifier to; a failure names
+        `what` and lists the words of `words` as its choices."""
         pos = self.pos
         if self.kinds[pos] is _IDENT and (word := self.values[pos]) in words:
             self.pos = pos + 1
             return words[word]
-        raise self.fail(what, pos)
+        raise self.fail(f"{what} ({'|'.join(words)})", pos)
 
     # -- diagnostics and recovery -------------------------------------------
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
-    def shown(self, pos: int) -> str:
-        """Token `pos` as a diagnostic shows it: its value, or its kind if
-        the value is empty."""
-        return self.values[pos] or self.kinds[pos].value
-
     def fail(self, what: str, pos: int) -> _ParseAbort:
-        """Report that `what` was expected at token `pos`; raise what it
+        """Report that `what` was expected at token `pos`, showing the token
+        by its value, or by its kind if the value is empty; raise what it
         returns to unwind."""
-        self.error("E-SYNTAX", f"expected {what}, found {self.shown(pos)!r}", self.span(pos))
+        found = self.values[pos] or self.kinds[pos].value
+        self.error("E-SYNTAX", f"expected {what}, found {found!r}", self.span(pos))
         return _ParseAbort()
 
-    def block(self, statements: dict, unexpected: str, other=None) -> None:
+    def block(self, statements: dict, other=None) -> None:
         """Read a block's statements and its closing brace. `statements`
         maps each statement keyword to its handler, called as
         `handler(parser, head)` once the head is consumed. Any other head is
         passed to `other(head)` if it is a name, and is otherwise reported
-        as E-SYNTAX `unexpected`, formatted with the head's `value` and with
-        `shown`, the text `fail` shows for it. After an error, parsing
-        resumes at the next keyword of `statements`. At the end of input the
-        missing brace is reported through `fail` without unwinding, since
-        no enclosing block could resume there."""
+        through `fail` as an expected statement, listing the keywords of
+        `statements`. After an error, parsing resumes at the next keyword of
+        `statements`. At the end of input the missing brace is reported
+        through `fail` without unwinding, since no enclosing block could
+        resume there."""
         kinds, values = self.kinds, self.values
         while True:
             pos = self.pos
@@ -197,9 +195,7 @@ class _Parser:
                 elif other is not None and (kind is _IDENT or kind is _STRING):
                     other(pos)
                 else:
-                    self.error("E-SYNTAX", unexpected.format(value=value, shown=self.shown(pos)),
-                               self.span(pos))
-                    raise _ParseAbort()
+                    raise self.fail(f"statement ({'|'.join(statements)})", pos)
             except _ParseAbort:
                 self.sync(statements)
 
@@ -258,7 +254,7 @@ class _Parser:
         focus = self.text("api focus")
         self.expect(")")
         self.expect("=")
-        layer = self.keyword_choice(_LAYER_WORDS, "layer (domain|usage|api|asset)")
+        layer = self.keyword_choice(_LAYER_WORDS, "layer")
         assignments = self.actor.layer_assignments
         if focus in assignments:
             self.error("E-DUP", f"duplicate layer assignment for focus {focus!r}",
@@ -269,7 +265,7 @@ class _Parser:
         """`bapo = tag, ...` in an actor body."""
         self.expect("=")
         while True:
-            self.actor.bapo_tags.add(self.keyword_choice(_BAPO_WORDS, "BAPO tag (B|A|P|O)"))
+            self.actor.bapo_tags.add(self.keyword_choice(_BAPO_WORDS, "BAPO tag"))
             if not self.eat(","):
                 return
 
@@ -286,7 +282,6 @@ class _Parser:
 
 class _ValueModelParser(_Parser):
     KEYWORD, NAME = "valuemodel", "model name"
-    UNEXPECTED = "expected actor, flow, or stimulus, found {value!r}"
 
     def start(self, name: str) -> None:
         self.model = ValueModel(name)
@@ -302,7 +297,7 @@ class _ValueModelParser(_Parser):
             actor.parent = self.values[parent]
         self.model.actors.append(actor)
         if self.eat("{"):
-            self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}")
+            self.block(self.ACTOR_STATEMENTS)
 
     def parse_activity(self, kw: int) -> None:
         name = self.name("activity name")
@@ -323,11 +318,10 @@ class _ValueModelParser(_Parser):
         dst = self.qualified_ref()
         kind = ElementKind.RESOURCE
         if self.eat(":"):
-            kind = self.keyword_choice(_ELEMENT_KIND_WORDS,
-                                       "object kind (resource|task|goal|quality)")
+            kind = self.keyword_choice(_ELEMENT_KIND_WORDS, "object kind")
         status = FlowStatus.NORMAL
         if self.eat("status"):
-            status = self.keyword_choice(_FLOW_STATUS_WORDS, "problematic or missing")
+            status = self.keyword_choice(_FLOW_STATUS_WORDS, "flow status")
         group = None
         if self.eat("group"):
             group = self.text("group id")
@@ -402,7 +396,6 @@ _Pending = tuple[GActor, str, Refinement | Contribution, int]
 
 class _GoalModelParser(_Parser):
     KEYWORD, NAME = "goalmodel", "model name"
-    UNEXPECTED = "expected actor, depend, or partof, found {value!r}"
 
     def start(self, name: str) -> None:
         self.model = GoalModel(name, draft=self.eat("draft"))
@@ -420,8 +413,7 @@ class _GoalModelParser(_Parser):
             self.model.associations.append(AssociationLink(
                 AssociationKind.PART_OF, name, self.values[parent], span=self.span(parent)))
         if self.eat("{"):
-            self.block(self.ACTOR_STATEMENTS, "expected actor-body statement, found {value!r}",
-                       self.parse_link_stmt)
+            self.block(self.ACTOR_STATEMENTS, self.parse_link_stmt)
 
     def parse_element(self, kw: int) -> None:
         element = self.name("element name")
@@ -432,30 +424,23 @@ class _GoalModelParser(_Parser):
 
     def parse_link_stmt(self, head: int) -> None:
         source = self.name("element reference")
-        values, pos = self.values, self.pos
-        word = values[pos] if self.kinds[pos] is _IDENT else ""
-        if word in _REFINEMENT_WORDS:
-            self.pos = pos + 1
+        kind = self.keyword_choice(_LINK_WORDS, "link")
+        values = self.values
+        if type(kind) is RefinementKind:
             children = tuple(self.name_list())
             self.pending.append((self.actor, values[source],
-                                 Refinement(_REFINEMENT_WORDS[word], children), source))
-        elif word in _STRENGTH_WORDS:
-            self.pos = pos + 1
+                                 Refinement(kind, children), source))
+        else:
             target = self.name("contribution target")
             self.pending.append((self.actor, values[source],
-                                 Contribution(values[target], _STRENGTH_WORDS[word]), target))
-        else:
-            self.error("E-SYNTAX", "expected and/or/makes/helps/hurts/breaks after "
-                       f"{values[source]!r}", self.span(pos))
-            raise _ParseAbort()
+                                 Contribution(values[target], kind), target))
 
     def parse_depend(self, kw: int) -> None:
         dr_actor, dr_el = self.qualified_ref()
         self.expect("->")
         de_actor, de_el = self.qualified_ref()
         self.expect(":")
-        kind = self.keyword_choice(_ELEMENT_KIND_WORDS,
-                                   "dependum kind (goal|quality|task|resource)")
+        kind = self.keyword_choice(_ELEMENT_KIND_WORDS, "dependum kind")
         dname = self.text("dependum name")
         initial = None
         if self.eat("="):
@@ -538,27 +523,21 @@ class _GoalModelParser(_Parser):
 # ---------------------------------------------------------------------------
 
 @cache
-def _api_words() -> tuple[dict, dict, str]:
+def _api_words() -> tuple[dict, dict]:
     """The `api` dialect's keyword tables, built by its first parse, so that
-    no other dialect loads `lifecycle`: the stage words; each `observed`
-    characteristic (a `Characteristics` attribute), what its value is read
-    as and its value words; and what a characteristic is read as."""
+    no other dialect loads `lifecycle`: the stage words, and each `observed`
+    characteristic (a `Characteristics` attribute) with its value words."""
     from ..lifecycle import CHARACTERISTICS, LifecycleStage
-    observed = {
-        name: (f"{name} value ({'|'.join(v.value for v in values)})",
-               {v.value: v for v in values})
-        for name, values in CHARACTERISTICS.items()}
-    return ({s.value: s for s in LifecycleStage}, observed,
-            f"characteristic ({'|'.join(CHARACTERISTICS)})")
+    return ({s.value: s for s in LifecycleStage},
+            {name: {v.value: v for v in values} for name, values in CHARACTERISTICS.items()})
 
 
 class _ApiDescriptorParser(_Parser):
     KEYWORD, NAME = "api", "api name"
-    UNEXPECTED = "expected stage, observed, curve, or rationale, found {value!r}"
 
     def start(self, name: str) -> None:
         from ..lifecycle import ApiDescriptor, LifecycleStage
-        self.stage_words, self.observed_words, self.characteristic = _api_words()
+        self.stage_words, self.observed_words = _api_words()
         self.model = ApiDescriptor(name, LifecycleStage.PLAN)
         self.staged = False  # a stage statement was read
 
@@ -575,9 +554,9 @@ class _ApiDescriptorParser(_Parser):
 
     def parse_observed(self, kw: int) -> None:
         pos = self.pos
-        what, words = self.keyword_choice(self.observed_words, self.characteristic)
-        value = self.keyword_choice(words, what)
+        words = self.keyword_choice(self.observed_words, "characteristic")
         attr, observed = self.values[pos], self.model.observed
+        value = self.keyword_choice(words, f"{attr} value")
         if getattr(observed, attr) is not None:
             self.error("E-DUP", f"characteristic {attr} observed twice", self.span(pos))
         setattr(observed, attr, value)
@@ -644,7 +623,7 @@ class _MetricCatalogParser(_Parser):
         self.metric = MetricDef(name=name, span=span)
         self.expect("{")
         self.seen: set[str] = set()  # the fields given so far
-        self.block(self.STATEMENTS, "unknown metric field {value!r}")
+        self.block(self.STATEMENTS)
         metrics.append(self.metric)
 
     def read_text(self) -> str:
@@ -653,14 +632,12 @@ class _MetricCatalogParser(_Parser):
     def read_dimensions(self) -> set[Dimension]:
         dims = set()
         while True:
-            dims.add(self.keyword_choice(
-                _DIMENSION_WORDS, "dimension (business|usage|design|implementation)"))
+            dims.add(self.keyword_choice(_DIMENSION_WORDS, "dimension"))
             if not self.eat(","):
                 return dims
 
     def read_automation(self) -> AutomationLevel:
-        return self.keyword_choice(
-            _AUTOMATION_WORDS, "automation level (automatable|partial|manual)")
+        return self.keyword_choice(_AUTOMATION_WORDS, "automation level")
 
     STATEMENTS = {
         "what": _metric_field(read_text), "why": _metric_field(read_text),
@@ -677,7 +654,6 @@ class _MetricCatalogParser(_Parser):
 
 class _ScenarioParser(_Parser):
     KEYWORD, NAME = "scenario", "scenario name"
-    UNEXPECTED = "expected 'label', found {shown!r}"
 
     def start(self, name: str) -> None:
         self.model = Scenario(name)
@@ -765,8 +741,7 @@ def _parse(parser: type[_Parser] | None, text: str, filename: str) -> ParseResul
         parser = _DISPATCH.get(tokens.values[0]) if tokens.kinds[0] is _IDENT else None
         if parser is None:
             front = _Parser(tokens)
-            front.error("E-SYNTAX", f"unrecognized model format (found {front.shown(0)!r})",
-                        tokens.span(0))
+            front.fail(f"model ({'|'.join(_DISPATCH)})", 0)
             return front.result(None)
     return parser(tokens).parse()
 

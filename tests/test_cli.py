@@ -74,7 +74,7 @@ def test_check_refuses_input_after_the_closing_brace(capsys, tmp_path):
     path.write_text("goalmodel M { actor A { goal G } } actor B { goal H }", encoding="utf-8")
     code, out, _ = run(capsys, "check", str(path))
     assert code == 2
-    assert f"{path}:1:36: error E-SYNTAX unexpected trailing input 'actor'" in out
+    assert f"{path}:1:36: error E-SYNTAX expected end of input, found 'actor'" in out
 
 
 def test_parse_failure_respects_json_mode(capsys, tmp_path):

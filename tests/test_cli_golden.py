@@ -11,6 +11,13 @@ Usage mistakes (exit 64) are left out, because argparse words those.
 Regenerate the file only for an intended change of CLI output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+To see what a regeneration changed, decode both sides and diff them. The
+`--decode` mode prints one JSON line per case, in the golden file's order:
+the command line, the exit code, stdout, stderr and the `-o` file's text
+(or null).
+
+    PYTHONPATH=src python tests/test_cli_golden.py --decode > decoded.jsonl
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -130,19 +138,32 @@ def cases() -> list[list[str]]:
     return [argv + mode for argv, modes in _RUNS for mode in modes]
 
 
-def outcome(argv: list[str]) -> list:
+def run(argv: list[str]) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr and the `-o` file (or None) of one case."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     artifact = Path(OUT)
-    written = _digest(artifact.read_bytes()) if artifact.exists() else None
+    written = artifact.read_bytes() if artifact.exists() else None
     artifact.unlink(missing_ok=True)
-    return [code, _digest(out.getvalue().encode("utf-8")),
-            _digest(err.getvalue().encode("utf-8")), written]
+    return code, out.getvalue(), err.getvalue(), written
 
 
-def record(workdir: Path) -> dict[str, list]:
-    """' '.join(argv) -> [exit code, stdout, stderr, -o file] per case."""
+def outcome(argv: list[str]) -> list:
+    code, out, err, written = run(argv)
+    return [code, _digest(out.encode("utf-8")), _digest(err.encode("utf-8")),
+            None if written is None else _digest(written)]
+
+
+def decode(argv: list[str]) -> str:
+    code, out, err, written = run(argv)
+    return json.dumps({"argv": " ".join(argv), "exit": code, "stdout": out, "stderr": err,
+                       "artifact": None if written is None else written.decode("utf-8")})
+
+
+def record(workdir: Path, each=outcome) -> dict[str, object]:
+    """' '.join(argv) -> `each(argv)` per case, by default [exit code,
+    stdout, stderr, -o file]."""
     shutil.copytree(CORPUS, workdir / "corpus")
     for name, content in BAD_INPUTS.items():
         path = workdir / name
@@ -153,7 +174,7 @@ def record(workdir: Path) -> dict[str, list]:
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        return {" ".join(argv): outcome(argv) for argv in cases()}
+        return {" ".join(argv): each(argv) for argv in cases()}
     finally:
         os.chdir(previous)
 
@@ -173,4 +194,8 @@ def test_cli_behaviour_matches_golden_file(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        GOLDEN.write_text(dump(record(Path(scratch))), encoding="utf-8")
+        if sys.argv[1:] == ["--decode"]:
+            for line in record(Path(scratch), decode).values():
+                print(line)
+        else:
+            GOLDEN.write_text(dump(record(Path(scratch))), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Parsing, printing, round-trips, and diagnostic quality."""
 
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from apimod.dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
     parse_scenario, parse_value_model, print_model, quote_name,
 )
+from apimod.dsl.lexer import KEYWORDS
 from apimod.evaluate import Scenario
 from apimod.govern import AutomationLevel, Dimension
 from apimod.lifecycle import ApiDescriptor, LifecycleStage, Stability, ValueCurveSample
@@ -599,6 +601,10 @@ def test_a_round_curve_time_of_a_million_or_more_parses_prints_and_round_trips(t
 # Unexpected statement heads, block by block
 # ---------------------------------------------------------------------------
 
+_METRIC_FIELD = "statement (what|why|who|where|links|dimensions|automation)"
+_LABEL = "label (denied|partden|unknown|partsat|satisfied)"
+_STAGE = "lifecycle stage (plan|operation|deprecation|retire)"
+
 #: Per braced block: a text whose statement head is `HEAD`, the error each
 #: unexpected head gets (punctuation, a number, an empty quoted name and a
 #: keyword of another block), and the errors of the two statements after it,
@@ -606,63 +612,62 @@ def test_a_round_curve_time_of_a_million_or_more_parses_prints_and_round_trips(t
 STATEMENT_HEADS = {
     "value-model top": (
         "valuemodel M {\n  HEAD\n  stimulus = in A\n  actor =\n}",
-        {"=": ("expected actor, flow, or stimulus, found '='", 2, 3),
-         "7": ("expected actor, flow, or stimulus, found '7'", 2, 3),
-         '""': ("expected actor, flow, or stimulus, found ''", 2, 3),
-         "depend": ("expected actor, flow, or stimulus, found 'depend'", 2, 3)},
+        {"=": ("expected statement (actor|flow|stimulus), found '='", 2, 3),
+         "7": ("expected statement (actor|flow|stimulus), found '7'", 2, 3),
+         '""': ("expected statement (actor|flow|stimulus), found 'string'", 2, 3),
+         "depend": ("expected statement (actor|flow|stimulus), found 'depend'", 2, 3)},
         [("expected stimulus name, found '='", 3, 12),
          ("expected actor name, found '='", 4, 9)]),
     "value-model actor body": (
         "valuemodel M {\n  actor A {\n    HEAD\n    activity =\n    layer =\n  }\n}",
-        {"=": ("expected actor-body statement, found '='", 3, 5),
-         "7": ("expected actor-body statement, found '7'", 3, 5),
-         '""': ("expected actor-body statement, found ''", 3, 5),
-         "goal": ("expected actor-body statement, found 'goal'", 3, 5)},
+        {"=": ("expected statement (activity|api|market|layer|bapo), found '='", 3, 5),
+         "7": ("expected statement (activity|api|market|layer|bapo), found '7'", 3, 5),
+         '""': ("expected statement (activity|api|market|layer|bapo), found 'string'", 3, 5),
+         "goal": ("expected statement (activity|api|market|layer|bapo), found 'goal'", 3, 5)},
         [("expected activity name, found '='", 4, 14),
          ("expected '(', found '='", 5, 11)]),
     "goal-model top": (
         "goalmodel M {\n  HEAD\n  partof = -> A\n  depend =\n}",
-        {"=": ("expected actor, depend, or partof, found '='", 2, 3),
-         "7": ("expected actor, depend, or partof, found '7'", 2, 3),
-         '""': ("expected actor, depend, or partof, found ''", 2, 3),
-         "flow": ("expected actor, depend, or partof, found 'flow'", 2, 3)},
+        {"=": ("expected statement (actor|depend|partof), found '='", 2, 3),
+         "7": ("expected statement (actor|depend|partof), found '7'", 2, 3),
+         '""': ("expected statement (actor|depend|partof), found 'string'", 2, 3),
+         "flow": ("expected statement (actor|depend|partof), found 'flow'", 2, 3)},
         [("expected actor, found '='", 3, 10),
          ("expected actor reference, found '='", 4, 10)]),
     "goal-model actor body": (
         # A name starts a link statement, so `""` and a keyword of another
-        # block are read as its source.
+        # block are read as its source; `""` is then followed by `task`.
         "goalmodel M {\n  actor A {\n    HEAD\n    task =\n    bapo = X\n  }\n}",
-        {"=": ("expected actor-body statement, found '='", 3, 5),
-         "7": ("expected actor-body statement, found '7'", 3, 5),
-         '""': ("expected and/or/makes/helps/hurts/breaks after ''", 4, 5),
+        {"=": ("expected statement (goal|quality|task|resource|layer|bapo), found '='", 3, 5),
+         "7": ("expected statement (goal|quality|task|resource|layer|bapo), found '7'", 3, 5),
+         '""': ("expected link (and|or|makes|helps|hurts|breaks), found 'task'", 4, 5),
          "activity": ("expected element reference, found 'activity'", 3, 5)},
         [("expected element name, found '='", 4, 10),
          ("expected BAPO tag (B|A|P|O), found 'X'", 5, 12)]),
     "api body": (
         "api A {\n  HEAD\n  rationale =\n  stage =\n}",
-        {"=": ("expected stage, observed, curve, or rationale, found '='", 2, 3),
-         "7": ("expected stage, observed, curve, or rationale, found '7'", 2, 3),
-         '""': ("expected stage, observed, curve, or rationale, found ''", 2, 3),
-         "label": ("expected stage, observed, curve, or rationale, found 'label'", 2, 3)},
+        {"=": ("expected statement (stage|observed|curve|rationale), found '='", 2, 3),
+         "7": ("expected statement (stage|observed|curve|rationale), found '7'", 2, 3),
+         '""': ("expected statement (stage|observed|curve|rationale), found 'string'", 2, 3),
+         "label": ("expected statement (stage|observed|curve|rationale), found 'label'", 2, 3)},
         [("expected rationale tag, found '='", 3, 13),
-         ("expected lifecycle stage, found '='", 4, 9)]),
+         (f"expected {_STAGE}, found '='", 4, 9)]),
     "metric body": (
         'metric "M" {\n  HEAD\n  automation =\n  dimensions =\n}',
-        {"=": ("unknown metric field '='", 2, 3),
-         "7": ("unknown metric field '7'", 2, 3),
-         '""': ("unknown metric field ''", 2, 3),
-         "stage": ("unknown metric field 'stage'", 2, 3)},
+        {"=": (f"expected {_METRIC_FIELD}, found '='", 2, 3),
+         "7": (f"expected {_METRIC_FIELD}, found '7'", 2, 3),
+         '""': (f"expected {_METRIC_FIELD}, found 'string'", 2, 3),
+         "stage": (f"expected {_METRIC_FIELD}, found 'stage'", 2, 3)},
         [("expected automation level (automatable|partial|manual), found '='", 3, 14),
          ("expected dimension (business|usage|design|implementation), found '='", 4, 14)]),
     "scenario body": (
-        # Scenarios show an empty name by its token kind.
         "scenario s {\n  HEAD\n  label = = denied\n  label G = 7\n}",
-        {"=": ("expected 'label', found '='", 2, 3),
-         "7": ("expected 'label', found '7'", 2, 3),
-         '""': ("expected 'label', found 'string'", 2, 3),
-         "actor": ("expected 'label', found 'actor'", 2, 3)},
+        {"=": ("expected statement (label), found '='", 2, 3),
+         "7": ("expected statement (label), found '7'", 2, 3),
+         '""': ("expected statement (label), found 'string'", 2, 3),
+         "actor": ("expected statement (label), found 'actor'", 2, 3)},
         [("expected element or dependum id, found '='", 3, 9),
-         ("expected label, found '7'", 4, 13)]),
+         (f"expected {_LABEL}, found '7'", 4, 13)]),
 }
 
 
@@ -690,7 +695,7 @@ def test_unexpected_statement_head_is_reported_and_parsing_resumes(block, head):
      "1:40: error E-DUP label assigned twice for 'T'"),
     ("goalmodel M { actor A { goal G task T task U G and T G or U } }",
      "1:54: error E-REFINE element 'G' already has a refinement"),
-    ("api X { stage plan } x", "1:22: error E-SYNTAX unexpected trailing input 'x'"),
+    ("api X { stage plan } x", "1:22: error E-SYNTAX expected end of input, found 'x'"),
     ("goalmodel M { actor A { quality Q  task T  T helps Q  Q hurts Q } }",
      "1:63: error E-SELF contribution must connect two distinct elements"),
     # An actor body open at the end of input, and an unknown actor at both
@@ -709,13 +714,13 @@ def test_rule_reports_its_one_diagnostic(text, expected):
 
 @pytest.mark.parametrize("parse, text, expected", [
     (parse_value_model, "valuemodel M { actor A } actor B",
-     "1:26: error E-SYNTAX unexpected trailing input 'actor'"),
+     "1:26: error E-SYNTAX expected end of input, found 'actor'"),
     (parse_goal_model, "goalmodel M { actor A { goal G } } actor B { goal H }",
-     "1:36: error E-SYNTAX unexpected trailing input 'actor'"),
+     "1:36: error E-SYNTAX expected end of input, found 'actor'"),
     (parse_goal_model, "goalmodel M { actor A { goal G } } }",
-     "1:36: error E-SYNTAX unexpected trailing input '}'"),
+     "1:36: error E-SYNTAX expected end of input, found '}'"),
     (parse_scenario, "scenario s { label T = satisfied } label U = denied",
-     "1:36: error E-SYNTAX unexpected trailing input 'label'"),
+     "1:36: error E-SYNTAX expected end of input, found 'label'"),
 ], ids=["value", "goal", "goal-brace", "scenario"])
 def test_nothing_may_follow_the_closing_brace(parse, text, expected):
     for r in (parse(text, "m"), parse_model(text, "m")):
@@ -728,15 +733,33 @@ def test_nothing_may_follow_the_closing_brace(parse, text, expected):
 #: short at that column, the text ends where the read expected a token.
 _CHARACTERISTIC = ("characteristic (stability|change|commitment|governance|compatibility"
                    "|support)")
+_ELEMENT_KINDS = "(goal|quality|task|resource)"
 TOKEN_READS = {
     "bapo": ("valuemodel M { actor A { bapo = B, X } }", "BAPO tag (B|A|P|O)", 36, "X"),
     "status": ("valuemodel M { actor A actor B flow D from A to B status broken }",
-               "problematic or missing", 58, "broken"),
+               "flow status (problematic|missing)", 58, "broken"),
     "characteristic": ("api X { stage plan observed speed stable }", _CHARACTERISTIC, 29,
                        "speed"),
     "characteristic value": ("api X { stage plan observed stability solid }",
                              "stability value (unstable|mainly_stable|stable)", 39, "solid"),
     "number": ("api X { stage plan curve x plan 0.5 }", "sample time", 26, "x"),
+    "layer": ("valuemodel M { actor A { layer(F) = top } }", "layer (domain|usage|api|asset)",
+              37, "top"),
+    "object kind": ("valuemodel M { actor A actor B flow D from A to B : money }",
+                    f"object kind {_ELEMENT_KINDS}", 53, "money"),
+    "dependum kind": ("goalmodel M { actor A actor B depend A -> B : wish D }",
+                      f"dependum kind {_ELEMENT_KINDS}", 47, "wish"),
+    "depend label": ("goalmodel M { actor A actor B depend A -> B : goal D = maybe }", _LABEL,
+                     56, "maybe"),
+    "scenario label": ("scenario s { label T = maybe }", _LABEL, 24, "maybe"),
+    "stage": ("api X { stage launch }", _STAGE, 15, "launch"),
+    "curve stage": ("api X { stage plan curve 0 launch 0.5 }", _STAGE, 28, "launch"),
+    "dimension": ('metric M { dimensions business, nowhere }',
+                  "dimension (business|usage|design|implementation)", 33, "nowhere"),
+    "automation level": ('metric M { automation always }',
+                         "automation level (automatable|partial|manual)", 23, "always"),
+    "link": ("goalmodel M { actor A { goal G task T G needs T } }",
+             "link (and|or|makes|helps|hurts|breaks)", 41, "needs"),
 }
 
 
@@ -755,6 +778,49 @@ def test_token_read_words_what_it_expected_and_found(read, cut):
     assert [d.render() for d in r.diagnostics] == expected
 
 
+#: Each place where a read lists its choices, as a text with `HEAD` at the
+#: read, and the line and column of the read: the statement head of every
+#: `STATEMENT_HEADS` block and every `TOKEN_READS` read of a word.
+_CHOICE_SITES = {
+    **{block: (text, *heads["="][1:]) for block, (text, heads, _) in STATEMENT_HEADS.items()},
+    **{read: (text[:col - 1] + "HEAD" + text[col - 1 + len(found):], 1, col)
+       for read, (text, _, col, found) in TOKEN_READS.items() if read != "number"},
+}
+
+
+def _message_at(text: str, line: int, col: int):
+    """The message of the diagnostic at `line`:`col` of `text`, or None."""
+    return next((message for _, message, *at in diagnostics_at(parse_model(text))
+                 if at == [line, col]), None)
+
+
+def _choices(site: str):
+    """The words listed in the message for `=` at `site`, or None if it
+    lists none."""
+    text, line, col = _CHOICE_SITES[site]
+    message = _message_at(text.replace("HEAD", "="), line, col)
+    listed = re.fullmatch(r"expected [^(]*\(([\w|]+)\), found '='", message)
+    return listed and listed[1].split("|")
+
+
+@pytest.mark.parametrize("site", _CHOICE_SITES)
+def test_a_listed_choice_is_exactly_what_the_parser_accepts_there(site):
+    text, line, col = _CHOICE_SITES[site]
+    listed = _choices(site)
+    assert listed is not None
+    accepted = [word for word in sorted(KEYWORDS.union(listed))
+                if _message_at(text.replace("HEAD", word), line, col) is None]
+    assert sorted(listed) == accepted
+
+
+def test_lists_of_the_same_words_name_them_in_one_order():
+    orders: dict[frozenset, set] = {}
+    for site in _CHOICE_SITES:
+        if listed := _choices(site):
+            orders.setdefault(frozenset(listed), set()).add(tuple(listed))
+    assert [order for order in orders.values() if len(order) > 1] == []
+
+
 @pytest.mark.parametrize("text, found, col", [
     ('metric M { what "w" } x', "x", 23),
     # An empty quoted name shows as its kind; the loop ends at the end of input.
@@ -771,7 +837,8 @@ def test_metric_catalog_head_words_what_it_expected_and_found(text, found, col):
 def test_parse_model_shows_an_unrecognized_head_as_a_token(text, shown, at):
     r = parse_model(text, "m")
     assert [d.render() for d in r.diagnostics] == [
-        f"m:{at}: error E-SYNTAX unrecognized model format (found {shown!r})"]
+        f"m:{at}: error E-SYNTAX expected model (valuemodel|goalmodel|api|metric|scenario), "
+        f"found {shown!r}"]
 
 
 def test_print_model_refuses_a_non_model():
