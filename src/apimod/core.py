@@ -435,18 +435,8 @@ class GoalModel(Record):
         self.associations = [] if associations is None else associations
         self.draft = draft
 
-    def element_map(self) -> dict[str, GElement]:
-        return {e.id: e for a in self.actors for e in a.elements}
-
     def actor_map(self) -> dict[str, GActor]:
         return {a.id: a for a in self.actors}
-
-    def owner_of(self, element_id: str) -> GActor | None:
-        for a in self.actors:
-            for e in a.elements:
-                if e.id == element_id:
-                    return a
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from ..core import (
     sort_diagnostics, tuple_new,
 )
 from ..validate import (
-    duplicate_diagnostics, element_maps, goal_reference_problems, link_problems,
-    reference_diagnostic, reference_problems, self_links,
+    duplicate_diagnostics, link_problems, names, reference_diagnostic, reference_problems,
+    self_links,
 )
 from . import lexer
 from .lexer import KEYWORDS, LexError, TokKind, Tokens, tokenize
@@ -169,10 +169,12 @@ class _Parser:
     def block(self, statements: dict, other=None) -> None:
         """Read a block's statements and its closing brace. `statements`
         maps each statement keyword to its handler, called as
-        `handler(parser, head)` once the head is consumed. Any other head is
-        passed to `other(head)` if it is a name, and is otherwise reported
-        through `fail` as an expected statement, listing the keywords of
-        `statements`. After an error, parsing resumes at the next keyword of
+        `handler(parser, head)` once the head is consumed. `other`, if
+        given, is a `(what, handler)` pair: another identifier or string
+        head is read by `name(what)` and its position passed to `handler`.
+        Any other head is reported through `fail` as an expected statement,
+        listing the keywords of `statements`, then `or what` if `other` is
+        given. After an error, parsing resumes at the next keyword of
         `statements`. At the end of input the missing brace is reported
         through `fail` without unwinding, since no enclosing block could
         resume there."""
@@ -193,9 +195,11 @@ class _Parser:
                     self.pos = pos + 1
                     handler(self, pos)
                 elif other is not None and (kind is _IDENT or kind is _STRING):
-                    other(pos)
+                    what, handler = other
+                    handler(self.name(what))
                 else:
-                    raise self.fail(f"statement ({'|'.join(statements)})", pos)
+                    alternative = "" if other is None else f" or {other[0]}"
+                    raise self.fail(f"statement ({'|'.join(statements)}){alternative}", pos)
             except _ParseAbort:
                 self.sync(statements)
 
@@ -351,12 +355,12 @@ class _ValueModelParser(_Parser):
 
     def finish(self) -> None:
         model = self.model
-        self.diagnostics += duplicate_diagnostics(model)
+        found = names(model)
+        self.diagnostics += duplicate_diagnostics(found)
 
         # `Actor.activity` is bound here, from the name tokens rather than the
         # joined text (names may contain dots); any other endpoint is left to
         # `reference_problems`.
-        activity_owner = {act.id: a.id for a in model.actors for act in a.activities}
         values = self.values
         ends: dict[tuple[int, str], _Ref] = {}
         for flow, src, dst in self.raw_flows:
@@ -364,7 +368,7 @@ class _ValueModelParser(_Parser):
                 owner, element = ref
                 if element is None or not values[element]:
                     ends[id(flow), attr] = ref
-                elif activity_owner.get(values[element]) == values[owner]:
+                elif found.owner.get(values[element]) == values[owner]:
                     setattr(flow, attr, values[element])
                 else:
                     self.error("E-REF", f"unknown endpoint {getattr(flow, attr)!r}",
@@ -372,7 +376,7 @@ class _ValueModelParser(_Parser):
         for code, message, flow in self_links(model):
             src = next(ref for raw, ref, _ in self.raw_flows if raw is flow)
             self.error(code, message, self.span(*src))
-        for kind, ref, owner in reference_problems(model):
+        for kind, ref, owner in reference_problems(model, found, ()):
             if kind == "parent":
                 self.error("E-REF", f"unknown parent actor {ref!r}",
                            self.span(self.parents[id(owner)]))
@@ -413,7 +417,7 @@ class _GoalModelParser(_Parser):
             self.model.associations.append(AssociationLink(
                 AssociationKind.PART_OF, name, self.values[parent], span=self.span(parent)))
         if self.eat("{"):
-            self.block(self.ACTOR_STATEMENTS, self.parse_link_stmt)
+            self.block(self.ACTOR_STATEMENTS, ("element reference", self.parse_link_stmt))
 
     def parse_element(self, kw: int) -> None:
         element = self.name("element name")
@@ -422,8 +426,7 @@ class _GoalModelParser(_Parser):
         self.actor.elements.append(GElement(
             value, _ELEMENT_KIND_WORDS[self.values[kw]], value, None, None, self.span(element)))
 
-    def parse_link_stmt(self, head: int) -> None:
-        source = self.name("element reference")
+    def parse_link_stmt(self, source: int) -> None:
         kind = self.keyword_choice(_LINK_WORDS, "link")
         values = self.values
         if type(kind) is RefinementKind:
@@ -468,12 +471,12 @@ class _GoalModelParser(_Parser):
 
     def finish(self) -> None:
         model = self.model
-        self.diagnostics += duplicate_diagnostics(model)
-        local_maps, elements = element_maps(model)
+        found = names(model)
+        self.diagnostics += duplicate_diagnostics(found)
+        members, elements = found.members, found.nodes
 
         unresolved: dict[int, list[str]] = {}  # statement position -> its unknown ids
-        for kind, ref, owner in goal_reference_problems(model, self.pending,
-                                                        local_maps, elements):
+        for kind, ref, owner in reference_problems(model, found, self.pending):
             if kind == "end":
                 self.error("E-REF", f"unknown element {ref.element!r} in actor "
                            f"{ref.actor!r}", owner.span)
@@ -487,7 +490,7 @@ class _GoalModelParser(_Parser):
         # a refined quality hides its children.
         for actor, source, link, at in self.pending:
             missing = unresolved.get(at, ()) if unresolved else ()
-            local = local_maps[id(actor)]
+            local = members[id(actor)]
             el = None if source in missing else local[source]
             if el is None:
                 self.error("E-REF", f"unknown element {source!r} in actor {actor.id!r}",

@@ -251,7 +251,7 @@ def detect_value_mismatches(d: ApiDescriptor,
     M1  value already very high while still planning
     M2  value not on the rise across the final planning window before operation
     M3  operation reached although value never got very high
-    M4  value collapses from its running peak while still in operation
+    M4  value falls by at least `drop_fraction` from its in-operation peak
     M5  value still very high when deprecation or retirement begins
     """
     if not d.curve:
@@ -284,7 +284,7 @@ def detect_value_mismatches(d: ApiDescriptor,
     for s in d.curve:
         if s.stage is LifecycleStage.OPERATION:
             peak = s.value if peak is None else max(peak, s.value)
-            if s.value <= (1.0 - cfg.drop_fraction) * peak:
+            if s.value < peak and s.value <= (1.0 - cfg.drop_fraction) * peak:
                 add("M4", f"value fell to {s.value:g} at t={s.t:g}, from an in-operation "
                           f"peak of {peak:g}, while still operational")
     first_end = next((s for s in d.curve

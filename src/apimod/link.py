@@ -14,6 +14,7 @@ from .core import (
     Contribution, ContributionStrength, Diagnostic, ElementKind, GElement,
     GoalModel, MetricDef, Severity, TupleRecord, sort_diagnostics, tuple_new,
 )
+from .validate import names
 
 
 def metric_quality_id(metric_name: str) -> str:
@@ -26,7 +27,8 @@ def link_metrics(model: GoalModel,
     """Produce a new model with one quality per linked metric; idempotent."""
     out = copy.deepcopy(model)
     diagnostics: list[Diagnostic] = []
-    elements = out.element_map()
+    found = names(out)
+    elements, owners = found.nodes, found.owner
 
     for metric in metrics:
         if not metric.links:
@@ -49,11 +51,12 @@ def link_metrics(model: GoalModel,
             continue
         quality_id = metric_quality_id(metric.name)
         if quality_id not in elements:
-            owner = out.owner_of(targets[0].id)
+            owner = owners[targets[0].id]
             quality = GElement(id=quality_id, kind=ElementKind.QUALITY,
                                name=quality_id)
-            owner.elements.append(quality)
+            found.actors[owner].elements.append(quality)
             elements[quality_id] = quality
+            owners[quality_id] = owner
         for el in targets:
             link = Contribution(quality_id, ContributionStrength.HELPS)
             if link not in el.contributions:
@@ -76,12 +79,13 @@ class WhoRow(TupleRecord):
 def who_report(model: GoalModel, metrics: list[MetricDef]) -> list[WhoRow]:
     """Answer why/who/where per metric, plus which actors host its links."""
     rows = []
+    owners = names(model).owner
     for metric in metrics:
         actors: list[str] = []
         for ref in metric.links:
-            owner = model.owner_of(ref)
-            if owner is not None and owner.id not in actors:
-                actors.append(owner.id)
+            owner = owners.get(ref)
+            if owner is not None and owner not in actors:
+                actors.append(owner)
         rows.append(WhoRow(metric.name, metric.why, list(metric.who),
                            list(metric.where), actors))
     return rows

@@ -14,7 +14,7 @@ from .core import (
     ApimodError, Diagnostic, ElementKind, GoalModel, Layer, Severity, ValueModel,
     load_package_data,
 )
-from .validate import duplicate_ids, reference_diagnostic, reference_problems
+from .validate import names, reference_diagnostic, reference_problems
 
 #: `encode_basestring_ascii`, the C string encoder that `json.dumps` writes
 #: strings with, once the first `report_json` call has imported it from
@@ -56,11 +56,11 @@ def export_dot(model, cluster_by_actor: bool = True,
     """
     if not isinstance(model, (GoalModel, ValueModel)):
         raise TypeError(f"cannot export {type(model).__name__}")
-    repeated = duplicate_ids(model)
-    if repeated:
+    found = names(model)
+    if found.repeats:
         raise ApimodError(f"cannot export {model.name!r}: duplicate identifier "
-                          f"{repeated[0].id!r}", code="E-DUP")
-    problems = reference_problems(model)
+                          f"{found.repeats[0].id!r}", code="E-DUP")
+    problems = reference_problems(model, found, ())
     if problems:
         d = reference_diagnostic(*problems[0])
         raise ApimodError(f"cannot export {model.name!r}: {d.message}", code=d.code)

@@ -18,7 +18,7 @@ from .core import (
     Dependum, Diagnostic, ElementKind, GActor, GElement, GoalModel, Label,
     Severity, ValueModel, sort_diagnostics,
 )
-from .validate import duplicate_ids, validate_value_model
+from .validate import names, validate_value_model
 
 
 def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnostic]]:
@@ -70,7 +70,7 @@ def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnost
             span=flow.span,
         ))
 
-    repeated = duplicate_ids(goal)
+    repeated = names(goal).repeats
     if repeated:
         raise ApimodError(f"activity or stimulus {repeated[0].id!r} repeats the id of a "
                           "dependency, which the draft numbers d1, d2, ...", code="E-DUP")

@@ -1,63 +1,84 @@
 """Structural and methodological model checks.
 
-`duplicate_ids` alone decides which declarations repeat an id, and
-`reference_problems` alone decides whether a model's references resolve;
-its goal-model half, `goal_reference_problems`, takes the `element_maps`
-that the parser and `validate_goal_model` also use for link typing. For
-goal models it follows iStar 2.0: refinement children stay inside their
-parent's actor, and dependencies name elements only of open actors. The
-parser reports its problems as E-REF at the tokens, validation as E-DANGLE at
-the model objects (E-CYCLE for a partnership cycle, which
-`reference_diagnostic` words for both); both report a repeated id as E-DUP
-at the declaration that repeats it, through `duplicate_diagnostics`.
-`link_problems` (link typing) and `self_links` decide E-REFINE, E-CONTRIB
-and E-SELF for both, and one search, `_cycles`, finds partnership and
-refinement cycles alike, over the edges of each id's last declaration.
-Value models are also checked for reciprocity, scoping, a captured API and
-a stimulus; goal models for floating elements. Layer and BAPO coverage
-checks work on both model types.
+`names` alone resolves a model's ids, in one walk per call: which
+declarations repeat an id, the actors, each actor's members and every
+member's owner, where the last declaration of an id wins. Every check that
+resolves a name reads what it returns, and `reference_problems` alone
+decides from it whether a model's references resolve. For goal models it
+follows iStar 2.0: refinement children stay inside their parent's actor, and
+dependencies name elements only of open actors. The parser reports its
+problems as E-REF at the tokens, validation as E-DANGLE at the model objects
+(E-CYCLE for a partnership cycle, which `reference_diagnostic` words for
+both); both report a repeated id as E-DUP at the declaration that repeats
+it, through `duplicate_diagnostics`. `link_problems` (link typing) and
+`self_links` decide E-REFINE, E-CONTRIB and E-SELF for both, and one search,
+`_cycles`, finds partnership and refinement cycles alike, over the edges of
+each id's last declaration. Value models are also checked for reciprocity,
+scoping, a captured API and a stimulus; goal models for floating elements.
+Layer and BAPO coverage checks work on both model types.
 """
 
 from __future__ import annotations
 
 from .core import (
     BapoTag, Contribution, Diagnostic, ElementKind, GoalModel, Layer, Refinement, Severity,
-    ValueModel, sort_diagnostics,
+    TupleRecord, ValueModel, sort_diagnostics, tuple_new,
 )
 
 _QUALITY = ElementKind.QUALITY  # an enum member costs a lookup per access
 
 
-def _repeated(declared, seen: set) -> list:
-    """The objects of `declared` whose id is in `seen` or an earlier one's.
-    Adds every id to `seen`."""
-    repeats = []
-    for obj in declared:
-        if obj.id in seen:
+class Names(TupleRecord):
+    """What `names` finds in one walk of a model's declarations. Where an id
+    repeats, the last declaration wins."""
+
+    __slots__ = ()
+    repeats: list  # the declarations whose id an earlier one of their namespace holds
+    actors: dict  # id -> actor
+    members: dict  # `id()` of each actor declaration -> its elements or activities by id
+    nodes: dict  # id -> element or activity
+    owner: dict  # element or activity id -> its actor's id
+
+    def __new__(cls, repeats, actors, members, nodes, owner):
+        return tuple_new(cls, (repeats, actors, members, nodes, owner))
+
+
+def names(model: ValueModel | GoalModel) -> Names:
+    """The one walk that resolves a model's names. A value model's actors,
+    activities and stimuli share one namespace. A goal model's actors and
+    elements share one, and its evaluation nodes, elements and then
+    dependencies (`d1`, `d2`, ...), share another, so a dependency whose id
+    names an element repeats it."""
+    repeats: list = []
+    actors: dict = {}
+    members: dict = {}
+    nodes: dict = {}
+    owner: dict = {}
+
+    def walk(actor, declared: list) -> None:
+        members[id(actor)] = local = {}
+        for obj in declared:
+            if obj.id in nodes or obj.id in actors:
+                repeats.append(obj)
+            local[obj.id] = nodes[obj.id] = obj
+            owner[obj.id] = actor.id
+
+    value = isinstance(model, ValueModel)
+    for actor in model.actors:
+        if actor.id in actors or actor.id in nodes:
+            repeats.append(actor)
+        actors[actor.id] = actor
+        if value:  # each actor's activities follow it in the one namespace
+            walk(actor, actor.activities)
+    if not value:  # every actor precedes the elements
+        for actor in model.actors:
+            walk(actor, actor.elements)
+    taken = {*actors, *nodes} if value else set(nodes)
+    for obj in model.stimuli if value else model.dependencies:
+        if obj.id in taken:
             repeats.append(obj)
-        seen.add(obj.id)
-    return repeats
-
-
-def duplicate_ids(model: ValueModel | GoalModel) -> list:
-    """The declarations whose id an earlier declaration of the same
-    namespace holds. A value model's actors, activities and stimuli share
-    one namespace. A goal model's actors and elements share one, and its
-    evaluation nodes, elements and then dependencies (`d1`, `d2`, ...),
-    share another, so a dependency whose id names an element repeats it."""
-    if isinstance(model, ValueModel):
-        return _repeated([x for a in model.actors for x in (a, *a.activities)]
-                         + model.stimuli, set())
-    actors: set = set()
-    repeats = _repeated(model.actors, actors)
-    nodes: set = set()  # element ids, then dependency ids; one walk of the elements
-    add = nodes.add
-    for a in model.actors:
-        for el in a.elements:
-            if el.id in nodes or el.id in actors:
-                repeats.append(el)
-            add(el.id)
-    return repeats + _repeated(model.dependencies, nodes)
+        taken.add(obj.id)
+    return Names(repeats, actors, members, nodes, owner)
 
 
 def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:
@@ -107,21 +128,22 @@ def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:
     return sorted(cycles)
 
 
-def reference_problems(model: ValueModel | GoalModel) -> list[tuple[str, object, object]]:
+def reference_problems(model: ValueModel | GoalModel, found: Names,
+                       pending) -> list[tuple[str, object, object]]:
     """`(kind, ref, owner)` for each reference of `model` that does not
-    resolve: `ref` as written, `owner` the object holding it. Value models:
-    `parent`, `cycle` (the actor's id is on a partnership cycle), `source` and
-    `target` (flow endpoints) and `stimulus`. Goal models: for each link
-    placed on an element, `child` or `contribution` (its target); then
-    `actor` (once per unknown actor of a dependency), `end` and `closed` for
-    dependency ends (`ref` is the `DependencyEnd`) and `partof` (once per
-    unknown actor of a link). Where ids repeat, the last declaration
-    resolves."""
+    resolve by its `names` index `found`: `ref` as written, `owner` the
+    object holding it. Value models: `parent`, `cycle` (the actor's id is on
+    a partnership cycle), `source` and `target` (flow endpoints) and
+    `stimulus`. Goal models: for each link placed on an element, `child` or
+    `contribution` (its target); then for each `pending` statement not yet
+    placed, as `(actor, source id, Refinement or Contribution, owner)`,
+    `element` for its source (then nothing else of it is checked), else
+    `child` or `contribution`; then `actor` (once per unknown actor of a
+    dependency), `end` and `closed` for dependency ends (`ref` is the
+    `DependencyEnd`) and `partof` (once per unknown actor of a link)."""
     problems: list[tuple[str, object, object]] = []
+    actors, members, nodes = found.actors, found.members, found.nodes
     if isinstance(model, ValueModel):
-        actors = model.actor_map()
-        endpoints = set(actors)
-        endpoints.update([act.id for a in model.actors for act in a.activities])
         cyclic = {i for scc in _cycles({a.id: () if a.parent is None else (a.parent,)
                                         for a in model.actors}) for i in scc}
         for actor in model.actors:
@@ -130,50 +152,28 @@ def reference_problems(model: ValueModel | GoalModel) -> list[tuple[str, object,
             if actor.id in cyclic:
                 problems.append(("cycle", actor.id, actor))
         for flow in model.flows:
-            if flow.source not in endpoints:
+            if flow.source not in actors and flow.source not in nodes:
                 problems.append(("source", flow.source, flow))
-            if flow.target not in endpoints:
+            if flow.target not in actors and flow.target not in nodes:
                 problems.append(("target", flow.target, flow))
         for stim in model.stimuli:
             if stim.at not in actors:
                 problems.append(("stimulus", stim.at, stim))
         return problems
 
-    return goal_reference_problems(model, (), *element_maps(model))
-
-
-def element_maps(model: GoalModel) -> tuple[dict[int, dict], dict]:
-    """Each actor's elements by id, keyed by actor identity, and the
-    model's elements by id. Where ids repeat, the last declaration wins."""
-    local_maps: dict[int, dict] = {}
-    elements: dict = {}
     for actor in model.actors:
-        local_maps[id(actor)] = local = {el.id: el for el in actor.elements}
-        elements.update(local)
-    return local_maps, elements
-
-
-def goal_reference_problems(model: GoalModel, pending, local_maps: dict,
-                            elements: dict) -> list[tuple[str, object, object]]:
-    """`reference_problems` of a goal model, given its `element_maps`, and
-    of each `pending` statement not yet placed on an element, as `(actor,
-    source id, Refinement or Contribution, owner)`: `element` for its source
-    (then nothing else of it is checked), else `child` or `contribution`."""
-    problems: list[tuple[str, object, object]] = []
-    for actor in model.actors:
-        ids = local_maps[id(actor)]
+        ids = members[id(actor)]
         for el in actor.elements:  # its own actor's scope holds its id
             if el.refinement is not None:
-                _link_references(el.refinement, ids, elements, el, problems)
+                _link_references(el.refinement, ids, nodes, el, problems)
             for link in el.contributions:
-                _link_references(link, ids, elements, el, problems)
+                _link_references(link, ids, nodes, el, problems)
     for actor, source, link, owner in pending:
-        ids = local_maps[id(actor)]
+        ids = members[id(actor)]
         if source not in ids:
             problems.append(("element", source, owner))
         else:
-            _link_references(link, ids, elements, owner, problems)
-    actors = {actor.id: actor for actor in model.actors}
+            _link_references(link, ids, nodes, owner, problems)
     for dep in model.dependencies:
         for end in (dep.depender, dep.dependee):
             actor = actors.get(end.actor)
@@ -184,7 +184,7 @@ def goal_reference_problems(model: GoalModel, pending, local_maps: dict,
                 continue
             elif not actor.open:  # iStar 2.0: a closed actor shows no elements
                 problems.append(("closed", end, dep))
-            elif end.element not in local_maps[id(actor)]:
+            elif end.element not in members[id(actor)]:
                 problems.append(("end", end, dep))
     for link in model.associations:
         for end in dict.fromkeys((link.source, link.target)):
@@ -266,17 +266,17 @@ def self_links(model: ValueModel | GoalModel) -> list[tuple[str, str, object]]:
             for dep in model.dependencies if dep.depender == dep.dependee]
 
 
-def duplicate_diagnostics(model: ValueModel | GoalModel) -> list[Diagnostic]:
-    """E-DUP at each declaration whose id is taken (see `duplicate_ids`)."""
+def duplicate_diagnostics(found: Names) -> list[Diagnostic]:
+    """E-DUP at each declaration whose id is taken (`Names.repeats`)."""
     return [Diagnostic(Severity.ERROR, "E-DUP", f"duplicate identifier {obj.id!r}", obj.span)
-            for obj in duplicate_ids(model)]
+            for obj in found.repeats]
 
 
-def _shared_diagnostics(model, problems) -> list[Diagnostic]:
-    """Repeated ids, the `reference_problems` given and self-links, each at
-    its owner."""
-    diags = duplicate_diagnostics(model)
-    diags += [reference_diagnostic(*problem) for problem in problems]
+def _shared_diagnostics(model, found: Names) -> list[Diagnostic]:
+    """Repeated ids, reference problems and self-links, each at its owner."""
+    diags = duplicate_diagnostics(found)
+    diags += [reference_diagnostic(*problem)
+              for problem in reference_problems(model, found, ())]
     return diags + [Diagnostic(Severity.ERROR, code, message, link.span)
                     for code, message, link in self_links(model)]
 
@@ -287,14 +287,15 @@ def validate_value_model(model: ValueModel,
     completeness checks (§-style construction hygiene). With
     `strict_reciprocity`, every actor pair with a flow must also have a
     backflow."""
-    diags = _shared_diagnostics(model, reference_problems(model))
-    owner = {a.id: a.id for a in model.actors}
-    for actor in model.actors:
-        for act in actor.activities:
-            owner[act.id] = actor.id
+    found = names(model)
+    diags = _shared_diagnostics(model, found)
 
-    providers = {owner.get(f.source) for f in model.flows}
-    receivers = {owner.get(f.target) for f in model.flows}
+    def owner(ref: str) -> str | None:
+        """The id of the actor that is or holds endpoint `ref`."""
+        return found.owner.get(ref, ref if ref in found.actors else None)
+
+    providers = {owner(f.source) for f in model.flows}
+    receivers = {owner(f.target) for f in model.flows}
     for actor in model.actors:
         provides, receives = actor.id in providers, actor.id in receivers
         if not provides and not receives:
@@ -314,7 +315,7 @@ def validate_value_model(model: ValueModel,
                 actor.span))
 
     if strict_reciprocity:
-        pairs = {(owner.get(f.source), owner.get(f.target)) for f in model.flows}
+        pairs = {(owner(f.source), owner(f.target)) for f in model.flows}
         for src, dst in sorted(p for p in pairs if None not in p and p[0] != p[1]):
             if (dst, src) not in pairs:
                 diags.append(Diagnostic(
@@ -338,9 +339,9 @@ def validate_value_model(model: ValueModel,
 def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
     """Construction-rule checks: repeated ids, reference problems,
     self-dependencies, refinement cycles, floating elements and link typing."""
-    local_maps, elements = element_maps(model)
-    diags = _shared_diagnostics(
-        model, goal_reference_problems(model, (), local_maps, elements))
+    found = names(model)
+    diags = _shared_diagnostics(model, found)
+    members, elements = found.members, found.nodes
 
     graph = {i: el.refinement.children for i, el in elements.items()
              if el.refinement is not None}
@@ -353,7 +354,7 @@ def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
                 for end in (dep.depender, dep.dependee) if end.element is not None}
     unlinked = []
     for actor in model.actors:
-        local = local_maps[id(actor)]
+        local = members[id(actor)]
         for el in actor.elements:
             links = (el.contributions if el.refinement is None
                      else (el.refinement, *el.contributions))

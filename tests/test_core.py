@@ -29,6 +29,7 @@ from apimod.lifecycle import (
     TransitionReport, TriggerEntry, ValueCurveSample,
 )
 from apimod.link import WhoRow
+from apimod.validate import Names
 
 from helpers import CORPUS
 
@@ -134,6 +135,7 @@ RECORDS = [
     (DimensionCoverage, ((), (), ())),
     (AutomationReport, ((), ("m",), "note")),
     (WhoRow, ("m", "why", ("who",), ("where",), ("A",))),
+    (Names, (("a",), ("A",), (1,), ("a",), ("A",))),
     (ParseResult, (None, ())),
     (SourceSpan, ("f", 1, 2, 3, 4)),
     (Token, (TokKind.IDENT, "goal", SourceSpan("f", 1, 1, 1, 4))),

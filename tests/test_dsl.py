@@ -17,6 +17,7 @@ from apimod.dsl.lexer import KEYWORDS
 from apimod.evaluate import Scenario
 from apimod.govern import AutomationLevel, Dimension
 from apimod.lifecycle import ApiDescriptor, LifecycleStage, Stability, ValueCurveSample
+from apimod.validate import names
 
 from helpers import CORPUS, gen_goal_model, gen_value_model
 
@@ -184,7 +185,7 @@ def test_refinement_statement():
           }
         }""")
     assert r.ok
-    g = r.model.element_map()["G"]
+    g = names(r.model).nodes["G"]
     assert g.refinement.kind is RefinementKind.AND
     assert g.refinement.children == ("T",)
 
@@ -357,7 +358,7 @@ def test_one_error_per_malformed_statement_and_parsing_continues():
     clean = parse_goal_model(text.replace("task and and", "")
                              .replace("quality 17", ""))
     assert clean.ok
-    assert set(clean.model.element_map()) == {"G", "T", "Q"}
+    assert set(names(clean.model).nodes) == {"G", "T", "Q"}
 
 
 def test_diagnostics_carry_spans_inside_offending_tokens():
@@ -604,6 +605,7 @@ def test_a_round_curve_time_of_a_million_or_more_parses_prints_and_round_trips(t
 _METRIC_FIELD = "statement (what|why|who|where|links|dimensions|automation)"
 _LABEL = "label (denied|partden|unknown|partsat|satisfied)"
 _STAGE = "lifecycle stage (plan|operation|deprecation|retire)"
+_ACTOR_BODY = "statement (goal|quality|task|resource|layer|bapo) or element reference"
 
 #: Per braced block: a text whose statement head is `HEAD`, the error each
 #: unexpected head gets (punctuation, a number, an empty quoted name and a
@@ -638,8 +640,8 @@ STATEMENT_HEADS = {
         # A name starts a link statement, so `""` and a keyword of another
         # block are read as its source; `""` is then followed by `task`.
         "goalmodel M {\n  actor A {\n    HEAD\n    task =\n    bapo = X\n  }\n}",
-        {"=": ("expected statement (goal|quality|task|resource|layer|bapo), found '='", 3, 5),
-         "7": ("expected statement (goal|quality|task|resource|layer|bapo), found '7'", 3, 5),
+        {"=": (f"expected {_ACTOR_BODY}, found '='", 3, 5),
+         "7": (f"expected {_ACTOR_BODY}, found '7'", 3, 5),
          '""': ("expected link (and|or|makes|helps|hurts|breaks), found 'task'", 4, 5),
          "activity": ("expected element reference, found 'activity'", 3, 5)},
         [("expected element name, found '='", 4, 10),
@@ -794,12 +796,18 @@ def _message_at(text: str, line: int, col: int):
                  if at == [line, col]), None)
 
 
+def _expected(site: str):
+    """The message for `=` at `site`, matched as `expected X (choices), found
+    '='` with an optional `or Y` after the choices, or None."""
+    text, line, col = _CHOICE_SITES[site]
+    message = _message_at(text.replace("HEAD", "="), line, col)
+    return re.fullmatch(r"expected [^(]*\(([\w|]+)\)( or [\w ]+)?, found '='", message)
+
+
 def _choices(site: str):
     """The words listed in the message for `=` at `site`, or None if it
     lists none."""
-    text, line, col = _CHOICE_SITES[site]
-    message = _message_at(text.replace("HEAD", "="), line, col)
-    listed = re.fullmatch(r"expected [^(]*\(([\w|]+)\), found '='", message)
+    listed = _expected(site)
     return listed and listed[1].split("|")
 
 
@@ -811,6 +819,9 @@ def test_a_listed_choice_is_exactly_what_the_parser_accepts_there(site):
     accepted = [word for word in sorted(KEYWORDS.union(listed))
                 if _message_at(text.replace("HEAD", word), line, col) is None]
     assert sorted(listed) == accepted
+    # A name is accepted there exactly where the message offers one after the list.
+    offers_name = _expected(site)[2] is not None
+    assert (_message_at(text.replace("HEAD", "Zed"), line, col) is None) == offers_name
 
 
 def test_lists_of_the_same_words_name_them_in_one_order():

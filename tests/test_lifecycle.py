@@ -188,6 +188,17 @@ def test_m4_collapse_during_operation():
                   drop_fraction=0.5) == []
 
 
+def test_m4_needs_a_fall_below_the_peak():
+    # A curve that enters operation at 0 has a peak of 0 and never falls.
+    assert "M4" not in detect(curve((P, 0.0), (O, 0.0), (O, 0.0)))
+    # With no drop required, a flat curve still has not fallen.
+    assert detect(curve((O, 0.8), (O, 0.8)), high=0.7, drop_fraction=0.0) == []
+
+
+def test_m4_with_no_drop_required_reports_any_fall():
+    assert detect(curve((O, 0.8), (O, 0.79)), high=0.7, drop_fraction=0.0) == ["M4"]
+
+
 def test_m5_still_high_at_deprecation():
     assert detect(curve((P, 0.3), (P, 0.6), (O, 0.9), (O, 0.85), (DEP, 0.8))) \
         == ["M5"]

@@ -7,6 +7,7 @@ from apimod.dsl import parse_goal_model, parse_metric_catalog, print_model
 from apimod.evaluate import Scenario, propagate
 from apimod.govern import Dimension, MetricDef
 from apimod.link import link_metrics, metric_quality_id, who_report
+from apimod.validate import names
 
 from helpers import CORPUS
 
@@ -46,10 +47,12 @@ def test_linked_metric_materializes_as_quality_with_helps():
         links=["Provide API Governance"]))
     assert diags == []
     quality_id = metric_quality_id("Consistency between APIs")
-    quality = linked.element_map()[quality_id]
+    found = names(linked)
+    quality = found.nodes[quality_id]
     assert quality.kind is ElementKind.QUALITY
-    assert linked.owner_of(quality_id).id == "Platform"
-    source = linked.element_map()["Provide API Governance"]
+    assert found.owner[quality_id] == "Platform"
+    assert quality in found.actors["Platform"].elements
+    source = found.nodes["Provide API Governance"]
     assert any(c.target == quality_id and
                c.strength is ContributionStrength.HELPS
                for c in source.contributions)
@@ -58,8 +61,7 @@ def test_linked_metric_materializes_as_quality_with_helps():
 def test_unlinked_metric_is_warned():
     linked, diags = link_metrics(model(), catalog(links=[]))
     assert [d.code for d in diags] == ["W-UNLINKED"]
-    assert metric_quality_id("Consistency between APIs") not in \
-        linked.element_map()
+    assert metric_quality_id("Consistency between APIs") not in names(linked).nodes
 
 
 def test_dangling_link_is_an_error():
@@ -123,5 +125,5 @@ def test_corpus_link_round_trip():
     assert gm.ok and metrics.ok
     linked, diags = link_metrics(gm.model, metrics.model)
     assert [d.code for d in diags] == ["W-UNLINKED"]  # Update Latency
-    quality = linked.element_map()[metric_quality_id("Sales Volume")]
+    quality = names(linked).nodes[metric_quality_id("Sales Volume")]
     assert quality.kind is ElementKind.QUALITY

@@ -9,7 +9,7 @@ from apimod.core import (
 )
 from apimod.dsl import parse_goal_model, parse_value_model, print_model
 from apimod.transform import transform_value_to_goal
-from apimod.validate import validate_goal_model
+from apimod.validate import names, validate_goal_model
 
 from helpers import CORPUS, gen_value_model, replaced
 
@@ -63,9 +63,9 @@ def test_activity_endpoint_becomes_task_reference():
         }"""))
     dep = goal.dependencies[0]
     assert dep.dependee.element == "Govern API"
-    owner = goal.owner_of("Govern API")
-    assert owner.id == "Platform"
-    assert goal.element_map()["Govern API"].kind is ElementKind.TASK
+    found = names(goal)
+    assert found.owner["Govern API"] == "Platform"
+    assert found.nodes["Govern API"].kind is ElementKind.TASK
 
 
 def test_problematic_and_missing_flows_start_denied():
@@ -95,9 +95,9 @@ def test_partnership_becomes_part_of_link():
 
 def test_stimulus_becomes_goal_in_owner():
     goal, _ = transform_value_to_goal(vm(BASIC))
-    owner = goal.owner_of("Need")
-    assert owner.id == "B"
-    assert goal.element_map()["Need"].kind is ElementKind.GOAL
+    found = names(goal)
+    assert found.owner["Need"] == "B"
+    assert found.nodes["Need"].kind is ElementKind.GOAL
 
 
 def test_empty_model_transforms_to_empty_draft():

@@ -1,11 +1,14 @@
 """Model checks: references, reciprocity, cycles, floats, coverage."""
 
+import importlib
+import pkgutil
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import apimod
 from apimod.core import (
     Activity, ApimodError, AssociationKind, AssociationLink, Contribution,
     ContributionStrength, Dependency, DependencyEnd, Dependum, ElementKind, GActor,
@@ -14,9 +17,10 @@ from apimod.core import (
 )
 from apimod.dsl import parse_goal_model, parse_model, parse_value_model, print_model
 from apimod.evaluate import compile_rules
+from apimod.report import export_dot
 from apimod.transform import transform_value_to_goal
 from apimod.validate import (
-    check_bapo_coverage, check_layer_coverage, duplicate_ids, reference_problems,
+    check_bapo_coverage, check_layer_coverage, names, reference_problems,
     validate_goal_model, validate_value_model,
 )
 
@@ -310,20 +314,53 @@ def test_repeated_id_in_another_actor_is_a_duplicate():
     assert "E-DUP" in codes(parse_model(print_model(model)).diagnostics)
 
 
+def _repeated(declared: list) -> list:
+    """The declarations whose id an earlier one of `declared` holds."""
+    return [x for i, x in enumerate(declared) if any(y.id == x.id for y in declared[:i])]
+
+
 def _goal_duplicates_by_definition(model: GoalModel) -> list:
     """The repeats of a goal model's two namespaces, read off their
     definition: actors then elements, and elements then dependencies."""
-    def repeated(declared):
-        return [x for i, x in enumerate(declared)
-                if any(y.id == x.id for y in declared[:i])]
-
     elements = [el for a in model.actors for el in a.elements]
-    return (repeated(model.actors + elements)
-            + [d for d in repeated(elements + model.dependencies)
+    return (_repeated(model.actors + elements)
+            + [d for d in _repeated(elements + model.dependencies)
                if isinstance(d, Dependency)])
 
 
-@settings(max_examples=200, deadline=None)
+def _value_duplicates_by_definition(model: ValueModel) -> list:
+    """The repeats of a value model's one namespace, read off its
+    definition: the actors and their activities interleaved, then the
+    stimuli."""
+    return _repeated([x for a in model.actors for x in (a, *a.activities)] + model.stimuli)
+
+
+def _last_wins(pairs: list) -> dict:
+    """Each key of `pairs` with the value of the last pair that has it, by a
+    scan for that pair."""
+    return {key: next(v for k, v in reversed(pairs) if k == key) for key, _ in pairs}
+
+
+def _assert_names_scan(model, found, members_of) -> None:
+    """`found`'s actor, member, node and owner maps are the last-wins scans
+    of `model`'s declarations; `members_of` reads an actor's members."""
+    def same(got: dict, want: dict) -> bool:
+        return got.keys() == want.keys() and all(got[k] is want[k] for k in want)
+
+    members = [(m, a) for a in model.actors for m in members_of(a)]
+    assert same(found.actors, _last_wins([(a.id, a) for a in model.actors]))
+    assert found.members.keys() == {id(a) for a in model.actors}
+    assert all(same(found.members[id(a)], _last_wins([(m.id, m) for m in members_of(a)]))
+               for a in model.actors)
+    assert same(found.nodes, _last_wins([(m.id, m) for m, _ in members]))
+    assert found.owner == _last_wins([(m.id, a.id) for m, a in members])
+
+
+def _assert_same_objects(got: list, want: list) -> None:
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_goal_model_duplicates_are_the_repeats_of_each_namespace(data):
     ids = st.lists(st.sampled_from("abcd"), max_size=4)
@@ -332,8 +369,49 @@ def test_goal_model_duplicates_are_the_repeats_of_each_namespace(data):
         for a in data.draw(ids)], dependencies=[
         Dependency(d, DependencyEnd("a"), Dependum(ElementKind.GOAL, d), DependencyEnd("b"))
         for d in data.draw(ids)])
-    got, want = duplicate_ids(model), _goal_duplicates_by_definition(model)
-    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    found = names(model)
+    _assert_same_objects(found.repeats, _goal_duplicates_by_definition(model))
+    _assert_names_scan(model, found, lambda actor: actor.elements)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_value_model_duplicates_are_the_repeats_of_its_namespace(data):
+    ids = st.lists(st.sampled_from("abcd"), max_size=4)
+    model = ValueModel("m", actors=[
+        VActor(a, a, activities=[Activity(x, x) for x in data.draw(ids)])
+        for a in data.draw(ids)], stimuli=[Stimulus(s, s, "a") for s in data.draw(ids)])
+    found = names(model)
+    _assert_same_objects(found.repeats, _value_duplicates_by_definition(model))
+    _assert_names_scan(model, found, lambda actor: actor.activities)
+
+
+@pytest.mark.parametrize("call, suffix", [
+    (validate_value_model, ".vm"), (parse_value_model, ".vm"), (export_dot, ".vm"),
+    (validate_goal_model, ".gm"), (parse_goal_model, ".gm"), (export_dot, ".gm")],
+    ids=lambda x: getattr(x, "__name__", x))
+def test_a_call_builds_the_names_index_once(monkeypatch, call, suffix):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return names(model)
+
+    patched = set()
+    for info in pkgutil.walk_packages(apimod.__path__, "apimod."):
+        module = importlib.import_module(info.name)
+        if getattr(module, "names", None) is names:
+            monkeypatch.setattr(module, "names", counted)
+            patched.add(info.name)
+    assert {"apimod.validate", "apimod.dsl.parser", "apimod.report"} <= patched
+    paths = sorted(CORPUS.glob("*" + suffix))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        model = (vm if suffix == ".vm" else gm)(text)
+        calls.clear()
+        call(text if call in (parse_value_model, parse_goal_model) else model)
+        assert len(calls) == 1, path.name
 
 
 def test_activity_named_like_an_actor_is_a_duplicate():
@@ -591,7 +669,7 @@ def test_cycles_match_a_transitive_closure_of_the_last_declarations(seed):
         for _ in range(rng.randint(1, 9))])
     reach = _closure({a.id: () if a.parent is None else (a.parent,) for a in value.actors})
     expected = [a for a in value.actors if a.id in reach[a.id]]
-    assert [owner for kind, _, owner in reference_problems(value)
+    assert [owner for kind, _, owner in reference_problems(value, names(value), ())
             if kind == "cycle"] == expected
     assert sorted(d.message for d in validate_value_model(value) if d.code == "E-CYCLE") == \
         sorted(f"partnership cycle through {a.id!r}" for a in expected)
