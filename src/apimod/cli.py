@@ -4,8 +4,6 @@ Exit codes follow linter practice: 0 clean, 1 warnings only (2 with
 --strict), 2 errors, 64 for usage mistakes, 141 when stdout's reader closes early.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os

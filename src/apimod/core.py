@@ -2,15 +2,13 @@
 diagnostics, and the value-model / goal-model object structures.
 
 One rule holds for records across the package: a record is a tuple record
-(a :class:`TupleRecord`) unless code or tests change it (assign to it or fill
-its lists), it keeps a field out of equality (`span`), or it validates its
-fields when built; then it is a :class:`Record`, as every model object is. No
-module imports `dataclasses` or `typing`, and no record is a
-`typing.NamedTuple`: importing them and generating each class's methods cost a
-CLI call more than the call's own work.
+(a :class:`TupleRecord`) unless code or tests change it in place (assign to
+it or fill its lists) or it leaves `span` out of equality; then it is a
+:class:`Record`, as every model object is. No module imports `dataclasses`
+or `typing`, and no record is a `typing.NamedTuple`: importing them and
+generating each class's methods cost a CLI call more than the call's own
+work.
 """
-
-from __future__ import annotations
 
 from enum import Enum, IntEnum
 from operator import attrgetter, itemgetter
@@ -276,9 +274,8 @@ class Record:
 
     Two records are equal when they are of one class and agree on every
     field but `span`, so a model parsed from two layouts of one text compares
-    equal. A record that can change while it compares by value must not be a
-    dict key, so it is unhashable; a frozen one (`govern.DecisionItem`)
-    defines its own `__hash__`.
+    equal. A record can change while it compares by value, so none may be a
+    dict key: every one is unhashable.
     """
 
     __slots__ = ()
@@ -435,9 +432,6 @@ class GoalModel(Record):
         self.associations = [] if associations is None else associations
         self.draft = draft
 
-    def actor_map(self) -> dict[str, GActor]:
-        return {a.id: a for a in self.actors}
-
 
 # ---------------------------------------------------------------------------
 # Value models
@@ -525,9 +519,6 @@ class ValueModel(Record):
         self.actors = [] if actors is None else actors
         self.flows = [] if flows is None else flows
         self.stimuli = [] if stimuli is None else stimuli
-
-    def actor_map(self) -> dict[str, VActor]:
-        return {a.id: a for a in self.actors}
 
 
 # ---------------------------------------------------------------------------

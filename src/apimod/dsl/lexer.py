@@ -5,8 +5,6 @@ Produces a token stream as parallel lists, with 1-based spans on demand.
 a keyword) are double-quoted.
 """
 
-from __future__ import annotations
-
 import re
 from functools import partial
 

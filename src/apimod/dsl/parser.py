@@ -25,8 +25,6 @@ reported in one run. Every reported span points inside the offending token
 range.
 """
 
-from __future__ import annotations
-
 import re
 from functools import cache
 
@@ -227,8 +225,7 @@ class _Parser:
 
     def result(self, model) -> ParseResult:
         """The model unless an Error was reported, and each diagnostic once:
-        a nested block and its parent both report a missing brace, and a
-        statement may name one unknown actor twice."""
+        a nested block and its parent both report a missing brace."""
         diags = sort_diagnostics(list(dict.fromkeys(self.diagnostics)))
         return ParseResult(None if self.has_errors() else model, diags)
 

@@ -5,8 +5,6 @@ annotations are printed in canonical order, and names are quoted only when
 required.
 """
 
-from __future__ import annotations
-
 from ..core import (
     ApimodError, BapoTag, Dimension, GActor, GoalModel, Label, MetricDef, Scenario, VActor,
     ValueModel,
@@ -82,7 +80,7 @@ def print_goal_model(model: GoalModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def print_api_descriptor(d: ApiDescriptor) -> str:
+def print_api_descriptor(d: "ApiDescriptor") -> str:
     out = [f"api {q(d.name)} {{", f"  stage {d.declared_stage.value}"]
     for name, value in d.observed.items():
         if value is not None:

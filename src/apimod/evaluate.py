@@ -32,8 +32,6 @@ gain evidence at most four times, so that count stays within 4 x nodes, which
 is checked at run time.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 
 from .core import (
@@ -41,7 +39,7 @@ from .core import (
     EvidencePair, GoalModel, Label, RefinementKind, Scenario, Severity, TupleRecord,
     evidence_to_label, label_to_evidence, sort_diagnostics, tuple_new,
 )
-from .validate import validate_goal_model
+from .validate import refuse_errors, validate_goal_model
 
 RULE_SET = "symmetric-closure"
 
@@ -170,7 +168,6 @@ class Rules(TupleRecord):
     __slots__ = ()
     model: GoalModel
     nodes: list[str]
-    index: dict[str, int]
     # per node: (AND inputs, OR children, [(source, table)]). The combined
     # input is the min over the AND inputs (AND children, incoming dependums)
     # and the max of the OR children; a source delivers table[its label].
@@ -180,17 +177,14 @@ class Rules(TupleRecord):
     fed: list[int]  # the nodes that have an input, in node order
     targets: dict  # scenario target -> node (see `_targets`)
 
-    def __new__(cls, model, nodes, index, inputs, readers, initial, fed, targets):
-        return tuple_new(cls, (model, nodes, index, inputs, readers, initial, fed, targets))
+    def __new__(cls, model, nodes, inputs, readers, initial, fed, targets):
+        return tuple_new(cls, (model, nodes, inputs, readers, initial, fed, targets))
 
 
 def compile_rules(model: GoalModel) -> Rules:
     """Validate `model` and compile its delivery rules for any number of
     scenarios; raises ApimodError when the model has errors."""
-    errors = [d for d in validate_goal_model(model) if d.severity is Severity.ERROR]
-    if errors:
-        raise ApimodError(
-            "model does not validate: " + "; ".join(d.message for d in errors))
+    refuse_errors(validate_goal_model(model), "model")
     nodes = evaluation_nodes(model)  # validation rejects a repeated id
     index = {node: i for i, node in enumerate(nodes)}
     inputs = [([], [], []) for _ in nodes]
@@ -221,8 +215,7 @@ def compile_rules(model: GoalModel) -> Rules:
         if d.dependum.initial_label is not None:
             initial[node] = _CARRIED[_CODE(d.dependum.initial_label)]
     fed = list(compress(range(len(nodes)), map(any, inputs)))
-    return Rules(model, nodes, index, inputs, readers, initial, fed,
-                 _targets(model, index))
+    return Rules(model, nodes, inputs, readers, initial, fed, _targets(model, index))
 
 
 def _delivery(inputs, labels: list[int]) -> int:
@@ -366,7 +359,7 @@ def compare_scenarios(model: GoalModel, scenarios: list[Scenario],
     Scenario names must differ: they key the scores and the ranking."""
     if len(scenarios) < 2:
         raise ApimodError("comparison needs at least two scenarios")
-    if focus_actor is not None and focus_actor not in model.actor_map():
+    if focus_actor is not None and all(a.id != focus_actor for a in model.actors):
         raise ApimodError(f"unknown focus actor {focus_actor!r}")
     rules = compile_rules(model)
     names: set[str] = set()

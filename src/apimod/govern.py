@@ -2,10 +2,8 @@
 change decision quadrants, prioritization, and metric-catalog checks.
 """
 
-from __future__ import annotations
-
 from .core import (  # the catalog's records live in core, where the parser reads them
-    AutomationLevel, Diagnostic, Dimension, MetricDef, Record, Severity, TupleRecord,
+    AutomationLevel, Diagnostic, Dimension, MetricDef, Severity, TupleRecord,
     ValueEnum, load_package_data, sort_diagnostics, tuple_new,
 )
 
@@ -52,32 +50,21 @@ class Quadrant(ValueEnum):
     D = "D"
 
 
-class DecisionItem(Record):
+class DecisionItem(TupleRecord):
     """Two scores in [0, 1]; their meaning depends on the decision model:
     (value, effort) for implementation decisions, (scope, impact) for change
-    decisions. Frozen, so it hashes by value."""
+    decisions."""
 
-    __slots__ = ("name", "a", "b")
+    __slots__ = ()
+    name: str
+    a: float
+    b: float
 
-    def __init__(self, name: str, a: float, b: float):
+    def __new__(cls, name, a, b):
         for score in (a, b):
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"{name}: score {score} outside [0, 1]")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._compare(self))
-
-    def __reduce__(self):  # copy and pickle rebuild it through `__init__`
-        return DecisionItem, self._compare(self)
+        return tuple_new(cls, (name, a, b))
 
 
 #: A score equal to the threshold counts as high.

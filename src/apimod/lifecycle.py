@@ -2,8 +2,6 @@
 value-curve mismatch detection, and transition-trigger checklists.
 """
 
-from __future__ import annotations
-
 from .core import (
     ApimodError, Diagnostic, Record, Severity, TupleRecord, ValueEnum,
     load_package_data, sort_diagnostics, tuple_new,

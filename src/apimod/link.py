@@ -6,8 +6,6 @@ evidence sinks: they emit nothing, so adding instrumentation never changes
 the evaluation of the rest of the ecosystem.
 """
 
-from __future__ import annotations
-
 import copy
 
 from .core import (

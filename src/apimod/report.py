@@ -5,8 +5,6 @@ nothing here depends on a graphviz installation. JSON reports share one
 envelope across commands and are byte-stable for identical inputs.
 """
 
-from __future__ import annotations
-
 from math import isfinite
 
 from . import __version__

@@ -11,26 +11,21 @@ a human can supply. The goal-model grammar numbers dependencies `d1`, `d2`,
 ..., so an activity or stimulus named like one of them is refused (E-DUP).
 """
 
-from __future__ import annotations
-
 from .core import (
     ApimodError, AssociationKind, AssociationLink, Dependency, DependencyEnd,
     Dependum, Diagnostic, ElementKind, GActor, GElement, GoalModel, Label,
     Severity, ValueModel, sort_diagnostics,
 )
-from .validate import names, validate_value_model
+from .validate import names, refuse_errors, validate_value_model
 
 
 def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnostic]]:
-    errors = [d for d in validate_value_model(model)
-              if d.severity is Severity.ERROR]
-    if errors:
-        raise ApimodError(
-            "value model does not validate: " + "; ".join(d.message for d in errors))
+    refuse_errors(validate_value_model(model), "value model")
 
     goal = GoalModel(model.name, draft=True)
     diagnostics: list[Diagnostic] = []
     activity_owner: dict[str, str] = {}
+    actors: dict[str, GActor] = {}
 
     for vactor in model.actors:
         gactor = GActor(
@@ -42,6 +37,7 @@ def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnost
                 id=act.id, kind=ElementKind.TASK, name=act.name, span=act.span))
             activity_owner[act.id] = vactor.id
         goal.actors.append(gactor)
+        actors[vactor.id] = gactor
         if vactor.parent is not None:
             goal.associations.append(AssociationLink(
                 AssociationKind.PART_OF, vactor.id, vactor.parent))
@@ -51,7 +47,6 @@ def transform_value_to_goal(model: ValueModel) -> tuple[GoalModel, list[Diagnost
             "how well (more qualities), and how it relates (more links)",
             vactor.span))
 
-    actors = goal.actor_map()
     for stim in model.stimuli:
         actors[stim.at].elements.append(GElement(
             id=stim.id, kind=ElementKind.GOAL, name=stim.name, span=stim.span))

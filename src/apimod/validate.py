@@ -18,11 +18,9 @@ scoping, a captured API and a stimulus; goal models for floating elements.
 Layer and BAPO coverage checks work on both model types.
 """
 
-from __future__ import annotations
-
 from .core import (
-    BapoTag, Contribution, Diagnostic, ElementKind, GoalModel, Layer, Refinement, Severity,
-    TupleRecord, ValueModel, sort_diagnostics, tuple_new,
+    ApimodError, BapoTag, Contribution, Diagnostic, ElementKind, GoalModel, Layer, Refinement,
+    Severity, TupleRecord, ValueModel, sort_diagnostics, tuple_new,
 )
 
 _QUALITY = ElementKind.QUALITY  # an enum member costs a lookup per access
@@ -374,6 +372,14 @@ def validate_goal_model(model: GoalModel) -> list[Diagnostic]:
                 f"element {el.id!r} floats: no refinement, contribution, "
                 "or dependency attaches it", el.span))
     return sort_diagnostics(diags)
+
+
+def refuse_errors(diagnostics: list[Diagnostic], what: str) -> None:
+    """The precondition of every analysis that needs a valid model: raise
+    ApimodError naming each error of `diagnostics`, in their order, if any."""
+    messages = [d.message for d in diagnostics if d.severity is Severity.ERROR]
+    if messages:
+        raise ApimodError(f"{what} does not validate: " + "; ".join(messages))
 
 
 def check_layer_coverage(model, api_focus: str) -> list[Diagnostic]:

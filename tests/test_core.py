@@ -129,9 +129,10 @@ RECORDS = [
     (TriggerEntry, ("tag", "description", True)),
     (TransitionReport, ("X", LifecycleStage.PLAN, "planning_to_operation", (), ("t",))),
     (EvaluationResult, ((), frozenset({"a"}), 1, (), "s")),
-    (Rules, ("model", ("a",), (), (), (), (0,), (0,), ())),
+    (Rules, ("model", ("a",), (), (), (0,), (0,), ())),
     (ComparisonRow, ("a", (Label.SATISFIED,))),
     (ComparisonTable, (("s",), (), (), (("s", 1),), "A")),
+    (DecisionItem, ("x", 0.25, 0.75)),
     (DimensionCoverage, ((), (), ())),
     (AutomationReport, ((), ("m",), "note")),
     (WhoRow, ("m", "why", ("who",), ("where",), ("A",))),

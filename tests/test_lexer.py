@@ -188,6 +188,17 @@ def test_a_bare_name_is_an_ascii_identifier_that_is_no_keyword(s):
     assert is_bare_name(s) == (ident and s not in KEYWORDS)
 
 
+def test_the_keywords_are_the_words_the_parsers_read():
+    """Every word a parser reads is a keyword, so a name spelled like one is
+    printed quoted; `helpers.gen_name` never draws a keyword, so the
+    round-trip properties cannot catch a word missing here."""
+    read_by_handlers = {"in", "from", "to", "status", "group", "draft"}
+    tables = [parser_module._DISPATCH, parser_module._LINK_WORDS]
+    for parser in parser_module._DISPATCH.values():
+        tables += [parser.STATEMENTS, getattr(parser, "ACTOR_STATEMENTS", {})]
+    assert KEYWORDS == set().union(*tables, read_by_handlers)
+
+
 # ---------------------------------------------------------------------------
 # The clean-scenario reader against the token parser
 # ---------------------------------------------------------------------------

@@ -174,6 +174,11 @@ def test_m1_high_value_while_planning():
 def test_m2_flat_before_operation():
     assert detect(curve((P, 0.5), (P, 0.5), (O, 0.75), (O, 0.8))) == ["M2"]
     assert detect(curve((P, 0.6), (P, 0.4), (O, 0.75), (O, 0.8))) == ["M2"]
+    d = ApiDescriptor(name="X", declared_stage=O,
+                      curve=curve((P, 0.6), (P, 0.4), (O, 0.75), (O, 0.8)))
+    assert [m.message for m in detect_value_mismatches(d, MismatchThresholds())] == [
+        "X: value is not rising across the last 2 planning samples (0.6 -> 0.4) "
+        "before operation"]
 
 
 def test_m3_operation_reached_without_high_value():

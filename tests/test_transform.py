@@ -168,7 +168,7 @@ def test_activity_named_like_a_dependency_id_is_refused():
 def test_annotations_carry_over():
     goal, _ = transform_value_to_goal(
         vm((CORPUS / "device_api.vm").read_text(encoding="utf-8")))
-    platform = goal.actor_map()["Camera Platform"]
+    [platform] = [a for a in goal.actors if a.id == "Camera Platform"]
     assert platform.layer_assignments == {"Device API": __import__(
         "apimod.core", fromlist=["Layer"]).Layer.API}
     assert platform.bapo_tags
