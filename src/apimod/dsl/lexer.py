@@ -1,8 +1,8 @@
 """Shared lexer for all textual model formats.
 
 Produces a token stream as parallel lists, with 1-based spans on demand.
-`//` comments run to end of line. Names containing spaces (or clashing with
-a keyword) are double-quoted.
+`//` comments run to end of line. The lexer reserves no word; the parser's
+tables decide which identifiers are keywords.
 """
 
 import re
@@ -75,19 +75,6 @@ class Tokens:
         return _span((self.file, line, col, line + text.count("\n", start, end),
                       end - text.rfind("\n", 0, end)))
 
-
-#: Reserved words across all dialects; a model name equal to one of these
-#: must be written quoted.
-KEYWORDS = frozenset({
-    "valuemodel", "goalmodel", "scenario", "metric", "api",
-    "actor", "activity", "flow", "stimulus", "depend", "partof",
-    "goal", "task", "quality", "resource",
-    "and", "or", "makes", "helps", "hurts", "breaks",
-    "layer", "bapo", "status", "in", "from", "to", "group", "market",
-    "draft", "label",
-    "stage", "observed", "curve", "rationale",
-    "what", "why", "who", "where", "dimensions", "automation", "links",
-})
 
 #: The token rules, as pattern fragments: the blank characters, an
 #: identifier, the body of a string (between its quotes) and a comment. The
@@ -173,21 +160,6 @@ def unescape(body: str) -> str:
     if "\\\\" in body:
         return "\\".join([part.replace('\\"', '"') for part in body.split("\\\\")])
     return body.replace('\\"', '"')
-
-
-def is_bare_name(s: str) -> bool:
-    """True if `s` can be printed unquoted: an IDENT token that is no keyword.
-    An ASCII identifier is exactly `[A-Za-z_][A-Za-z0-9_]*`."""
-    return s.isascii() and s.isidentifier() and s not in KEYWORDS
-
-
-def quote_name(s: str) -> str:
-    """`s` as the text formats write a name; a line break cannot be written."""
-    if is_bare_name(s):
-        return s
-    if "\n" in s:
-        raise ApimodError(f"name {s!r} contains a line break and cannot be printed")
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def format_number(x: float) -> str:

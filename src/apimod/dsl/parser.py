@@ -14,7 +14,8 @@ dialect by the leading keyword there. `_Parser.parse` reads the
 ``keyword name {`` frame of the single-block dialects. Each braced block has
 one table from its statement keywords to their handlers, and `_Parser.block`
 is the one loop that reads a block's statements through it; a block owns its
-closing brace, and a dialect ends at its brace. `_Parser.fail` words every
+closing brace, and a dialect ends at its brace. The reserved words,
+`KEYWORDS`, are read off these tables too. `_Parser.fail` words every
 ``expected X, found Y``, and a token with no text is shown by its kind
 (``'end of input'``). Where X lists choices, the list is read off the table
 the parser reads there (`_Parser.keyword_choice`, `_Parser.block`,
@@ -29,7 +30,7 @@ import re
 from functools import cache
 
 from ..core import (
-    Activity, AssociationKind, AssociationLink, AutomationLevel, BapoTag,
+    Activity, ApimodError, AssociationKind, AssociationLink, AutomationLevel, BapoTag,
     ContributionStrength, Contribution, Dependency, DependencyEnd, Dependum,
     Diagnostic, Dimension, ElementKind, FlowStatus, GActor, GElement, GoalModel,
     LABEL_WORDS, Layer, MetricDef, Refinement, RefinementKind, Scenario, Severity,
@@ -37,11 +38,11 @@ from ..core import (
     sort_diagnostics, tuple_new,
 )
 from ..validate import (
-    duplicate_diagnostics, link_problems, names, reference_diagnostic, reference_problems,
-    self_links,
+    duplicate_diagnostics, link_problems, link_references, names, reference_diagnostic,
+    reference_problems, self_links,
 )
 from . import lexer
-from .lexer import KEYWORDS, LexError, TokKind, Tokens, tokenize
+from .lexer import LexError, TokKind, Tokens, tokenize
 
 
 class ParseResult(TupleRecord):
@@ -373,7 +374,7 @@ class _ValueModelParser(_Parser):
         for code, message, flow in self_links(model):
             src = next(ref for raw, ref, _ in self.raw_flows if raw is flow)
             self.error(code, message, self.span(*src))
-        for kind, ref, owner in reference_problems(model, found, ()):
+        for kind, ref, owner in reference_problems(model, found):
             if kind == "parent":
                 self.error("E-REF", f"unknown parent actor {ref!r}",
                            self.span(self.parents[id(owner)]))
@@ -472,23 +473,21 @@ class _GoalModelParser(_Parser):
         self.diagnostics += duplicate_diagnostics(found)
         members, elements = found.members, found.nodes
 
-        unresolved: dict[int, list[str]] = {}  # statement position -> its unknown ids
-        for kind, ref, owner in reference_problems(model, found, self.pending):
+        # No link is placed yet: these are the dependencies' and part-of
+        # links' problems, and an end in a closed actor is left to validation.
+        for kind, ref, owner in reference_problems(model, found):
             if kind == "end":
                 self.error("E-REF", f"unknown element {ref.element!r} in actor "
                            f"{ref.actor!r}", owner.span)
             elif kind in ("actor", "partof"):
                 self.error("E-REF", f"unknown actor {ref!r}", owner.span)
-            elif kind != "closed":
-                unresolved.setdefault(owner, []).append(ref)
 
         # A statement is placed on its source element only if no rule
         # rejects it. An unknown source hides the rest of the statement, and
         # a refined quality hides its children.
         for actor, source, link, at in self.pending:
-            missing = unresolved.get(at, ()) if unresolved else ()
             local = members[id(actor)]
-            el = None if source in missing else local[source]
+            el = local.get(source)
             if el is None:
                 self.error("E-REF", f"unknown element {source!r} in actor {actor.id!r}",
                            self.span(at))
@@ -499,6 +498,7 @@ class _GoalModelParser(_Parser):
                            self.span(at))
                 continue
             problems = link_problems(el, link, local, elements)
+            missing = link_references(link, local, elements)
             if missing and contribution:
                 problems += [("E-REF", f"unknown contribution target {ref!r}")
                              for ref in missing]
@@ -698,9 +698,10 @@ def _read_clean_scenario(text: str) -> Scenario | None:
         gap = rf"[{lexer.BLANK}]*(?:{lexer.COMMENT}(?!.)[{lexer.BLANK}]*)*"
         name = rf'(?:({lexer.IDENT})|"({lexer.STRING_BODY})")'
         end = "(?![A-Za-z0-9_])"
+        keyword, (label,) = _ScenarioParser.KEYWORD, _ScenarioParser.STATEMENTS
         _clean_scenario = (
-            re.compile(rf"{gap}scenario{end}{gap}{name}{gap}\{{"),
-            re.compile(rf"{gap}(?:label{end}{gap}{name}{gap}={gap}({lexer.IDENT})|\}}{gap}\Z)"))
+            re.compile(rf"{gap}{keyword}{end}{gap}{name}{gap}\{{"),
+            re.compile(rf"{gap}(?:{label}{end}{gap}{name}{gap}={gap}({lexer.IDENT})|\}}{gap}\Z)"))
     header, statement = _clean_scenario
     m = header.match(text)
     if m is None or (name := _clean_name(*m.groups())) is None:
@@ -727,6 +728,29 @@ def _read_clean_scenario(text: str) -> Scenario | None:
 _DISPATCH = {cls.KEYWORD: cls for cls in (_ValueModelParser, _GoalModelParser,
                                           _ApiDescriptorParser, _MetricCatalogParser,
                                           _ScenarioParser)}
+
+#: Reserved words across all dialects: the dialect keywords, every block's
+#: statement keywords, the link words and the words handlers read with `eat`
+#: or `expect`. A name equal to one is written quoted.
+KEYWORDS = frozenset().union(
+    _DISPATCH, _LINK_WORDS, ("in", "from", "to", "status", "group", "draft"),
+    *[getattr(cls, table, ()) for cls in _DISPATCH.values()
+      for table in ("STATEMENTS", "ACTOR_STATEMENTS")])
+
+
+def is_bare_name(s: str) -> bool:
+    """True if `s` can be printed unquoted: an IDENT token that is no keyword.
+    An ASCII identifier is exactly `[A-Za-z_][A-Za-z0-9_]*`."""
+    return s.isascii() and s.isidentifier() and s not in KEYWORDS
+
+
+def quote_name(s: str) -> str:
+    """`s` as the text formats write a name; a line break cannot be written."""
+    if is_bare_name(s):
+        return s
+    if "\n" in s:
+        raise ApimodError(f"name {s!r} contains a line break and cannot be printed")
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _parse(parser: type[_Parser] | None, text: str, filename: str) -> ParseResult:

@@ -9,7 +9,8 @@ from ..core import (
     ApimodError, BapoTag, Dimension, GActor, GoalModel, Label, MetricDef, Scenario, VActor,
     ValueModel,
 )
-from .lexer import format_number as num, quote_name as q
+from .lexer import format_number as num
+from .parser import quote_name as q
 
 
 def _actor_block(out: list[str], head: str, body: list[str],

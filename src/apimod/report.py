@@ -58,7 +58,7 @@ def export_dot(model, cluster_by_actor: bool = True,
     if found.repeats:
         raise ApimodError(f"cannot export {model.name!r}: duplicate identifier "
                           f"{found.repeats[0].id!r}", code="E-DUP")
-    problems = reference_problems(model, found, ())
+    problems = reference_problems(model, found)
     if problems:
         d = reference_diagnostic(*problems[0])
         raise ApimodError(f"cannot export {model.name!r}: {d.message}", code=d.code)

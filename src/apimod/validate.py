@@ -4,7 +4,9 @@
 declarations repeat an id, the actors, each actor's members and every
 member's owner, where the last declaration of an id wins. Every check that
 resolves a name reads what it returns, and `reference_problems` alone
-decides from it whether a model's references resolve. For goal models it
+decides from it whether a model's references resolve, through
+`link_references` for each link, which the parser calls on a link statement
+before it places it. For goal models it
 follows iStar 2.0: refinement children stay inside their parent's actor, and
 dependencies name elements only of open actors. The parser reports its
 problems as E-REF at the tokens, validation as E-DANGLE at the model objects
@@ -126,19 +128,17 @@ def _cycles(graph: dict[str, tuple[str, ...]]) -> list[list[str]]:
     return sorted(cycles)
 
 
-def reference_problems(model: ValueModel | GoalModel, found: Names,
-                       pending) -> list[tuple[str, object, object]]:
+def reference_problems(model: ValueModel | GoalModel,
+                       found: Names) -> list[tuple[str, object, object]]:
     """`(kind, ref, owner)` for each reference of `model` that does not
     resolve by its `names` index `found`: `ref` as written, `owner` the
     object holding it. Value models: `parent`, `cycle` (the actor's id is on
     a partnership cycle), `source` and `target` (flow endpoints) and
     `stimulus`. Goal models: for each link placed on an element, `child` or
-    `contribution` (its target); then for each `pending` statement not yet
-    placed, as `(actor, source id, Refinement or Contribution, owner)`,
-    `element` for its source (then nothing else of it is checked), else
-    `child` or `contribution`; then `actor` (once per unknown actor of a
-    dependency), `end` and `closed` for dependency ends (`ref` is the
-    `DependencyEnd`) and `partof` (once per unknown actor of a link)."""
+    `contribution` (its target), by `link_references`; then `actor` (once
+    per unknown actor of a dependency), `end` and `closed` for dependency
+    ends (`ref` is the `DependencyEnd`) and `partof` (once per unknown actor
+    of a link)."""
     problems: list[tuple[str, object, object]] = []
     actors, members, nodes = found.actors, found.members, found.nodes
     if isinstance(model, ValueModel):
@@ -163,15 +163,11 @@ def reference_problems(model: ValueModel | GoalModel, found: Names,
         ids = members[id(actor)]
         for el in actor.elements:  # its own actor's scope holds its id
             if el.refinement is not None:
-                _link_references(el.refinement, ids, nodes, el, problems)
+                for child in link_references(el.refinement, ids, nodes):
+                    problems.append(("child", child, el))
             for link in el.contributions:
-                _link_references(link, ids, nodes, el, problems)
-    for actor, source, link, owner in pending:
-        ids = members[id(actor)]
-        if source not in ids:
-            problems.append(("element", source, owner))
-        else:
-            _link_references(link, ids, nodes, owner, problems)
+                for target in link_references(link, ids, nodes):
+                    problems.append(("contribution", target, el))
     for dep in model.dependencies:
         for end in (dep.depender, dep.dependee):
             actor = actors.get(end.actor)
@@ -191,16 +187,13 @@ def reference_problems(model: ValueModel | GoalModel, found: Names,
     return problems
 
 
-def _link_references(link: Refinement | Contribution, ids: dict, elements: dict,
-                     owner, problems: list) -> None:
-    """Append the `child` or `contribution` problems of one link, whose
-    source resolves to an element with the actor scope `ids`."""
+def link_references(link: Refinement | Contribution, ids: dict, elements: dict) -> list[str]:
+    """The ids that one link, whose source is an element with the actor
+    scope `ids`, names and that do not resolve: refinement children not in
+    `ids`, or a contribution target not in `elements`."""
     if type(link) is Refinement:
-        for child in link.children:
-            if child not in ids:
-                problems.append(("child", child, owner))
-    elif link.target not in elements:
-        problems.append(("contribution", link.target, owner))
+        return [child for child in link.children if child not in ids]
+    return [] if link.target in elements else [link.target]
 
 
 #: How validation words each `reference_problems` kind, for owner `o`, ref `r`.
@@ -274,7 +267,7 @@ def _shared_diagnostics(model, found: Names) -> list[Diagnostic]:
     """Repeated ids, reference problems and self-links, each at its owner."""
     diags = duplicate_diagnostics(found)
     diags += [reference_diagnostic(*problem)
-              for problem in reference_problems(model, found, ())]
+              for problem in reference_problems(model, found)]
     return diags + [Diagnostic(Severity.ERROR, code, message, link.span)
                     for code, message, link in self_links(model)]
 

@@ -13,7 +13,7 @@ from apimod.dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
     parse_scenario, parse_value_model, print_model, quote_name,
 )
-from apimod.dsl.lexer import KEYWORDS
+from apimod.dsl.parser import KEYWORDS
 from apimod.evaluate import Scenario
 from apimod.govern import AutomationLevel, Dimension
 from apimod.lifecycle import ApiDescriptor, LifecycleStage, Stability, ValueCurveSample
@@ -531,6 +531,52 @@ def test_a_non_ascii_element_name_prints_quoted_and_round_trips():
     text = print_model(model)
     assert '    goal "é"\n' in text and '    "é" and T\n' in text
     assert print_model(parse_goal_model(text).model) == text
+
+
+#: Models of all five dialects with `@` in every name position: model,
+#: actor, layer focus, parent, activity, flow endpoint, object and group,
+#: stimulus and its actor; element, link source, refinement child,
+#: contribution target, dependency end and dependum; api rationale; metric
+#: name and its fields; scenario target. Where two positions share a
+#: namespace, the word takes them in separate models.
+_NAME_POSITIONS = [
+    (parse_value_model, """valuemodel @ {
+       actor @ { activity x  api  layer(@) = usage }
+       actor B in @ { activity y }
+       flow @ from @ to B.y : goal status missing group @
+       flow o from B.y to @.x
+       stimulus s in @ }"""),
+    (parse_value_model, "valuemodel m { actor A { activity @ } actor B "
+                        "flow o from A.@ to B  stimulus s in B }"),
+    (parse_value_model, "valuemodel m { actor A  stimulus @ in A }"),
+    (parse_goal_model, """goalmodel @ draft {
+       actor @ { goal g  task t  layer(@) = api  g and t }
+       actor B { task u }
+       partof B -> @
+       depend B.u -> @ : resource @ = satisfied }"""),
+    (parse_goal_model, """goalmodel m {
+       actor A { goal @  task t  goal g  @ or t  g and @ }
+       actor B { task u }
+       depend B.u -> A.@ : goal d }"""),
+    (parse_goal_model, "goalmodel m { actor A { quality @  task t  t makes @ } }"),
+    (parse_api_descriptor, "api @ { stage plan  rationale @ }"),
+    (parse_metric_catalog, "metric @ { what @  why @  who @, x  where @  links x, @ }"),
+    (parse_scenario, "scenario @ { label @ = partsat }"),
+]
+
+
+@pytest.mark.parametrize("word", sorted(KEYWORDS))
+def test_every_keyword_round_trips_as_a_name(word):
+    """`helpers.gen_name` never draws a keyword, so the random round-trips
+    cannot show a keyword printed bare."""
+    for parse, template in _NAME_POSITIONS:
+        first = parse(template.replace("@", f'"{word}"'))
+        assert first.ok, [d.render() for d in first.diagnostics]
+        text = print_model(first.model)
+        second = parse(text)
+        assert second.ok, [d.render() for d in second.diagnostics] + [text]
+        assert second.model == first.model
+        assert print_model(second.model) == text
 
 
 def test_quote_name_refuses_a_line_break():

@@ -37,7 +37,7 @@ from apimod.dsl import (
     parse_api_descriptor, parse_goal_model, parse_metric_catalog, parse_model,
     parse_scenario, parse_value_model, print_model,
 )
-from apimod.dsl.lexer import KEYWORDS
+from apimod.dsl.parser import KEYWORDS
 
 from helpers import CORPUS, gen_goal_model, gen_scenario, gen_value_model
 

@@ -669,7 +669,7 @@ def test_cycles_match_a_transitive_closure_of_the_last_declarations(seed):
         for _ in range(rng.randint(1, 9))])
     reach = _closure({a.id: () if a.parent is None else (a.parent,) for a in value.actors})
     expected = [a for a in value.actors if a.id in reach[a.id]]
-    assert [owner for kind, _, owner in reference_problems(value, names(value), ())
+    assert [owner for kind, _, owner in reference_problems(value, names(value))
             if kind == "cycle"] == expected
     assert sorted(d.message for d in validate_value_model(value) if d.code == "E-CYCLE") == \
         sorted(f"partnership cycle through {a.id!r}" for a in expected)
